@@ -46,81 +46,113 @@ class CentralityScores:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ShortestPathTable:
-    """All-pairs shortest distances and shortest-path counts.
-
-    Unreachable pairs carry ``dist == inf`` and ``sigma == 0``.
-    """
-
-    dist: dict[tuple[int, int], float]
-    sigma: dict[tuple[int, int], int]
-
-
-def _tie(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=PATH_TIE_REL_TOL)
-
-
 def _require_undirected(g: WeightedGraph, metric: str) -> None:
     if g.directed:
         raise DomainError(f"{metric} needs an undirected graph; symmetrize first")
 
 
-def _single_source(
-    adj: dict[int, list[tuple[int, float]]], source: int
-) -> tuple[dict[int, float], dict[int, int], dict[int, list[int]], list[int]]:
-    """Dijkstra with shortest-path counting from one source.
+# smallest graph each path metric is defined on
+_PATH_MIN_NODES = {"closeness": 2, "betweenness": 3}
 
-    Returns (dist, sigma, predecessors, settle order).  Lengths within
-    ``PATH_TIE_REL_TOL`` relative tolerance are treated as equal.
+
+def _require_path_metric(g: WeightedGraph, metric: str) -> None:
+    _require_undirected(g, metric)
+    minimum = _PATH_MIN_NODES[metric]
+    if g.n < minimum:
+        raise DomainError(f"{metric} needs at least {minimum} nodes")
+
+
+def _indexed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Adjacency over node indices; index i is the i-th smallest node id."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    adj = g.adjacency()
+    return [[(index[v], weight) for v, weight in adj[u]] for u in g.nodes]
+
+
+def _source_pass(
+    adj: list[list[tuple[int, float]]], source: int
+) -> tuple[list[float], list[int], list[list[int]], list[int]]:
+    """Dijkstra with shortest-path counting from one source index.
+
+    Returns (dist, sigma, predecessors, settle order), indexed like ``adj``.
+    Lengths within ``PATH_TIE_REL_TOL`` relative tolerance are treated as
+    equal; heap ties fall to the smaller index, i.e. the smaller node id.
     """
-    dist = {v: INF for v in adj}
-    sigma = {v: 0 for v in adj}
-    preds: dict[int, list[int]] = {v: [] for v in adj}
+    n = len(adj)
+    dist = [INF] * n
+    sigma = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    settled = [False] * n
     dist[source] = 0.0
     sigma[source] = 1
     order: list[int] = []
-    settled: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, source)]
+    isclose = math.isclose
     while heap:
         d, u = heappop(heap)
-        if u in settled:
+        if settled[u]:
             continue
-        settled.add(u)
+        settled[u] = True
         order.append(u)
+        sigma_u = sigma[u]
         for v, weight in adj[u]:
-            if v in settled:
+            if settled[v]:
                 continue
             candidate = d + weight
-            if candidate < dist[v] and not _tie(candidate, dist[v]):
+            if isclose(candidate, dist[v], rel_tol=PATH_TIE_REL_TOL):
+                sigma[v] += sigma_u
+                preds[v].append(u)
+            elif candidate < dist[v]:
                 dist[v] = candidate
-                sigma[v] = sigma[u]
+                sigma[v] = sigma_u
                 preds[v] = [u]
                 heappush(heap, (candidate, v))
-            elif _tie(candidate, dist[v]):
-                sigma[v] += sigma[u]
-                preds[v].append(u)
     return dist, sigma, preds, order
 
 
-def shortest_paths(g: WeightedGraph) -> ShortestPathTable:
-    """All-pairs weighted shortest paths, treating edge weight as length.
+def _path_metrics(g: WeightedGraph, metrics: Sequence[str]) -> dict[str, CentralityScores]:
+    """Closeness and/or betweenness from one shortest-path pass per source.
 
-    Each pair's entry comes from the run rooted at its smaller endpoint and
-    is mirrored, so the table is exactly symmetric despite floating-point
-    accumulation order differing between sources.
+    Closeness sums each source's reachable distances; betweenness
+    accumulates Brandes dependencies over the same shortest-path DAG.
+    Preconditions are the caller's to check.
     """
-    _require_undirected(g, "shortest_paths")
-    adj = g.adjacency()
-    dist: dict[tuple[int, int], float] = {}
-    sigma: dict[tuple[int, int], int] = {}
-    for source in g.nodes:
-        d, s, _, _ = _single_source(adj, source)
-        for v in g.nodes:
-            if source <= v:
-                dist[(source, v)] = dist[(v, source)] = d[v]
-                sigma[(source, v)] = sigma[(v, source)] = s[v]
-    return ShortestPathTable(dist=dist, sigma=sigma)
+    adj = _indexed_adjacency(g)
+    n = g.n
+    close = [0.0] * n
+    between = [0.0] * n
+    on_component = False
+    for s in range(n):
+        dist, sigma, preds, order = _source_pass(adj, s)
+        if "closeness" in metrics:
+            reachable = [d for v, d in enumerate(dist) if v != s and d < INF]
+            if len(reachable) < n - 1:
+                on_component = True
+            close[s] = 0.0 if not reachable else 1.0 / math.fsum(reachable)
+        if "betweenness" in metrics:
+            delta = [0.0] * n
+            for w in reversed(order):
+                sigma_w = sigma[w]
+                carried = 1.0 + delta[w]
+                for v in preds[w]:
+                    delta[v] += sigma[v] / sigma_w * carried
+                if w != s:
+                    between[w] += delta[w]
+    results = {}
+    if "closeness" in metrics:
+        results["closeness"] = CentralityScores(
+            metric="closeness",
+            scores=dict(zip(g.nodes, close)),
+            params={"on_component": on_component, "tie_rel_tol": PATH_TIE_REL_TOL},
+        )
+    if "betweenness" in metrics:
+        # each unordered pair was accumulated from both endpoints
+        results["betweenness"] = CentralityScores(
+            metric="betweenness",
+            scores={v: value / 2.0 for v, value in zip(g.nodes, between)},
+            params={"tie_rel_tol": PATH_TIE_REL_TOL},
+        )
+    return results
 
 
 def closeness(g: WeightedGraph) -> CentralityScores:
@@ -129,23 +161,8 @@ def closeness(g: WeightedGraph) -> CentralityScores:
     On a disconnected graph each node's sum runs over its reachable set and
     the result is flagged ``on_component``; a node reaching nothing scores 0.
     """
-    _require_undirected(g, "closeness")
-    if g.n < 2:
-        raise DomainError("closeness needs at least 2 nodes")
-    adj = g.adjacency()
-    scores: dict[int, float] = {}
-    on_component = False
-    for x in g.nodes:
-        dist, _, _, _ = _single_source(adj, x)
-        reachable = [d for v, d in dist.items() if v != x and d < INF]
-        if len(reachable) < g.n - 1:
-            on_component = True
-        scores[x] = 0.0 if not reachable else 1.0 / math.fsum(reachable)
-    return CentralityScores(
-        metric="closeness",
-        scores=scores,
-        params={"on_component": on_component, "tie_rel_tol": PATH_TIE_REL_TOL},
-    )
+    _require_path_metric(g, "closeness")
+    return _path_metrics(g, ("closeness",))["closeness"]
 
 
 def betweenness(g: WeightedGraph) -> CentralityScores:
@@ -153,26 +170,10 @@ def betweenness(g: WeightedGraph) -> CentralityScores:
 
     Each unordered pair {s, t} counts once and only interior vertices score;
     unreachable pairs contribute nothing.  Uses stack-based dependency
-    accumulation over the shortest-path DAG of every source.
+    accumulation over the shortest-path DAG of every source (Brandes 2001).
     """
-    _require_undirected(g, "betweenness")
-    if g.n < 3:
-        raise DomainError("betweenness needs at least 3 nodes")
-    adj = g.adjacency()
-    scores = {v: 0.0 for v in g.nodes}
-    for s in g.nodes:
-        _, sigma, preds, order = _single_source(adj, s)
-        delta = {v: 0.0 for v in g.nodes}
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                scores[w] += delta[w]
-    # each unordered pair was accumulated from both endpoints
-    scores = {v: value / 2.0 for v, value in scores.items()}
-    return CentralityScores(
-        metric="betweenness", scores=scores, params={"tie_rel_tol": PATH_TIE_REL_TOL}
-    )
+    _require_path_metric(g, "betweenness")
+    return _path_metrics(g, ("betweenness",))["betweenness"]
 
 
 def degree(g: WeightedGraph) -> CentralityScores:
@@ -268,21 +269,6 @@ def pagerank(
     )
 
 
-def _is_connected(g: WeightedGraph) -> bool:
-    if g.n <= 1:
-        return True
-    adj = g.adjacency()
-    seen = {g.nodes[0]}
-    stack = [g.nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
-
-
 def eigenvector(
     g: WeightedGraph, tol: float = 1e-12, max_iter: int = 10_000
 ) -> CentralityScores:
@@ -298,7 +284,8 @@ def eigenvector(
         raise DomainError(f"tol must be positive, got {tol}")
     if g.n == 0:
         raise DomainError("eigenvector needs a nonempty graph")
-    if not _is_connected(g):
+    # the settle order of one shortest-path pass is the source's component
+    if len(_source_pass(_indexed_adjacency(g), 0)[3]) < g.n:
         raise DomainError(
             "eigenvector centrality needs a connected graph; got multiple components"
         )
@@ -347,14 +334,15 @@ def compute_all(
     undirected = symmetrize(g) if g.directed else g
     results: dict[str, CentralityScores] = {}
     failures: dict[str, GridhotError] = {}
+    path_metrics = []
     for name in METRICS:
         if name not in requested:
             continue
         try:
-            if name == "closeness":
-                results[name] = closeness(undirected)
-            elif name == "betweenness":
-                results[name] = betweenness(undirected)
+            if name in _PATH_MIN_NODES:
+                # closeness and betweenness share the shortest-path pass below
+                _require_path_metric(undirected, name)
+                path_metrics.append(name)
             elif name == "degree":
                 results[name] = degree(undirected)
             elif name == "pagerank":
@@ -371,6 +359,8 @@ def compute_all(
                 )
         except (DomainError, ConvergenceError) as exc:
             failures[name] = exc
+    if path_metrics:
+        results.update(_path_metrics(undirected, path_metrics))
     return results, failures
 
 

@@ -54,7 +54,11 @@ log = logging.getLogger("gridhot")
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written alongside every command's outputs."""
+    """Reproducibility record written alongside every command's outputs.
+
+    ``diagnostics`` holds deterministic facts about how a result was
+    reached, such as each centrality solver's params.
+    """
 
     command: str
     tool_version: str
@@ -62,6 +66,7 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     outputs: dict[str, dict] = field(default_factory=dict)
     status: dict[str, str] = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def add_input(self, name: str, path) -> None:
         self.inputs[name] = {"path": str(path), "sha256": sha256_file(path)}
@@ -428,6 +433,7 @@ def cmd_centrality(args) -> int:
         name: "ok" if name in results else f"error: {failures[name]}"
         for name in args.metrics
     }
+    manifest.diagnostics = {name: result.params for name, result in results.items()}
     manifest.add_output(out_dir / "centrality.csv")
     manifest.add_output(out_dir / "rankings.csv")
     manifest.write(out_dir / "manifest.json")

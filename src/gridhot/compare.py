@@ -68,10 +68,15 @@ class Dispersion:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Everything measured between a reference week and a second week."""
+    """Everything measured between a reference week and a second week.
+
+    ``per_node_rel_diff_omitted`` lists nodes left out of the per-node
+    differences because their week-1 value was 0.
+    """
 
     metric: str
     per_node_rel_diff_pct: dict[int, float]
+    per_node_rel_diff_omitted: tuple[int, ...]
     auto: CorrelationSeries
     cross: CorrelationSeries
     auto_cross_diff: DiffSeries
@@ -177,16 +182,32 @@ def dispersion(traffic: TrafficAggregate) -> Dispersion:
     return dispersion_of(list(traffic.intensities.values()))
 
 
+def _subseries(series: MetricSeries, positions: Sequence[int]) -> MetricSeries:
+    return MetricSeries(
+        metric=series.metric,
+        ordering=tuple(series.ordering[i] for i in positions),
+        values=tuple(series.values[i] for i in positions),
+    )
+
+
 def compare_weeks(week1: MetricSeries, week2: MetricSeries) -> ComparisonReport:
-    """Assemble the full comparison of one metric across two weeks."""
+    """Assemble the full comparison of one metric across two weeks.
+
+    Nodes whose week-1 value is 0 have no relative difference; they are
+    omitted from it and listed, while every other measure covers them.
+    """
     if week1.metric != week2.metric:
         raise DomainError(f"metric mismatch: {week1.metric!r} vs {week2.metric!r}")
     _check_aligned(week1, week2)
     auto = autocorrelation(week1)
     cross = cross_correlation(week1, week2)
+    kept = [i for i, v1 in enumerate(week1.values) if v1 != 0.0]
     return ComparisonReport(
         metric=week1.metric,
-        per_node_rel_diff_pct=per_node_rel_diff(week1, week2),
+        per_node_rel_diff_pct=per_node_rel_diff(_subseries(week1, kept), _subseries(week2, kept)),
+        per_node_rel_diff_omitted=tuple(
+            cell for cell, v1 in zip(week1.ordering, week1.values) if v1 == 0.0
+        ),
         auto=auto,
         cross=cross,
         auto_cross_diff=auto_cross_diff_pct(auto, cross),
@@ -210,6 +231,7 @@ def report_json_obj(report: ComparisonReport) -> dict:
             str(cell): report.per_node_rel_diff_pct[cell]
             for cell in sorted(report.per_node_rel_diff_pct)
         },
+        "per_node_rel_diff_omitted": list(report.per_node_rel_diff_omitted),
         "auto": _corr(report.auto),
         "cross": _corr(report.cross),
         "auto_cross_diff_pct": {

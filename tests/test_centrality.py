@@ -7,6 +7,7 @@ import oracles
 from gridhot.errors import ConvergenceError, DomainError
 from gridhot.graph import WeightedGraph, symmetrize
 from gridhot.centrality import (
+    PATH_TIE_REL_TOL,
     CentralityParams,
     CentralityScores,
     betweenness,
@@ -19,7 +20,8 @@ from gridhot.centrality import (
     rank,
     scores_csv_rows,
     scores_json_obj,
-    shortest_paths,
+    _indexed_adjacency,
+    _source_pass,
 )
 
 und = oracles.undirected_graph
@@ -27,51 +29,65 @@ und = oracles.undirected_graph
 PATH3 = und([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0)])
 TRIANGLE_DETOUR = und([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 10.0)])
 TRIANGLE_UNIT = und([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
+TRIANGLE_AND_PAIR = WeightedGraph(
+    nodes=(1, 2, 3, 4, 5),
+    edges={(1, 2): 1.0, (2, 3): 2.0, (3, 1): 1.5, (4, 5): 3.0},
+    directed=True,
+)
+
+
+def path_table(g):
+    """(dist, sigma) keyed by (u, v), each pair taken from the pass rooted at u."""
+    adj = _indexed_adjacency(g)
+    dist, sigma = {}, {}
+    for i, u in enumerate(g.nodes):
+        d, s, _, _ = _source_pass(adj, i)
+        for j, v in enumerate(g.nodes):
+            dist[(u, v)], sigma[(u, v)] = d[j], s[j]
+    return dist, sigma
 
 
 class TestShortestPaths:
     def test_path_graph(self):
-        table = shortest_paths(PATH3)
-        assert table.dist[(1, 3)] == 2.0
-        assert table.sigma[(1, 3)] == 1
+        dist, sigma = path_table(PATH3)
+        assert dist[(1, 3)] == 2.0
+        assert sigma[(1, 3)] == 1
 
     def test_detour_through_middle(self):
-        table = shortest_paths(TRIANGLE_DETOUR)
-        assert table.dist[(1, 3)] == 2.0
+        dist, _ = path_table(TRIANGLE_DETOUR)
+        assert dist[(1, 3)] == 2.0
 
     def test_single_node(self):
         g = WeightedGraph(nodes=(1,), edges={}, directed=False)
-        table = shortest_paths(g)
-        assert table.dist == {(1, 1): 0.0}
+        dist, _ = path_table(g)
+        assert dist == {(1, 1): 0.0}
 
     def test_unreachable_pairs(self):
         g = WeightedGraph(nodes=(1, 2), edges={}, directed=False)
-        table = shortest_paths(g)
-        assert table.dist[(1, 2)] == math.inf
-        assert table.sigma[(1, 2)] == 0
+        dist, sigma = path_table(g)
+        assert dist[(1, 2)] == math.inf
+        assert sigma[(1, 2)] == 0
 
     def test_tied_paths_counted(self):
         diamond = und([1, 2, 3, 4], [(1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)])
-        table = shortest_paths(diamond)
-        assert table.dist[(1, 4)] == 2.0
-        assert table.sigma[(1, 4)] == 2
+        dist, sigma = path_table(diamond)
+        assert dist[(1, 4)] == 2.0
+        assert sigma[(1, 4)] == 2
 
     def test_invariants_on_random_graphs(self):
         rng = random.Random(5)
         for _ in range(20):
             g = oracles.random_connected_graph(rng, rng.randint(2, 7))
-            table = shortest_paths(g)
+            dist, sigma = path_table(g)
             for u in g.nodes:
-                assert table.dist[(u, u)] == 0.0
+                assert dist[(u, u)] == 0.0
                 for v in g.nodes:
-                    assert table.dist[(u, v)] == table.dist[(v, u)]
+                    # the two directions sum the same edges in a different order
+                    assert math.isclose(dist[(u, v)], dist[(v, u)], rel_tol=PATH_TIE_REL_TOL)
                     if v != u:
-                        assert table.sigma[(u, v)] >= 1
+                        assert sigma[(u, v)] >= 1
                     for w in g.nodes:
-                        assert (
-                            table.dist[(u, v)]
-                            <= table.dist[(u, w)] + table.dist[(w, v)] + 1e-9
-                        )
+                        assert dist[(u, v)] <= dist[(u, w)] + dist[(w, v)] + 1e-9
 
 
 class TestCloseness:
@@ -277,6 +293,34 @@ class TestComputeAll:
         assert results["pagerank"].scores == pagerank(g).scores
         assert results["eigenvector"].scores == eigenvector(und_g).scores
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            oracles.random_directed_graph(random.Random(29), 30, edge_prob=0.15),
+            TRIANGLE_AND_PAIR,
+            WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0, (2, 1): 2.0}, directed=True),
+        ],
+        ids=["connected", "disconnected", "two-node"],
+    )
+    def test_shared_path_pass_is_bitwise_standalone(self, g):
+        results, failures = compute_all(g, metrics=("closeness", "betweenness"))
+        und_g = symmetrize(g)
+        alone = closeness(und_g)
+        assert alone.params["on_component"] is (g is TRIANGLE_AND_PAIR)
+        assert results["closeness"].params == alone.params
+        assert {v: s.hex() for v, s in results["closeness"].scores.items()} == {
+            v: s.hex() for v, s in alone.scores.items()
+        }
+        if g.n < 3:
+            with pytest.raises(DomainError) as info:
+                betweenness(und_g)
+            assert str(failures["betweenness"]) == str(info.value)
+            return
+        assert failures == {}
+        assert {v: s.hex() for v, s in results["betweenness"].scores.items()} == {
+            v: s.hex() for v, s in betweenness(und_g).scores.items()
+        }
+
     def test_unknown_metric_rejected(self):
         g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0}, directed=True)
         with pytest.raises(DomainError):
@@ -286,6 +330,49 @@ class TestComputeAll:
         g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0}, directed=True)
         results, failures = compute_all(g, metrics=("degree",))
         assert set(results) == {"degree"} and failures == {}
+
+
+def integer_weighted(g: WeightedGraph, rng: random.Random) -> WeightedGraph:
+    """The same edges with small integer weights, so many paths tie exactly."""
+    edges = {pair: float(rng.randint(1, 3)) for pair in sorted(g.edges)}
+    return WeightedGraph(nodes=g.nodes, edges=edges, directed=g.directed)
+
+
+class TestNetworkxCrossCheck:
+    """All four iterative and path metrics against networkx at scale."""
+
+    @pytest.mark.parametrize(
+        "n, seed, integer_weights",
+        [(50, 41, False), (120, 43, False), (300, 47, False), (150, 53, True)],
+    )
+    def test_matches_networkx(self, n, seed, integer_weights):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        g = oracles.random_directed_graph(rng, n, edge_prob=6.0 / n)
+        if integer_weights:
+            g = integer_weighted(g, rng)
+        results, failures = compute_all(g)
+        assert failures == {}
+        und_g = symmetrize(g)
+        G = nx.Graph()
+        G.add_nodes_from(und_g.nodes)
+        G.add_weighted_edges_from((u, v, w) for (u, v), w in und_g.edges.items() if u < v)
+        D = nx.DiGraph()
+        D.add_nodes_from(g.nodes)
+        D.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+        # networkx scales closeness by n - 1 on a connected graph
+        reference = {
+            "closeness": {
+                v: c / (n - 1) for v, c in nx.closeness_centrality(G, distance="weight").items()
+            },
+            "betweenness": nx.betweenness_centrality(G, weight="weight", normalized=False),
+            "pagerank": nx.pagerank(D, alpha=0.85, weight="weight", tol=1e-14, max_iter=10_000),
+            "eigenvector": nx.eigenvector_centrality(
+                G, weight="weight", tol=1e-14, max_iter=10_000
+            ),
+        }
+        for metric, expected in reference.items():
+            assert results[metric].scores == pytest.approx(expected, rel=1e-9), metric
 
 
 class TestRank:

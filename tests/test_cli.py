@@ -152,6 +152,12 @@ class TestCentralityCommand:
         assert metrics == {"closeness", "betweenness", "degree", "pagerank", "eigenvector"}
         manifest = json.loads((cen_dir / "manifest.json").read_text())
         assert all(status == "ok" for status in manifest["status"].values())
+        diagnostics = manifest["diagnostics"]
+        assert sorted(diagnostics) == sorted(manifest["status"])
+        assert diagnostics["closeness"]["on_component"] is False
+        assert diagnostics["pagerank"]["iterations"] >= 1
+        assert diagnostics["eigenvector"]["iterations"] >= 1
+        assert diagnostics["eigenvector"]["lambda"] > 0
         rankings = read_csv(cen_dir / "rankings.csv")
         assert rankings[0]["rank"] == "1"
 
@@ -174,6 +180,8 @@ class TestCentralityCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"]["betweenness"].startswith("error")
         assert manifest["status"]["degree"] == "ok"
+        assert "betweenness" not in manifest["diagnostics"]
+        assert manifest["diagnostics"]["degree"] == {}
 
     def test_metric_subset_flag(self, tmp_path):
         city, hs_dir, _ = run_pipeline(tmp_path)

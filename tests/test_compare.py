@@ -218,3 +218,21 @@ class TestCompareWeeks:
         assert obj["auto"]["shifts"] == [-1, 0, 1]
         assert obj["dispersion"]["week1"]["variance"] == pytest.approx(0.25)
         assert obj["auto_cross_diff_pct"]["omitted_shifts"] == []
+        assert obj["per_node_rel_diff_omitted"] == []
+
+    def test_zero_baselines_omitted_and_listed(self):
+        week1 = series([0.0, 2.0, 0.0, 4.0], metric="betweenness", ordering=[3, 5, 8, 9])
+        week2 = series([1.0, 3.0, 0.0, 4.0], metric="betweenness", ordering=[3, 5, 8, 9])
+        report = compare_weeks(week1, week2)
+        assert report.per_node_rel_diff_pct == {5: 50.0, 9: 0.0}
+        assert report.per_node_rel_diff_omitted == (3, 8)
+        # the other measures still cover every node
+        assert report.cross.values == cross_correlation(week1, week2).values
+        assert report.dispersion_week1 == dispersion_of(week1.values)
+        assert report_json_obj(report)["per_node_rel_diff_omitted"] == [3, 8]
+
+    def test_all_zero_baseline(self):
+        week = series([0.0, 0.0], metric="betweenness")
+        report = compare_weeks(week, week)
+        assert report.per_node_rel_diff_pct == {}
+        assert report.per_node_rel_diff_omitted == (1, 2)

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridhot.errors import CalibrationError, DomainError, EmptyInputError
 from gridhot.hotspot import calibrate_p, compute_threshold, detect_hotspots
@@ -129,15 +130,24 @@ def test_no_member_below_mean(intensities, p):
 
 
 @given(intensity_maps, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@example({1: 0.0, 2: 1.0}, 5e-324)
 def test_scale_covariance_power_of_two(intensities, p):
-    # scaling by a power of two is exact in binary floating point
+    # scaling by a power of two is exact in binary floating point, except
+    # where (max - mean) * p lands in the subnormal range and loses bits
     agg = traffic(intensities)
     scaled = traffic({cell: value * 4.0 for cell, value in intensities.items()})
     base_spec = compute_threshold(agg, p)
     scaled_spec = compute_threshold(scaled, p)
     assert scaled_spec.mean_intensity == base_spec.mean_intensity * 4.0
     assert scaled_spec.max_traffic == base_spec.max_traffic * 4.0
-    assert scaled_spec.delta == base_spec.delta * 4.0
+    product_exact = (
+        p == 0.0
+        or base_spec.max_traffic == base_spec.mean_intensity
+        or abs(base_spec.delta) >= sys.float_info.min
+    )
+    if product_exact:
+        assert scaled_spec.delta == base_spec.delta * 4.0
+        assert scaled_spec.threshold == base_spec.threshold * 4.0
     assert detect_hotspots(scaled, p).members == detect_hotspots(agg, p).members
 
 
