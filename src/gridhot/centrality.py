@@ -241,6 +241,8 @@ def pagerank(
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     previous = {u: 1.0 / g.n for u in g.nodes} if g.n else {}
     iterations = 0
     residual = INF
@@ -282,6 +284,8 @@ def eigenvector(
     _require_undirected(g, "eigenvector")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if g.n == 0:
         raise DomainError("eigenvector needs a nonempty graph")
     # the settle order of one shortest-path pass is the source's component
@@ -377,16 +381,3 @@ def scores_csv_rows(all_scores: Iterable[CentralityScores]) -> list[tuple[int, s
             rows.append((cell, result.metric, result.scores[cell]))
     return rows
 
-
-def scores_json_obj(all_scores: Iterable[CentralityScores]) -> dict:
-    """JSON-ready representation with parameters echoed per metric."""
-    return {
-        "metrics": [
-            {
-                "metric": result.metric,
-                "params": dict(result.params),
-                "scores": {str(cell): result.scores[cell] for cell in sorted(result.scores)},
-            }
-            for result in all_scores
-        ]
-    }

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -52,31 +51,41 @@ from .synth import generate_city, load_synth_config
 log = logging.getLogger("gridhot")
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every command's outputs.
+def _write_json(path, obj) -> None:
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
+
+def _write_manifest(
+    path, command: str, inputs: dict, config: dict, outputs, *, status=None, diagnostics=None
+) -> None:
+    """Write the reproducibility record that accompanies a command's outputs.
+
+    ``inputs`` maps names to paths: a list expands to ``name[i]`` and an
+    optional input given as ``None`` is left out.  Inputs and outputs are
+    recorded with their SHA-256 digests, outputs under their file names.
     ``diagnostics`` holds deterministic facts about how a result was
     reached, such as each centrality solver's params.
     """
 
-    command: str
-    tool_version: str
-    inputs: dict[str, dict] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    outputs: dict[str, dict] = field(default_factory=dict)
-    status: dict[str, str] = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    def digest(file_path) -> dict:
+        return {"path": str(file_path), "sha256": sha256_file(file_path)}
 
-    def add_input(self, name: str, path) -> None:
-        self.inputs[name] = {"path": str(path), "sha256": sha256_file(path)}
-
-    def add_output(self, path) -> None:
-        path = Path(path)
-        self.outputs[path.name] = {"path": str(path), "sha256": sha256_file(path)}
-
-    def write(self, path) -> None:
-        atomic_write_text(path, json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
+    recorded = {}
+    for name, value in inputs.items():
+        if isinstance(value, list):
+            recorded.update((f"{name}[{i}]", digest(item)) for i, item in enumerate(value))
+        elif value is not None:
+            recorded[name] = digest(value)
+    manifest = {
+        "command": command,
+        "tool_version": __version__,
+        "inputs": recorded,
+        "config": config,
+        "outputs": {Path(out).name: digest(out) for out in outputs},
+        "status": status or {},
+        "diagnostics": diagnostics or {},
+    }
+    _write_json(path, manifest)
 
 
 def _setup_logging() -> None:
@@ -199,15 +208,16 @@ def _window(args) -> TimeWindow:
     return TimeWindow(args.window_start, args.window_end)
 
 
-def _load_traffic(paths, window: TimeWindow, cfg: IngestConfig) -> TrafficAggregate:
+def _load_records(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: IngestConfig):
+    """Aggregate the records that ``parse`` reads from every file in ``paths``."""
     stats = ParseStats()
     records = itertools.chain.from_iterable(
-        parse_activity(path, cfg.layout, cfg.on_malformed, stats) for path in paths
+        parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
     )
-    traffic = aggregate_traffic(records, window)
+    result = aggregate(records, window)
     if stats.skipped:
-        log.warning("skipped %d malformed activity line(s)", stats.skipped)
-    return traffic
+        log.warning("skipped %d malformed %s line(s)", stats.skipped, kind)
+    return result
 
 
 def _csv_text(header: str, rows) -> str:
@@ -291,15 +301,22 @@ def heatmap_feature_collection(
     return doc, skipped
 
 
+def _write_heatmap(
+    path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
+) -> None:
+    doc, skipped = heatmap_feature_collection(cells, traffic, members)
+    if skipped:
+        log.warning("%d active cell(s) have no grid geometry and were skipped", skipped)
+    _write_json(path, doc)
+
+
 def cmd_synth(args) -> int:
     cfg = load_synth_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     city = generate_city(cfg, out_dir)
 
-    manifest = RunManifest(command="synth", tool_version=__version__)
-    manifest.add_input("config", args.config)
-    manifest.config = {
+    config = {
         "grid_side": cfg.grid_side,
         "n_centers": cfg.n_centers,
         "concentration": cfg.concentration,
@@ -309,16 +326,17 @@ def cmd_synth(args) -> int:
         "records_per_cell": cfg.records_per_cell,
         "window": {"start": cfg.window.start, "end": cfg.window.end},
     }
-    for path in (city.activity_path, city.interactions_path, city.grid_path):
-        manifest.add_output(path)
-    manifest.write(out_dir / "manifest.json")
+    outputs = (city.activity_path, city.interactions_path, city.grid_path)
+    _write_manifest(out_dir / "manifest.json", "synth", {"config": args.config}, config, outputs)
     return 0
 
 
 def cmd_hotspots(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
-    traffic = _load_traffic(args.activity, window, cfg)
+    traffic = _load_records(
+        "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
+    )
 
     if args.k is not None:
         p, hotspots = calibrate_p(traffic, args.k)
@@ -345,36 +363,22 @@ def cmd_hotspots(args) -> int:
         "member_count": len(hotspots.members),
         "window": {"start": window.start, "end": window.end},
     }
-    atomic_write_text(
-        out_dir / "threshold.json", json.dumps(threshold_doc, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out_dir / "threshold.json", threshold_doc)
+    outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
 
-    manifest = RunManifest(command="hotspots", tool_version=__version__)
-    for index, path in enumerate(args.activity):
-        manifest.add_input(f"activity[{index}]", path)
-    if args.config:
-        manifest.add_input("config", args.config)
-    manifest.config = {
+    if args.grid:
+        heatmap_path = out_dir / "heatmap.geojson"
+        _write_heatmap(heatmap_path, parse_grid(args.grid), traffic, set(hotspots.members))
+        outputs.append(heatmap_path)
+
+    config = {
         "window": {"start": window.start, "end": window.end},
         "p": p,
         "k": args.k,
         "on_malformed": cfg.on_malformed,
     }
-    manifest.add_output(out_dir / "hotspots.csv")
-    manifest.add_output(out_dir / "threshold.json")
-
-    if args.grid:
-        manifest.add_input("grid", args.grid)
-        cells = parse_grid(args.grid)
-        doc, skipped = heatmap_feature_collection(cells, traffic, set(hotspots.members))
-        if skipped:
-            log.warning("%d active cell(s) have no grid geometry and were skipped", skipped)
-        atomic_write_text(
-            out_dir / "heatmap.geojson", json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        )
-        manifest.add_output(out_dir / "heatmap.geojson")
-
-    manifest.write(out_dir / "manifest.json")
+    inputs = {"activity": args.activity, "config": args.config, "grid": args.grid}
+    _write_manifest(out_dir / "manifest.json", "hotspots", inputs, config, outputs)
     return 0
 
 
@@ -383,13 +387,9 @@ def cmd_centrality(args) -> int:
     window = _window(args)
     members = _read_hotspots_csv(args.hotspots)
 
-    stats = ParseStats()
-    records = itertools.chain.from_iterable(
-        parse_interactions(path, cfg.layout, cfg.on_malformed, stats) for path in args.interactions
+    interactions = _load_records(
+        "interaction", parse_interactions, aggregate_interactions, args.interactions, window, cfg
     )
-    interactions = aggregate_interactions(records, window)
-    if stats.skipped:
-        log.warning("skipped %d malformed interaction line(s)", stats.skipped)
 
     graph = build_graph(interactions, sorted(members))
     params = CentralityParams(
@@ -415,13 +415,7 @@ def cmd_centrality(args) -> int:
         out_dir / "rankings.csv", _csv_text("metric,rank,cell_id,score", ranking_rows)
     )
 
-    manifest = RunManifest(command="centrality", tool_version=__version__)
-    for index, path in enumerate(args.interactions):
-        manifest.add_input(f"interactions[{index}]", path)
-    manifest.add_input("hotspots", args.hotspots)
-    if args.config:
-        manifest.add_input("config", args.config)
-    manifest.config = {
+    config = {
         "window": {"start": window.start, "end": window.end},
         "damping": args.damping,
         "tol": args.tol,
@@ -429,14 +423,19 @@ def cmd_centrality(args) -> int:
         "metrics": list(args.metrics),
         "pagerank_variant": args.pagerank_variant,
     }
-    manifest.status = {
+    status = {
         name: "ok" if name in results else f"error: {failures[name]}"
         for name in args.metrics
     }
-    manifest.diagnostics = {name: result.params for name, result in results.items()}
-    manifest.add_output(out_dir / "centrality.csv")
-    manifest.add_output(out_dir / "rankings.csv")
-    manifest.write(out_dir / "manifest.json")
+    _write_manifest(
+        out_dir / "manifest.json",
+        "centrality",
+        {"interactions": args.interactions, "hotspots": args.hotspots, "config": args.config},
+        config,
+        [out_dir / "centrality.csv", out_dir / "rankings.csv"],
+        status=status,
+        diagnostics={name: result.params for name, result in results.items()},
+    )
 
     for name, error in failures.items():
         log.warning("metric %s failed: %s", name, error)
@@ -464,12 +463,8 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = RunManifest(command="compare", tool_version=__version__)
-    manifest.add_input("week1", args.week1)
-    manifest.add_input("week2", args.week2)
-    manifest.config = {"metrics": list(metrics)}
-
-    succeeded = 0
+    status = {}
+    outputs = []
     for name in metrics:
         node_set = sorted(week1[name])
         series1 = to_series(CentralityScores(name, week1[name]), node_set)
@@ -477,16 +472,12 @@ def cmd_compare(args) -> int:
         try:
             report = compare_weeks(series1, series2)
         except GridhotError as exc:
-            manifest.status[name] = f"error: {exc}"
+            status[name] = f"error: {exc}"
             log.warning("comparison for %s failed: %s", name, exc)
             continue
-        succeeded += 1
-        manifest.status[name] = "ok"
+        status[name] = "ok"
 
-        atomic_write_text(
-            out_dir / f"{name}_comparison.json",
-            json.dumps(report_json_obj(report), sort_keys=True, indent=2) + "\n",
-        )
+        _write_json(out_dir / f"{name}_comparison.json", report_json_obj(report))
         diff_rows = [
             (cell, repr(report.per_node_rel_diff_pct[cell]))
             for cell in sorted(report.per_node_rel_diff_pct)
@@ -498,45 +489,41 @@ def cmd_compare(args) -> int:
         atomic_write_text(
             out_dir / f"{name}_corr_diff.csv", _csv_text("shift,diff_pct", corr_rows)
         )
-        manifest.add_output(out_dir / f"{name}_comparison.json")
-        manifest.add_output(out_dir / f"{name}_reldiff.csv")
-        manifest.add_output(out_dir / f"{name}_corr_diff.csv")
+        for suffix in ("comparison.json", "reldiff.csv", "corr_diff.csv"):
+            outputs.append(out_dir / f"{name}_{suffix}")
 
-    manifest.write(out_dir / "manifest.json")
-    return 0 if succeeded else 1
+    inputs = {"week1": args.week1, "week2": args.week2}
+    config = {"metrics": list(metrics)}
+    _write_manifest(out_dir / "manifest.json", "compare", inputs, config, outputs, status=status)
+    return 0 if outputs else 1
 
 
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
-    traffic = _load_traffic(args.activity, window, cfg)
+    traffic = _load_records(
+        "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
+    )
     cells = parse_grid(args.grid)
     hotspot_members = None
     if args.hotspots:
         hotspot_members = set(_read_hotspots_csv(args.hotspots))
 
-    doc, skipped = heatmap_feature_collection(cells, traffic, hotspot_members)
-    if skipped:
-        log.warning("%d active cell(s) have no grid geometry and were skipped", skipped)
-
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_heatmap(out_path, cells, traffic, hotspot_members)
 
-    manifest = RunManifest(command="heatmap", tool_version=__version__)
-    for index, path in enumerate(args.activity):
-        manifest.add_input(f"activity[{index}]", path)
-    manifest.add_input("grid", args.grid)
-    if args.hotspots:
-        manifest.add_input("hotspots", args.hotspots)
-    if args.config:
-        manifest.add_input("config", args.config)
-    manifest.config = {
+    inputs = {
+        "activity": args.activity,
+        "grid": args.grid,
+        "hotspots": args.hotspots,
+        "config": args.config,
+    }
+    config = {
         "window": {"start": window.start, "end": window.end},
         "on_malformed": cfg.on_malformed,
     }
-    manifest.add_output(out_path)
-    manifest.write(Path(str(out_path) + ".manifest.json"))
+    _write_manifest(Path(str(out_path) + ".manifest.json"), "heatmap", inputs, config, [out_path])
     return 0
 
 

@@ -83,21 +83,3 @@ def symmetrize(g: WeightedGraph) -> WeightedGraph:
             edges[(v, u)] = weight
     return WeightedGraph(nodes=g.nodes, edges=edges, directed=False)
 
-
-def edgelist_lines(g: WeightedGraph) -> list[str]:
-    """Edge-list text (``src<TAB>dst<TAB>weight``) for debugging dumps.
-
-    Undirected graphs list each unordered pair once, smaller id first.
-    """
-    lines = []
-    for (u, v), weight in sorted(g.edges.items()):
-        if not g.directed and u > v:
-            continue
-        lines.append(f"{u}\t{v}\t{weight!r}")
-    return lines
-
-
-def write_edgelist(g: WeightedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in edgelist_lines(g):
-            handle.write(line + "\n")

@@ -174,18 +174,17 @@ def _check_policy(on_malformed: str) -> None:
         )
 
 
-def _required_field(fields: list[str], index: int, path, line_no: int, name: str) -> str:
-    if index >= len(fields) or not fields[index].strip():
+def _required_int(
+    fields: list[str], index: int, path, line_no: int, name: str, positive: bool
+) -> int:
+    raw = fields[index].strip() if index < len(fields) else ""
+    if not raw:
         raise ParseError(f"missing {name} column", path, line_no)
-    return fields[index].strip()
-
-
-def _parse_id(raw: str, path, line_no: int, name: str) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise ParseError(f"malformed {name} {raw!r}", path, line_no) from None
-    if value <= 0:
+    if positive and value <= 0:
         raise ParseError(f"{name} must be positive, got {value}", path, line_no)
     return value
 
@@ -201,24 +200,18 @@ def _parse_quantity(fields: list[str], index: int, path, line_no: int, name: str
         value = float(raw)
     except ValueError:
         raise ParseError(f"malformed {name} {raw!r}", path, line_no) from None
-    if value < 0:
-        raise ParseError(f"{name} must be nonnegative, got {value}", path, line_no)
+    # one chained comparison rejects negatives, infinities and NaN alike
+    if not 0.0 <= value < math.inf:
+        if value < 0:
+            raise ParseError(f"{name} must be nonnegative, got {value}", path, line_no)
+        raise ParseError(f"{name} must be finite, got {value}", path, line_no)
     return value
 
 
 def _activity_record(line: str, layout: ColumnLayout, path, line_no: int) -> ActivityRecord:
     fields = line.split(layout.delimiter)
-    cell_id = _parse_id(
-        _required_field(fields, layout.square_id, path, line_no, "cell id"),
-        path,
-        line_no,
-        "cell id",
-    )
-    raw_time = _required_field(fields, layout.time, path, line_no, "timestamp")
-    try:
-        timestamp = int(raw_time)
-    except ValueError:
-        raise ParseError(f"malformed timestamp {raw_time!r}", path, line_no) from None
+    cell_id = _required_int(fields, layout.square_id, path, line_no, "cell id", True)
+    timestamp = _required_int(fields, layout.time, path, line_no, "timestamp", False)
     country = 0
     if layout.country_code < len(fields) and fields[layout.country_code].strip():
         raw_country = fields[layout.country_code].strip()
@@ -240,25 +233,37 @@ def _activity_record(line: str, layout: ColumnLayout, path, line_no: int) -> Act
 
 def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> InteractionRecord:
     fields = line.split(layout.delimiter)
-    src = _parse_id(
-        _required_field(fields, layout.src_id, path, line_no, "source id"),
-        path,
-        line_no,
-        "source id",
-    )
-    dst = _parse_id(
-        _required_field(fields, layout.dst_id, path, line_no, "destination id"),
-        path,
-        line_no,
-        "destination id",
-    )
-    raw_time = _required_field(fields, layout.interaction_time, path, line_no, "timestamp")
-    try:
-        timestamp = int(raw_time)
-    except ValueError:
-        raise ParseError(f"malformed timestamp {raw_time!r}", path, line_no) from None
+    src = _required_int(fields, layout.src_id, path, line_no, "source id", True)
+    dst = _required_int(fields, layout.dst_id, path, line_no, "destination id", True)
+    timestamp = _required_int(fields, layout.interaction_time, path, line_no, "timestamp", False)
     strength = _parse_quantity(fields, layout.strength, path, line_no, "strength")
     return InteractionRecord(src_id=src, dst_id=dst, timestamp=timestamp, strength=strength)
+
+
+def _parse_lines(
+    path, record_fn, layout: ColumnLayout, on_malformed: str, stats: ParseStats | None
+) -> Iterator:
+    """Yield ``record_fn(line, layout, path, line_no)`` for each line of ``path``.
+
+    Owns the malformed-line policy and the :class:`ParseStats` counting
+    shared by :func:`parse_activity` and :func:`parse_interactions`.
+    """
+    _check_policy(on_malformed)
+    with open_text(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if stats is not None:
+                stats.lines += 1
+            try:
+                record = record_fn(line.rstrip("\r\n"), layout, path, line_no)
+            except ParseError:
+                if on_malformed == "abort":
+                    raise
+                if stats is not None:
+                    stats.skipped += 1
+                continue
+            if stats is not None:
+                stats.parsed += 1
+            yield record
 
 
 def parse_activity(
@@ -276,22 +281,7 @@ def parse_activity(
             line; ``"skip"`` drops bad lines and counts them in ``stats``.
         stats: optional :class:`ParseStats` to fill with line counters.
     """
-    _check_policy(on_malformed)
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if stats is not None:
-                stats.lines += 1
-            try:
-                record = _activity_record(line.rstrip("\r\n"), layout, path, line_no)
-            except ParseError:
-                if on_malformed == "abort":
-                    raise
-                if stats is not None:
-                    stats.skipped += 1
-                continue
-            if stats is not None:
-                stats.parsed += 1
-            yield record
+    return _parse_lines(path, _activity_record, layout, on_malformed, stats)
 
 
 def parse_interactions(
@@ -304,22 +294,7 @@ def parse_interactions(
 
     Same arguments and malformed-line policy as :func:`parse_activity`.
     """
-    _check_policy(on_malformed)
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if stats is not None:
-                stats.lines += 1
-            try:
-                record = _interaction_record(line.rstrip("\r\n"), layout, path, line_no)
-            except ParseError:
-                if on_malformed == "abort":
-                    raise
-                if stats is not None:
-                    stats.skipped += 1
-                continue
-            if stats is not None:
-                stats.parsed += 1
-            yield record
+    return _parse_lines(path, _interaction_record, layout, on_malformed, stats)
 
 
 def _fmt(value: float) -> str:
@@ -470,6 +445,25 @@ _DELIMITER_NAMES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}
 _LAYOUT_KEYS = {f.name for f in dataclasses.fields(ColumnLayout)} - {"delimiter"}
 
 
+def read_key_values(path) -> list[tuple[int, str, str]]:
+    """Read a plain ``key = value`` file into ``(line_no, key, value)`` triples.
+
+    ``#`` starts a comment; blank lines are ignored.  A line without ``=``
+    raises :class:`ParseError` with its line number.
+    """
+    entries = []
+    with open_text(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ParseError("expected `key = value`", path, line_no)
+            key, _, value = text.partition("=")
+            entries.append((line_no, key.strip(), value.strip()))
+    return entries
+
+
 def load_ingest_config(path) -> IngestConfig:
     """Read a plain ``key = value`` ingest configuration file.
 
@@ -480,36 +474,27 @@ def load_ingest_config(path) -> IngestConfig:
     """
     overrides: dict[str, object] = {}
     on_malformed = "abort"
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError("expected `key = value`", path, line_no)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "delimiter":
-                overrides["delimiter"] = _DELIMITER_NAMES.get(value, value)
-                if len(overrides["delimiter"]) != 1:
-                    raise ParseError(f"delimiter must be a single character, got {value!r}", path, line_no)
-            elif key == "on_malformed":
-                if value not in MALFORMED_POLICIES:
-                    raise ParseError(
-                        f"on_malformed must be one of {MALFORMED_POLICIES}, got {value!r}",
-                        path,
-                        line_no,
-                    )
-                on_malformed = value
-            elif key in _LAYOUT_KEYS:
-                try:
-                    index = int(value)
-                except ValueError:
-                    raise ParseError(f"column index for {key} must be an integer", path, line_no) from None
-                if index < 0:
-                    raise ParseError(f"column index for {key} must be nonnegative", path, line_no)
-                overrides[key] = index
-            else:
-                raise ParseError(f"unknown config key {key!r}", path, line_no)
+    for line_no, key, value in read_key_values(path):
+        if key == "delimiter":
+            overrides["delimiter"] = _DELIMITER_NAMES.get(value, value)
+            if len(overrides["delimiter"]) != 1:
+                raise ParseError(f"delimiter must be a single character, got {value!r}", path, line_no)
+        elif key == "on_malformed":
+            if value not in MALFORMED_POLICIES:
+                raise ParseError(
+                    f"on_malformed must be one of {MALFORMED_POLICIES}, got {value!r}",
+                    path,
+                    line_no,
+                )
+            on_malformed = value
+        elif key in _LAYOUT_KEYS:
+            try:
+                index = int(value)
+            except ValueError:
+                raise ParseError(f"column index for {key} must be an integer", path, line_no) from None
+            if index < 0:
+                raise ParseError(f"column index for {key} must be nonnegative", path, line_no)
+            overrides[key] = index
+        else:
+            raise ParseError(f"unknown config key {key!r}", path, line_no)
     return IngestConfig(layout=dataclasses.replace(DEFAULT_LAYOUT, **overrides), on_malformed=on_malformed)

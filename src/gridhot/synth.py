@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .fileio import atomic_write_text
 from .ingest import (
     ActivityRecord,
@@ -22,8 +22,8 @@ from .ingest import (
     TimeWindow,
     format_activity_line,
     format_interaction_line,
-    open_text,
     parse_epoch_ms,
+    read_key_values,
 )
 
 BACKGROUND_INTENSITY = 1.0
@@ -226,17 +226,7 @@ def load_synth_config(path) -> SynthConfig:
     bounds accept epoch milliseconds or ISO dates.  Remaining keys default
     as in :class:`SynthConfig`.
     """
-    raw: dict[str, str] = {}
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError("expected `key = value`", path, line_no)
-            key, _, value = text.partition("=")
-            raw[key.strip()] = value.strip()
-
+    raw = {key: value for _, key, value in read_key_values(path)}
     known = set(_INT_KEYS) | set(_FLOAT_KEYS) | {"window_start", "window_end"}
     unknown = sorted(set(raw) - known)
     if unknown:

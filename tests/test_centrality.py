@@ -19,7 +19,6 @@ from gridhot.centrality import (
     pagerank_iterates,
     rank,
     scores_csv_rows,
-    scores_json_obj,
     _indexed_adjacency,
     _source_pass,
 )
@@ -260,6 +259,16 @@ class TestEigenvector:
             eigenvector(g)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_max_iter_below_one_rejected(max_iter):
+    for solver in (pagerank, eigenvector):
+        with pytest.raises(DomainError, match="max_iter must be at least 1"):
+            solver(TRIANGLE_UNIT, max_iter=max_iter)
+    results, failures = compute_all(TRIANGLE_UNIT, CentralityParams(max_iter=max_iter))
+    assert set(failures) == {"pagerank", "eigenvector"}
+    assert set(results) == {"closeness", "betweenness", "degree"}
+
+
 class TestComputeAll:
     def test_triangle_has_all_five(self):
         edges = {(u, v): 1.0 for u in (1, 2, 3) for v in (1, 2, 3) if u != v}
@@ -436,8 +445,3 @@ class TestExport:
     def test_csv_rows_sorted(self):
         rows = scores_csv_rows([CentralityScores("degree", {2: 1.0, 1: 3.0})])
         assert rows == [(1, "degree", 3.0), (2, "degree", 1.0)]
-
-    def test_json_obj_echoes_params(self):
-        obj = scores_json_obj([CentralityScores("pagerank", {1: 1.0}, {"damping": 0.85})])
-        assert obj["metrics"][0]["params"] == {"damping": 0.85}
-        assert obj["metrics"][0]["scores"] == {"1": 1.0}

@@ -1,10 +1,15 @@
 import csv
+import importlib
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import gridhot.centrality
+import gridhot.cli
 from gridhot.cli import main
+from gridhot.fileio import sha256_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_CONFIG = REPO_ROOT / "docs" / "synth-example.cfg"
@@ -119,6 +124,21 @@ class TestHotspotsCommand:
             ["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--k", "9", "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_quantity_exits_one(self, tmp_path, capsys, raw):
+        activity = tmp_path / "a.tsv"
+        activity.write_text(
+            f"1\t1384732800000\t0\t10\n2\t1384732800000\t0\t{raw}\n", encoding="utf-8"
+        )
+        code = main(
+            ["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{activity}:2" in err
+        assert "sms_in must be finite" in err
+        assert not (tmp_path / "o" / "hotspots.csv").exists()
 
     def test_p_and_k_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -325,3 +345,104 @@ class TestHeatmapCommand:
         flagged = [f["properties"]["cell_id"] for f in doc["features"] if f["properties"]["is_hotspot"]]
         expected = [int(row["cell_id"]) for row in read_csv(hs_dir / "hotspots.csv")]
         assert sorted(flagged) == expected
+
+
+MANIFEST_KEYS = {"command", "tool_version", "inputs", "config", "outputs", "status", "diagnostics"}
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    """One run of all five commands, with every optional input given."""
+    root = tmp_path_factory.mktemp("chain")
+    city = run_synth(root)
+    ingest_cfg = root / "ingest.cfg"
+    ingest_cfg.write_text("on_malformed = skip\n", encoding="utf-8")
+    activity = str(city / "activity.tsv")
+    steps = [
+        ["hotspots", "--activity", activity, *WEEK, "--k", "6", "--grid", str(city / "grid.geojson"),
+         "--config", str(ingest_cfg), "--out", str(root / "hs")],
+        ["hotspots", "--activity", activity, "--activity", activity, *WEEK, "--p", "0.5",
+         "--out", str(root / "hs_plain")],
+        ["centrality", "--interactions", str(city / "interactions.tsv"),
+         "--hotspots", str(root / "hs" / "hotspots.csv"), *WEEK, "--config", str(ingest_cfg),
+         "--out", str(root / "cen")],
+        ["compare", str(root / "cen" / "centrality.csv"), str(root / "cen" / "centrality.csv"),
+         "--metrics", "closeness,degree", "--out", str(root / "cmp")],
+        ["heatmap", "--activity", activity, "--grid", str(city / "grid.geojson"), *WEEK,
+         "--hotspots", str(root / "hs" / "hotspots.csv"), "--config", str(ingest_cfg),
+         "--out", str(root / "heat.geojson")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    return root
+
+
+COMPARE_OUTPUTS = {
+    f"{metric}_{suffix}"
+    for metric in ("closeness", "degree")
+    for suffix in ("comparison.json", "reldiff.csv", "corr_diff.csv")
+}
+# manifest, command, input names, output names
+MANIFEST_CASES = [
+    ("city/manifest.json", "synth", {"config"}, {"activity.tsv", "interactions.tsv", "grid.geojson"}),
+    (
+        "hs/manifest.json",
+        "hotspots",
+        {"activity[0]", "config", "grid"},
+        {"hotspots.csv", "threshold.json", "heatmap.geojson"},
+    ),
+    (
+        "hs_plain/manifest.json",
+        "hotspots",
+        {"activity[0]", "activity[1]"},
+        {"hotspots.csv", "threshold.json"},
+    ),
+    (
+        "cen/manifest.json",
+        "centrality",
+        {"interactions[0]", "hotspots", "config"},
+        {"centrality.csv", "rankings.csv"},
+    ),
+    ("cmp/manifest.json", "compare", {"week1", "week2"}, COMPARE_OUTPUTS),
+    (
+        "heat.geojson.manifest.json",
+        "heatmap",
+        {"activity[0]", "grid", "hotspots", "config"},
+        {"heat.geojson"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, inputs, outputs", MANIFEST_CASES, ids=[case[0] for case in MANIFEST_CASES]
+)
+def test_manifest_contract(chain_dir, name, command, inputs, outputs):
+    manifest = json.loads((chain_dir / name).read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert set(manifest["inputs"]) == inputs
+    assert set(manifest["outputs"]) == outputs
+    for entry in [*manifest["inputs"].values(), *manifest["outputs"].values()]:
+        assert entry["sha256"] == sha256_file(entry["path"])
+    for out_name, entry in manifest["outputs"].items():
+        assert Path(entry["path"]).name == out_name
+    if command in ("centrality", "compare"):
+        assert set(manifest["status"]) == set(manifest["config"]["metrics"])
+    else:
+        assert manifest["status"] == {} and manifest["diagnostics"] == {}
+
+
+def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
+    """The traced benchmark patches these module attributes and drives the parsers lazily."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for name in tracing.CLI_WRAPS:
+        assert hasattr(gridhot.cli, name), name
+    for name in tracing.CENTRALITY_WRAPS:
+        assert hasattr(gridhot.centrality, name), name
+    path = tmp_path / "empty.tsv"
+    path.write_text("", encoding="utf-8")
+    for name in tracing.PARSERS:
+        records = getattr(gridhot.cli, name)(path)
+        assert inspect.isgenerator(records), name
+        records.close()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gridhot.errors import DomainError
-from gridhot.graph import WeightedGraph, build_graph, edgelist_lines, symmetrize, write_edgelist
+from gridhot.graph import WeightedGraph, build_graph, symmetrize
 from gridhot.hotspot import HotspotSet, ThresholdSpec
 from gridhot.ingest import InteractionAggregate, TimeWindow
 
@@ -110,18 +110,3 @@ class TestValidation:
         g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 3): 1.0, (1, 2): 2.0}, directed=True)
         assert g.adjacency()[1] == [(2, 2.0), (3, 1.0)]
 
-
-class TestEdgelist:
-    def test_directed_lines(self):
-        g = WeightedGraph(nodes=(1, 2), edges={(2, 1): 1.5, (1, 2): 3.0}, directed=True)
-        assert edgelist_lines(g) == ["1\t2\t3.0", "2\t1\t1.5"]
-
-    def test_undirected_pairs_once(self):
-        g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 4.0, (2, 1): 4.0}, directed=False)
-        assert edgelist_lines(g) == ["1\t2\t4.0"]
-
-    def test_write(self, tmp_path):
-        g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 3.0}, directed=True)
-        path = tmp_path / "edges.tsv"
-        write_edgelist(g, path)
-        assert path.read_text() == "1\t2\t3.0\n"

@@ -125,6 +125,46 @@ class TestParseInteractions:
         assert list(parse_interactions(path)) == []
 
 
+# (parser, a valid line, the same line with its last quantity replaced)
+PARSERS = {
+    "activity": (parse_activity, "1\t1000\t0\t1.0", "1\t1000\t0\t{}"),
+    "interactions": (parse_interactions, "5\t7\t1000\t2.5", "5\t7\t1000\t{}"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+class TestParseLoop:
+    def test_abort_names_bad_line(self, tmp_path, kind):
+        parse, good, _ = PARSERS[kind]
+        path = write(tmp_path, "x.tsv", f"{good}\nbad line\n{good}\n")
+        with pytest.raises(ParseError) as info:
+            list(parse(path))
+        assert info.value.line_no == 2
+        assert "x.tsv:2" in str(info.value)
+
+    def test_skip_fills_stats(self, tmp_path, kind):
+        parse, good, _ = PARSERS[kind]
+        path = write(tmp_path, "x.tsv", f"{good}\nbad line\n{good}\n\n")
+        stats = ParseStats()
+        records = list(parse(path, on_malformed="skip", stats=stats))
+        assert len(records) == 2
+        assert (stats.lines, stats.parsed, stats.skipped) == (4, 2, 2)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("nan", "must be finite"), ("inf", "must be finite"), ("-inf", "must be nonnegative")],
+    )
+    def test_non_finite_quantity(self, tmp_path, kind, raw, message):
+        parse, good, template = PARSERS[kind]
+        path = write(tmp_path, "x.tsv", f"{good}\n{template.format(raw)}\n")
+        with pytest.raises(ParseError, match=message) as info:
+            list(parse(path))
+        assert info.value.line_no == 2
+        stats = ParseStats()
+        assert len(list(parse(path, on_malformed="skip", stats=stats))) == 1
+        assert (stats.lines, stats.parsed, stats.skipped) == (2, 1, 1)
+
+
 class TestParseGrid:
     def test_single_square(self, tmp_path):
         path = write(tmp_path, "g.geojson", grid_doc([square_feature(42)]))
@@ -328,6 +368,24 @@ class TestIngestConfig:
         path = write(tmp_path, "ingest.cfg", "colour = blue\n")
         with pytest.raises(ParseError, match="unknown config key"):
             load_ingest_config(path)
+
+    def test_trailing_comment_ignored(self, tmp_path):
+        path = write(tmp_path, "ingest.cfg", "delimiter = comma  # export = csv\n#sms_in = x\n")
+        cfg = load_ingest_config(path)
+        assert cfg.layout.delimiter == ","
+        assert cfg.layout.sms_in == ColumnLayout().sms_in
+
+    def test_missing_equals_names_line(self, tmp_path):
+        path = write(tmp_path, "ingest.cfg", "# layout\ndelimiter comma\n")
+        with pytest.raises(ParseError, match="key = value") as info:
+            load_ingest_config(path)
+        assert info.value.line_no == 2
+
+    def test_unknown_key_names_line(self, tmp_path):
+        path = write(tmp_path, "ingest.cfg", "delimiter = tab\n\ncolour = blue\n")
+        with pytest.raises(ParseError) as info:
+            load_ingest_config(path)
+        assert info.value.line_no == 3
 
     def test_bad_policy_rejected(self, tmp_path):
         path = write(tmp_path, "ingest.cfg", "on_malformed = maybe\n")

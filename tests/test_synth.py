@@ -1,7 +1,7 @@
 import pytest
 
 from gridhot.compare import dispersion
-from gridhot.errors import DomainError
+from gridhot.errors import DomainError, ParseError
 from gridhot.fileio import sha256_file
 from gridhot.hotspot import detect_hotspots
 from gridhot.ingest import (
@@ -161,3 +161,20 @@ class TestSynthConfig:
         )
         with pytest.raises(DomainError, match="shape"):
             load_synth_config(path)
+
+    def test_missing_equals_names_line(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_text("grid_side = 4\n\nwindow_start 0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="key = value") as info:
+            load_synth_config(path)
+        assert info.value.line_no == 3
+
+    def test_trailing_comments_ignored(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_text(
+            "grid_side = 4  # side = 5\n# shape = round\nwindow_start = 0\nwindow_end = 10 #\n",
+            encoding="utf-8",
+        )
+        cfg = load_synth_config(path)
+        assert cfg.grid_side == 4
+        assert cfg.window.end == 10
