@@ -288,10 +288,17 @@ def eigenvector(
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if g.n == 0:
         raise DomainError("eigenvector needs a nonempty graph")
-    # the settle order of one shortest-path pass is the source's component
-    if len(_source_pass(_indexed_adjacency(g), 0)[3]) < g.n:
+    # the settle order of a shortest-path pass is its source's component
+    indexed = _indexed_adjacency(g)
+    reached: set[int] = set()
+    components = 0
+    for root in range(g.n):
+        if root not in reached:
+            components += 1
+            reached.update(_source_pass(indexed, root)[3])
+    if components > 1:
         raise DomainError(
-            "eigenvector centrality needs a connected graph; got multiple components"
+            f"eigenvector centrality needs a connected graph; got {components} components"
         )
     adj = g.adjacency()
     x = {u: 1.0 / math.sqrt(g.n) for u in g.nodes}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -209,7 +210,11 @@ def _window(args) -> TimeWindow:
 
 
 def _load_records(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: IngestConfig):
-    """Aggregate the records that ``parse`` reads from every file in ``paths``."""
+    """Aggregate the records that ``parse`` reads from every file in ``paths``.
+
+    Returns the aggregate and its ingest counts for the manifest's
+    ``diagnostics``: lines read, parsed and skipped, and records in the window.
+    """
     stats = ParseStats()
     records = itertools.chain.from_iterable(
         parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
@@ -217,7 +222,9 @@ def _load_records(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: I
     result = aggregate(records, window)
     if stats.skipped:
         log.warning("skipped %d malformed %s line(s)", stats.skipped, kind)
-    return result
+    counts = dataclasses.asdict(stats)
+    counts["in_window"] = result.in_window
+    return result, counts
 
 
 def _csv_text(header: str, rows) -> str:
@@ -334,9 +341,12 @@ def cmd_synth(args) -> int:
 def cmd_hotspots(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
-    traffic = _load_records(
+    traffic, counts = _load_records(
         "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
     )
+    # a bad grid must fail the run before any output is written; parsed after
+    # the records so that the grid and the per-cell sums never share the peak
+    cells = parse_grid(args.grid) if args.grid else None
 
     if args.k is not None:
         p, hotspots = calibrate_p(traffic, args.k)
@@ -366,9 +376,9 @@ def cmd_hotspots(args) -> int:
     _write_json(out_dir / "threshold.json", threshold_doc)
     outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
 
-    if args.grid:
+    if cells is not None:
         heatmap_path = out_dir / "heatmap.geojson"
-        _write_heatmap(heatmap_path, parse_grid(args.grid), traffic, set(hotspots.members))
+        _write_heatmap(heatmap_path, cells, traffic, set(hotspots.members))
         outputs.append(heatmap_path)
 
     config = {
@@ -378,7 +388,10 @@ def cmd_hotspots(args) -> int:
         "on_malformed": cfg.on_malformed,
     }
     inputs = {"activity": args.activity, "config": args.config, "grid": args.grid}
-    _write_manifest(out_dir / "manifest.json", "hotspots", inputs, config, outputs)
+    diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
+    _write_manifest(
+        out_dir / "manifest.json", "hotspots", inputs, config, outputs, diagnostics=diagnostics
+    )
     return 0
 
 
@@ -387,7 +400,7 @@ def cmd_centrality(args) -> int:
     window = _window(args)
     members = _read_hotspots_csv(args.hotspots)
 
-    interactions = _load_records(
+    interactions, counts = _load_records(
         "interaction", parse_interactions, aggregate_interactions, args.interactions, window, cfg
     )
 
@@ -434,7 +447,10 @@ def cmd_centrality(args) -> int:
         config,
         [out_dir / "centrality.csv", out_dir / "rankings.csv"],
         status=status,
-        diagnostics={name: result.params for name, result in results.items()},
+        diagnostics={
+            "ingest": {**counts, "pairs": len(interactions.strengths)},
+            **{name: result.params for name, result in results.items()},
+        },
     )
 
     for name, error in failures.items():
@@ -501,7 +517,7 @@ def cmd_compare(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
-    traffic = _load_records(
+    traffic, counts = _load_records(
         "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
     )
     cells = parse_grid(args.grid)
@@ -523,7 +539,9 @@ def cmd_heatmap(args) -> int:
         "window": {"start": window.start, "end": window.end},
         "on_malformed": cfg.on_malformed,
     }
-    _write_manifest(Path(str(out_path) + ".manifest.json"), "heatmap", inputs, config, [out_path])
+    diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
+    manifest_path = Path(str(out_path) + ".manifest.json")
+    _write_manifest(manifest_path, "heatmap", inputs, config, [out_path], diagnostics=diagnostics)
     return 0
 
 

@@ -255,8 +255,16 @@ class TestEigenvector:
 
     def test_disconnected_rejected(self):
         g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 2): 1.0, (2, 1): 1.0}, directed=False)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got 2 components"):
             eigenvector(g)
+
+    def test_component_count_named(self):
+        # a triangle, a pair and an isolated node, listed out of component order
+        g = und([1, 2, 3, 4, 5, 6], [(1, 5, 1.0), (5, 3, 2.0), (3, 1, 1.0), (2, 6, 4.0)])
+        with pytest.raises(DomainError, match="connected graph; got 3 components"):
+            eigenvector(g)
+        _, failures = compute_all(g, CentralityParams(), metrics=("eigenvector",))
+        assert "got 3 components" in str(failures["eigenvector"])
 
 
 @pytest.mark.parametrize("max_iter", [0, -5])

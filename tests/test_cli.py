@@ -140,6 +140,45 @@ class TestHotspotsCommand:
         assert "sms_in must be finite" in err
         assert not (tmp_path / "o" / "hotspots.csv").exists()
 
+    def test_bad_grid_writes_nothing(self, tmp_path, capsys):
+        city = run_synth(tmp_path)
+        grid = tmp_path / "points.geojson"
+        point = {"type": "Feature", "properties": {"cellId": 1},
+                 "geometry": {"type": "Point", "coordinates": [9.0, 45.0]}}
+        grid.write_text(json.dumps({"type": "FeatureCollection", "features": [point]}))
+        out = tmp_path / "hs"
+        code = main(
+            ["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--p", "0.5",
+             "--grid", str(grid), "--out", str(out)]
+        )
+        assert code == 1
+        assert "Point" in capsys.readouterr().err
+        for name in ("hotspots.csv", "threshold.json", "heatmap.geojson", "manifest.json"):
+            assert not (out / name).exists(), name
+
+    def test_ingest_counts_in_manifest(self, tmp_path):
+        activity = tmp_path / "a.tsv"
+        activity.write_text(
+            "1\t1384732800000\t0\t10\n"
+            "bad line\n"
+            "2\t1384732799999\t0\t5\n"  # one millisecond before the window
+            "3\t1384732800001\t0\t2\n"
+            "3\t1384732800002\t0\t2\n",
+            encoding="utf-8",
+        )
+        cfg = tmp_path / "ingest.cfg"
+        cfg.write_text("on_malformed = skip\n", encoding="utf-8")
+        out = tmp_path / "hs"
+        code = main(
+            ["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5", "--config", str(cfg),
+             "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {
+            "ingest": {"lines": 5, "parsed": 4, "skipped": 1, "in_window": 3, "cells": 2}
+        }
+
     def test_p_and_k_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["hotspots", "--activity", "x", *WEEK, "--p", "0.5", "--k", "3", "--out", "y"])
@@ -173,7 +212,8 @@ class TestCentralityCommand:
         manifest = json.loads((cen_dir / "manifest.json").read_text())
         assert all(status == "ok" for status in manifest["status"].values())
         diagnostics = manifest["diagnostics"]
-        assert sorted(diagnostics) == sorted(manifest["status"])
+        assert sorted(diagnostics) == sorted([*manifest["status"], "ingest"])
+        assert set(diagnostics["ingest"]) == {"lines", "parsed", "skipped", "in_window", "pairs"}
         assert diagnostics["closeness"]["on_component"] is False
         assert diagnostics["pagerank"]["iterations"] >= 1
         assert diagnostics["eigenvector"]["iterations"] >= 1
@@ -382,6 +422,18 @@ COMPARE_OUTPUTS = {
     for metric in ("closeness", "degree")
     for suffix in ("comparison.json", "reldiff.csv", "corr_diff.csv")
 }
+ACTIVITY_COUNTS = {"lines": 72, "parsed": 72, "skipped": 0, "in_window": 72, "cells": 36}
+# the deterministic diagnostics of each manifest in chain_dir; centrality adds solver params
+DIAGNOSTICS = {
+    "hs/manifest.json": {"ingest": ACTIVITY_COUNTS},
+    "hs_plain/manifest.json": {
+        "ingest": {"lines": 144, "parsed": 144, "skipped": 0, "in_window": 144, "cells": 36}
+    },
+    "cen/manifest.json": {
+        "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720, "pairs": 720}
+    },
+    "heat.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},
+}
 # manifest, command, input names, output names
 MANIFEST_CASES = [
     ("city/manifest.json", "synth", {"config"}, {"activity.tsv", "interactions.tsv", "grid.geojson"}),
@@ -426,10 +478,12 @@ def test_manifest_contract(chain_dir, name, command, inputs, outputs):
         assert entry["sha256"] == sha256_file(entry["path"])
     for out_name, entry in manifest["outputs"].items():
         assert Path(entry["path"]).name == out_name
+    expected = DIAGNOSTICS.get(name, {})
     if command in ("centrality", "compare"):
         assert set(manifest["status"]) == set(manifest["config"]["metrics"])
     else:
-        assert manifest["status"] == {} and manifest["diagnostics"] == {}
+        assert manifest["status"] == {} and manifest["diagnostics"] == expected
+    assert manifest["diagnostics"].get("ingest") == expected.get("ingest")
 
 
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
 import gzip
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridhot.errors import DomainError, ParseError, UnsupportedGeometryError
 from gridhot.ingest import (
+    DEFAULT_LAYOUT,
     ActivityRecord,
     ColumnLayout,
     InteractionRecord,
@@ -21,6 +23,10 @@ from gridhot.ingest import (
     parse_epoch_ms,
     parse_grid,
     parse_interactions,
+    _activity_record,
+    _checked_activity_record,
+    _checked_interaction_record,
+    _interaction_record,
 )
 
 WINDOW = TimeWindow(1_000, 2_000)
@@ -165,6 +171,96 @@ class TestParseLoop:
         assert (stats.lines, stats.parsed, stats.skipped) == (2, 1, 1)
 
 
+# Differential check of the record builders' fast path against the checked,
+# field-by-field path that owns the validation rules.
+PADDING = st.sampled_from(["", " ", "  ", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\u3000"])
+EDGE_VALUES = [
+    "", " ", "\xa0", "0", "-0", "-1", " 3 ", "0.0", "-0.0", "-1e-300", "1e308", "1e309", "2.5E-3",
+    "nan", "-nan", "inf", "-inf", "Infinity", ".5", "5.", "+7", "1_000", "1_0.5", "\u0661\u0662",
+    "abc", "0x10",
+]
+EDGE_TEXT = st.sampled_from(EDGE_VALUES)
+NUMBER_TEXT = st.one_of(
+    EDGE_TEXT,
+    st.integers(min_value=-5, max_value=10**15).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=0, max_value=1e6).map(lambda x: f"{x:e}"),
+)
+FIELD_TEXT = st.one_of(
+    EDGE_TEXT,
+    st.tuples(PADDING, NUMBER_TEXT, PADDING).map("".join),
+    PADDING,
+    st.sampled_from(["1.5.2", "1 2", "--1", "e5", "_1", "1__0"]),
+)
+CLEAN_TEXT = st.one_of(
+    st.integers(min_value=1, max_value=10**13).map(str),
+    st.floats(min_value=0, max_value=1e6).map(repr),
+    st.just(""),
+)
+# Eight columns fill either builder's layout: mostly well formed, sometimes
+# cut short, sometimes with extra columns.
+ROWS = st.tuples(
+    st.lists(st.one_of(CLEAN_TEXT, CLEAN_TEXT, CLEAN_TEXT, FIELD_TEXT), min_size=8, max_size=8),
+    st.one_of(st.just(8), st.integers(min_value=0, max_value=8)),
+    st.lists(FIELD_TEXT, max_size=2),
+).map(lambda row: row[0][: row[1]] + row[2])
+# the default layout, and a comma layout with shuffled columns and a trailing country code
+LAYOUTS = [
+    DEFAULT_LAYOUT,
+    ColumnLayout(
+        delimiter=",", square_id=1, time=0, country_code=7, sms_in=2, sms_out=3,
+        call_in=4, call_out=5, internet=6, src_id=2, dst_id=0, interaction_time=3, strength=1,
+    ),
+]
+BUILDERS = {
+    "activity": (_activity_record, _checked_activity_record),
+    "interactions": (_interaction_record, _checked_interaction_record),
+}
+
+
+def _outcome(build, *args):
+    try:
+        record = build(*args)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line_no)
+    # repr tells -0.0 from 0.0, so equal outcomes are bit for bit equal
+    return (type(record).__name__, repr(record))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "comma"])
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@settings(max_examples=200)
+@given(columns=ROWS, line_no=st.integers(min_value=1, max_value=10**6))
+def test_fast_path_matches_checked_path(kind, layout, columns, line_no):
+    fast, checked = BUILDERS[kind]
+    line = layout.delimiter.join(columns)
+    expected = _outcome(checked, line.split(layout.delimiter), layout, "x.tsv", line_no)
+    assert _outcome(fast, line, layout, "x.tsv", line_no) == expected
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "comma"])
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_fast_path_matches_checked_path_each_column(kind, layout):
+    """Every edge value in every column of an otherwise clean row."""
+    fast, checked = BUILDERS[kind]
+    clean = ["5", "1000", "39", "1.5", "", "0.25", "", "2"]
+    for index in range(len(clean)):
+        for value in EDGE_VALUES:
+            line = layout.delimiter.join(clean[:index] + [value] + clean[index + 1 :])
+            expected = _outcome(checked, line.split(layout.delimiter), layout, "x.tsv", 7)
+            assert _outcome(fast, line, layout, "x.tsv", 7) == expected, line
+
+
+def test_record_is_immutable_tuple():
+    record = ActivityRecord(1, 1_000, sms_in=0.5, internet=2.0)
+    assert record == (1, 1_000, 0.5, 0.0, 0.0, 0.0, 2.0, 0)
+    assert record.total() == 2.5
+    with pytest.raises(AttributeError):
+        record.cell_id = 2
+    with pytest.raises(AttributeError):
+        InteractionRecord(1, 2, 1_000, 1.0).strength = 0.0
+
+
 class TestParseGrid:
     def test_single_square(self, tmp_path):
         path = write(tmp_path, "g.geojson", grid_doc([square_feature(42)]))
@@ -224,6 +320,7 @@ class TestAggregation:
         ]
         traffic = aggregate_traffic(records, WINDOW)
         assert traffic.intensities == {2: 1.0}
+        assert traffic.in_window == 1
 
     def test_empty_stream(self):
         assert aggregate_traffic([], WINDOW).intensities == {}
@@ -243,7 +340,8 @@ class TestAggregation:
 
     def test_zero_sum_pairs_omitted(self):
         records = [InteractionRecord(1, 2, 1_100, 0.0)]
-        assert aggregate_interactions(records, WINDOW).strengths == {}
+        agg = aggregate_interactions(records, WINDOW)
+        assert agg.strengths == {} and agg.in_window == 1
 
 
 # dyadic quantities keep every float addition exact, so the set-level
@@ -266,6 +364,35 @@ def test_aggregation_permutation_invariant(records, rng):
     shuffled = list(records)
     rng.shuffle(shuffled)
     assert aggregate_traffic(records, WINDOW) == aggregate_traffic(shuffled, WINDOW)
+
+
+quantities = st.floats(min_value=0, max_value=1e6)
+
+
+@given(
+    st.lists(
+        st.builds(
+            ActivityRecord,
+            cell_id=st.integers(min_value=1, max_value=5),
+            timestamp=st.integers(min_value=0, max_value=3_000),
+            sms_in=quantities,
+            sms_out=quantities,
+            call_in=quantities,
+            call_out=quantities,
+            internet=quantities,
+        ),
+        max_size=40,
+    )
+)
+def test_aggregation_matches_record_totals(records):
+    """Bit for bit the fsum of each in-window record's total(), in any float."""
+    parts = {}
+    for record in records:
+        if WINDOW.start <= record.timestamp < WINDOW.end:
+            parts.setdefault(record.cell_id, []).append(record.total())
+    traffic = aggregate_traffic(records, WINDOW)
+    assert traffic.intensities == {cell: math.fsum(values) for cell, values in parts.items()}
+    assert traffic.in_window == sum(map(len, parts.values()))
 
 
 @given(st.lists(activity_records, max_size=40), st.lists(activity_records, max_size=40))
