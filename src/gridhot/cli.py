@@ -3,7 +3,7 @@
 Every command writes a ``manifest.json`` next to its outputs with the
 command name, tool version, config values and SHA-256 digests of inputs
 and outputs, so identical runs are verifiably byte-identical.  Exit codes:
-0 success, 1 domain or convergence error, 2 I/O or usage error.
+0 success, 1 domain or convergence error, 2 I/O, decoding or usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -323,18 +324,10 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     city = generate_city(cfg, out_dir)
 
-    config = {
-        "grid_side": cfg.grid_side,
-        "n_centers": cfg.n_centers,
-        "concentration": cfg.concentration,
-        "decay_radius": cfg.decay_radius,
-        "noise": cfg.noise,
-        "seed": cfg.seed,
-        "records_per_cell": cfg.records_per_cell,
-        "window": {"start": cfg.window.start, "end": cfg.window.end},
-    }
     outputs = (city.activity_path, city.interactions_path, city.grid_path)
-    _write_manifest(out_dir / "manifest.json", "synth", {"config": args.config}, config, outputs)
+    _write_manifest(
+        out_dir / "manifest.json", "synth", {"config": args.config}, dataclasses.asdict(cfg), outputs
+    )
     return 0
 
 
@@ -360,18 +353,12 @@ def cmd_hotspots(args) -> int:
     rows = [(cell, repr(hotspots.intensities[cell])) for cell in hotspots.members]
     atomic_write_text(out_dir / "hotspots.csv", _csv_text("cell_id,intensity", rows))
 
-    spec = hotspots.spec
     threshold_doc = {
-        "p": spec.p,
-        "mean_intensity": spec.mean_intensity,
-        "max_traffic": spec.max_traffic,
-        "delta": spec.delta,
-        "threshold": spec.threshold,
-        "n_areas": spec.n_areas,
+        **dataclasses.asdict(hotspots.spec),
         "k": args.k,
         "truncated": hotspots.truncated,
         "member_count": len(hotspots.members),
-        "window": {"start": window.start, "end": window.end},
+        "window": dataclasses.asdict(window),
     }
     _write_json(out_dir / "threshold.json", threshold_doc)
     outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
@@ -382,10 +369,7 @@ def cmd_hotspots(args) -> int:
         outputs.append(heatmap_path)
 
     config = {
-        "window": {"start": window.start, "end": window.end},
-        "p": p,
-        "k": args.k,
-        "on_malformed": cfg.on_malformed,
+        "window": dataclasses.asdict(window), "p": p, "k": args.k, "on_malformed": cfg.on_malformed
     }
     inputs = {"activity": args.activity, "config": args.config, "grid": args.grid}
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
@@ -429,12 +413,9 @@ def cmd_centrality(args) -> int:
     )
 
     config = {
-        "window": {"start": window.start, "end": window.end},
-        "damping": args.damping,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
+        **dataclasses.asdict(params),
+        "window": dataclasses.asdict(window),
         "metrics": list(args.metrics),
-        "pagerank_variant": args.pagerank_variant,
     }
     status = {
         name: "ok" if name in results else f"error: {failures[name]}"
@@ -535,10 +516,7 @@ def cmd_heatmap(args) -> int:
         "hotspots": args.hotspots,
         "config": args.config,
     }
-    config = {
-        "window": {"start": window.start, "end": window.end},
-        "on_malformed": cfg.on_malformed,
-    }
+    config = {"window": dataclasses.asdict(window), "on_malformed": cfg.on_malformed}
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
     manifest_path = Path(str(out_path) + ".manifest.json")
     _write_manifest(manifest_path, "heatmap", inputs, config, [out_path], diagnostics=diagnostics)
@@ -554,7 +532,8 @@ def main(argv=None) -> int:
     except GridhotError as exc:
         print(f"gridhot {args.command}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
+        # unreadable input: a missing file, bytes that are not UTF-8, a broken .gz
         print(f"gridhot {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from .centrality import CentralityScores
 from .errors import DomainError, EmptyInputError
-from .ingest import TrafficAggregate
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,6 @@ def dispersion_of(values: Sequence[float]) -> Dispersion:
     variance = math.fsum((v - mean) ** 2 for v in values) / n
     cv = math.sqrt(variance) / mean if mean > 0 else None
     return Dispersion(variance=variance, cv=cv)
-
-
-def dispersion(traffic: TrafficAggregate) -> Dispersion:
-    """Dispersion of per-cell intensities in a traffic aggregate."""
-    if not traffic.intensities:
-        raise EmptyInputError("dispersion needs a nonempty traffic aggregate")
-    return dispersion_of(list(traffic.intensities.values()))
 
 
 def _subseries(series: MetricSeries, positions: Sequence[int]) -> MetricSeries:

@@ -177,38 +177,56 @@ def _check_policy(on_malformed: str) -> None:
         )
 
 
-def _required_int(
-    fields: list[str], index: int, path, line_no: int, name: str, positive: bool
-) -> int:
-    raw = fields[index].strip() if index < len(fields) else ""
-    if not raw:
-        raise ParseError(f"missing {name} column", path, line_no)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"malformed {name} {raw!r}", path, line_no) from None
-    if positive and value <= 0:
-        raise ParseError(f"{name} must be positive, got {value}", path, line_no)
-    return value
+# One row per record field, in the order a bad line is reported: the record
+# field, its ColumnLayout attribute, its name in messages and its kind.  An
+# ``id`` is a positive int and a ``time`` any int; both are required.  An
+# empty ``code`` reads 0.  An empty or absent ``quantity`` reads 0.0 (the
+# source data omits zero activity); otherwise it is finite and nonnegative.
+ACTIVITY_COLUMNS = (
+    ("cell_id", "square_id", "cell id", "id"),
+    ("timestamp", "time", "timestamp", "time"),
+    ("country_code", "country_code", "country code", "code"),
+    ("sms_in", "sms_in", "sms_in", "quantity"),
+    ("sms_out", "sms_out", "sms_out", "quantity"),
+    ("call_in", "call_in", "call_in", "quantity"),
+    ("call_out", "call_out", "call_out", "quantity"),
+    ("internet", "internet", "internet", "quantity"),
+)
+INTERACTION_COLUMNS = (
+    ("src_id", "src_id", "source id", "id"),
+    ("dst_id", "dst_id", "destination id", "id"),
+    ("timestamp", "interaction_time", "timestamp", "time"),
+    ("strength", "strength", "strength", "quantity"),
+)
+_EMPTY_VALUES = {"code": 0, "quantity": 0.0}
 
 
-def _parse_quantity(fields: list[str], index: int, path, line_no: int, name: str) -> float:
-    # absent or empty columns read as 0 (the source data omits zero activity)
-    if index >= len(fields):
-        return 0.0
-    raw = fields[index].strip()
-    if not raw:
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"malformed {name} {raw!r}", path, line_no) from None
-    # one chained comparison rejects negatives, infinities and NaN alike
-    if not 0.0 <= value < math.inf:
-        if value < 0:
-            raise ParseError(f"{name} must be nonnegative, got {value}", path, line_no)
-        raise ParseError(f"{name} must be finite, got {value}", path, line_no)
-    return value
+def _checked_record(
+    record_type, columns, fields: list[str], layout: ColumnLayout, path, line_no: int
+):
+    """Build ``record_type`` from ``fields`` column by column, naming the first bad one."""
+    values = {}
+    for field, attr, name, kind in columns:
+        index = getattr(layout, attr)
+        raw = fields[index].strip() if index < len(fields) else ""
+        if not raw:
+            if kind not in _EMPTY_VALUES:
+                raise ParseError(f"missing {name} column", path, line_no)
+            values[field] = _EMPTY_VALUES[kind]
+            continue
+        try:
+            value = float(raw) if kind == "quantity" else int(raw)
+        except ValueError:
+            raise ParseError(f"malformed {name} {raw!r}", path, line_no) from None
+        if kind == "id" and value <= 0:
+            raise ParseError(f"{name} must be positive, got {value}", path, line_no)
+        # one chained comparison rejects negatives, infinities and NaN alike
+        if kind == "quantity" and not 0.0 <= value < math.inf:
+            if value < 0:
+                raise ParseError(f"{name} must be nonnegative, got {value}", path, line_no)
+            raise ParseError(f"{name} must be finite, got {value}", path, line_no)
+        values[field] = value
+    return record_type(**values)
 
 
 # Building a record with tuple.__new__ skips the argument binding of the
@@ -220,7 +238,7 @@ def _activity_record(line: str, layout: ColumnLayout, path, line_no: int) -> Act
     fields = line.split(layout.delimiter)
     # Fast path: int() and float() strip surrounding whitespace themselves,
     # and an empty quantity column reads 0.  A line they raise on, or that
-    # fails the range check, is re-read by the checked path, which owns every
+    # fails the range check, is re-read by _checked_record, which owns every
     # validation rule and error message.
     try:
         cell_id = int(fields[layout.square_id])
@@ -238,7 +256,7 @@ def _activity_record(line: str, layout: ColumnLayout, path, line_no: int) -> Act
         internet = fields[layout.internet]
         internet = float(internet) if internet else 0.0
     except (ValueError, IndexError):
-        return _checked_activity_record(fields, layout, path, line_no)
+        return _checked_record(ActivityRecord, ACTIVITY_COLUMNS, fields, layout, path, line_no)
     if (
         cell_id > 0
         and 0.0 <= sms_in < math.inf
@@ -251,31 +269,7 @@ def _activity_record(line: str, layout: ColumnLayout, path, line_no: int) -> Act
             ActivityRecord,
             (cell_id, timestamp, sms_in, sms_out, call_in, call_out, internet, country),
         )
-    return _checked_activity_record(fields, layout, path, line_no)
-
-
-def _checked_activity_record(
-    fields: list[str], layout: ColumnLayout, path, line_no: int
-) -> ActivityRecord:
-    cell_id = _required_int(fields, layout.square_id, path, line_no, "cell id", True)
-    timestamp = _required_int(fields, layout.time, path, line_no, "timestamp", False)
-    country = 0
-    if layout.country_code < len(fields) and fields[layout.country_code].strip():
-        raw_country = fields[layout.country_code].strip()
-        try:
-            country = int(raw_country)
-        except ValueError:
-            raise ParseError(f"malformed country code {raw_country!r}", path, line_no) from None
-    return ActivityRecord(
-        cell_id=cell_id,
-        timestamp=timestamp,
-        sms_in=_parse_quantity(fields, layout.sms_in, path, line_no, "sms_in"),
-        sms_out=_parse_quantity(fields, layout.sms_out, path, line_no, "sms_out"),
-        call_in=_parse_quantity(fields, layout.call_in, path, line_no, "call_in"),
-        call_out=_parse_quantity(fields, layout.call_out, path, line_no, "call_out"),
-        internet=_parse_quantity(fields, layout.internet, path, line_no, "internet"),
-        country_code=country,
-    )
+    return _checked_record(ActivityRecord, ACTIVITY_COLUMNS, fields, layout, path, line_no)
 
 
 def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> InteractionRecord:
@@ -288,20 +282,10 @@ def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> 
         strength = fields[layout.strength]
         strength = float(strength) if strength else 0.0
     except (ValueError, IndexError):
-        return _checked_interaction_record(fields, layout, path, line_no)
+        return _checked_record(InteractionRecord, INTERACTION_COLUMNS, fields, layout, path, line_no)
     if src > 0 and dst > 0 and 0.0 <= strength < math.inf:
         return _new_record(InteractionRecord, (src, dst, timestamp, strength))
-    return _checked_interaction_record(fields, layout, path, line_no)
-
-
-def _checked_interaction_record(
-    fields: list[str], layout: ColumnLayout, path, line_no: int
-) -> InteractionRecord:
-    src = _required_int(fields, layout.src_id, path, line_no, "source id", True)
-    dst = _required_int(fields, layout.dst_id, path, line_no, "destination id", True)
-    timestamp = _required_int(fields, layout.interaction_time, path, line_no, "timestamp", False)
-    strength = _parse_quantity(fields, layout.strength, path, line_no, "strength")
-    return InteractionRecord(src_id=src, dst_id=dst, timestamp=timestamp, strength=strength)
+    return _checked_record(InteractionRecord, INTERACTION_COLUMNS, fields, layout, path, line_no)
 
 
 def _parse_lines(
@@ -313,20 +297,19 @@ def _parse_lines(
     shared by :func:`parse_activity` and :func:`parse_interactions`.
     """
     _check_policy(on_malformed)
+    if stats is None:
+        stats = ParseStats()
     with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
-            if stats is not None:
-                stats.lines += 1
+            stats.lines += 1
             try:
                 record = record_fn(line.rstrip("\r\n"), layout, path, line_no)
             except ParseError:
                 if on_malformed == "abort":
                     raise
-                if stats is not None:
-                    stats.skipped += 1
+                stats.skipped += 1
                 continue
-            if stats is not None:
-                stats.parsed += 1
+            stats.parsed += 1
             yield record
 
 
@@ -404,8 +387,14 @@ def format_interaction_line(record: InteractionRecord, layout: ColumnLayout = DE
 _CELL_ID_KEYS = ("cell_id", "cellId", "id")
 
 
+def _json_object(value, what: str, path) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(value).__name__}", path)
+    return value
+
+
 def _feature_cell_id(feature: dict, index: int, path) -> int:
-    properties = feature.get("properties") or {}
+    properties = _json_object(feature.get("properties") or {}, f"feature {index} properties", path)
     raw = None
     for key in _CELL_ID_KEYS:
         if key in properties:
@@ -430,8 +419,8 @@ def parse_grid(path) -> list[GridCell]:
 
     Each feature must carry a Polygon geometry and a cell id under one of
     the property keys ``cell_id`` / ``cellId`` / ``id`` (or a feature-level
-    ``id``).  Duplicate ids, open rings and non-polygon geometries are
-    rejected.
+    ``id``).  Duplicate ids, open rings, non-polygon geometries and values
+    of the wrong JSON type are rejected.
     """
     with open_text(path) as handle:
         try:
@@ -442,8 +431,12 @@ def parse_grid(path) -> list[GridCell]:
         raise ParseError("expected a GeoJSON FeatureCollection", path)
     cells: list[GridCell] = []
     seen: set[int] = set()
-    for index, feature in enumerate(doc.get("features", [])):
-        geometry = feature.get("geometry") or {}
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ParseError(f"features must be a JSON array, got {type(features).__name__}", path)
+    for index, feature in enumerate(features):
+        feature = _json_object(feature, f"feature {index}", path)
+        geometry = _json_object(feature.get("geometry") or {}, f"feature {index} geometry", path)
         gtype = geometry.get("type")
         if gtype != "Polygon":
             raise UnsupportedGeometryError(
@@ -454,7 +447,7 @@ def parse_grid(path) -> list[GridCell]:
             raise ParseError(f"feature {index} polygon has no rings", path)
         try:
             ring = tuple((float(lon), float(lat)) for lon, lat in rings[0])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, KeyError):
             raise ParseError(f"feature {index} has malformed coordinates", path) from None
         if len(ring) < 4 or ring[0] != ring[-1]:
             raise ParseError(

@@ -29,7 +29,7 @@ from gridhot.compare import (
     autocorrelation,
     compare_weeks,
     cross_correlation,
-    dispersion,
+    dispersion_of,
     to_series,
 )
 from gridhot.graph import build_graph, symmetrize
@@ -170,7 +170,7 @@ def test_criterion_5_dispersion_contrast(tmp_path):
             traffic, _ = _synthetic_aggregates(
                 tmp_path, seed, grid_side=8, concentration=concentration, noise=0.1
             )
-            cvs[concentration] = dispersion(traffic).cv
+            cvs[concentration] = dispersion_of(traffic.intensities.values()).cv
         assert cvs[50.0] > cvs[5.0]
     report(5, "concentrated city has strictly larger cv for all 20 seeds")
 

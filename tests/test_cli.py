@@ -1,4 +1,5 @@
 import csv
+import gzip
 import importlib
 import inspect
 import json
@@ -156,6 +157,19 @@ class TestHotspotsCommand:
         for name in ("hotspots.csv", "threshold.json", "heatmap.geojson", "manifest.json"):
             assert not (out / name).exists(), name
 
+    def test_grid_of_wrong_shape_exits_one(self, tmp_path, capsys):
+        city = run_synth(tmp_path)
+        grid = tmp_path / "bad.geojson"
+        grid.write_text(json.dumps({"type": "FeatureCollection", "features": 5}))
+        out = tmp_path / "hs"
+        code = main(
+            ["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--p", "0.5",
+             "--grid", str(grid), "--out", str(out)]
+        )
+        assert code == 1
+        assert "features must be a JSON array" in capsys.readouterr().err
+        assert not (out / "hotspots.csv").exists()
+
     def test_ingest_counts_in_manifest(self, tmp_path):
         activity = tmp_path / "a.tsv"
         activity.write_text(
@@ -183,6 +197,65 @@ class TestHotspotsCommand:
         with pytest.raises(SystemExit) as info:
             main(["hotspots", "--activity", "x", *WEEK, "--p", "0.5", "--k", "3", "--out", "y"])
         assert info.value.code == 2
+
+
+def not_utf8(data):
+    return b"\xff\xfe" + data
+
+
+def truncated_gz(data):
+    return gzip.compress(data)[:-12]
+
+
+def corrupted_gz(data):
+    packed = bytearray(gzip.compress(data))
+    packed[10:14] = b"\xff\xff\xff\xff"  # the first bytes of the deflate stream
+    return bytes(packed)
+
+
+# command, the input file it reads, how that file's bytes are spoiled
+UNREADABLE_CASES = [
+    ("hotspots", "activity.tsv", not_utf8),
+    ("synth", "synth.cfg", not_utf8),
+    ("centrality", "hotspots.csv", not_utf8),
+    ("compare", "centrality.csv", not_utf8),
+    ("hotspots", "activity.tsv", truncated_gz),
+    ("hotspots", "activity.tsv", corrupted_gz),
+]
+
+
+@pytest.mark.parametrize(
+    "command, spoiled, spoil",
+    UNREADABLE_CASES,
+    ids=[f"{spoiled}-{spoil.__name__}" for _, spoiled, spoil in UNREADABLE_CASES],
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, command, spoiled, spoil):
+    city = run_synth(tmp_path)
+    hs, cen = tmp_path / "hs", tmp_path / "cen"
+    assert main(["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--k", "4",
+                 "--out", str(hs)]) == 0
+    assert main(["centrality", "--interactions", str(city / "interactions.tsv"),
+                 "--hotspots", str(hs / "hotspots.csv"), *WEEK, "--out", str(cen)]) == 0
+    target = {
+        "activity.tsv": city / "activity.tsv",
+        "synth.cfg": tmp_path / "synth.cfg",
+        "hotspots.csv": hs / "hotspots.csv",
+        "centrality.csv": cen / "centrality.csv",
+    }[spoiled]
+    target.write_bytes(spoil(target.read_bytes()))
+    capsys.readouterr()
+    argv = {
+        "synth": ["synth", "--config", str(target), "--out", str(tmp_path / "again")],
+        "hotspots": ["hotspots", "--activity", str(target), *WEEK, "--p", "0.5",
+                     "--out", str(tmp_path / "o")],
+        "centrality": ["centrality", "--interactions", str(city / "interactions.tsv"),
+                       "--hotspots", str(target), *WEEK, "--out", str(tmp_path / "o")],
+        "compare": ["compare", str(target), str(target), "--out", str(tmp_path / "o")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridhot {command}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def run_pipeline(tmp_path, **synth_overrides):
@@ -434,6 +507,19 @@ DIAGNOSTICS = {
     },
     "heat.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},
 }
+WINDOW_BLOCK = {"start": 1384732800000, "end": 1385337600000}
+# the exact config keys of each manifest in chain_dir
+CONFIG_KEYS = {
+    "city/manifest.json": {
+        "grid_side", "n_centers", "concentration", "decay_radius", "noise", "seed",
+        "records_per_cell", "window",
+    },
+    "hs/manifest.json": {"window", "p", "k", "on_malformed"},
+    "hs_plain/manifest.json": {"window", "p", "k", "on_malformed"},
+    "cen/manifest.json": {"window", "damping", "tol", "max_iter", "metrics", "pagerank_variant"},
+    "cmp/manifest.json": {"metrics"},
+    "heat.geojson.manifest.json": {"window", "on_malformed"},
+}
 # manifest, command, input names, output names
 MANIFEST_CASES = [
     ("city/manifest.json", "synth", {"config"}, {"activity.tsv", "interactions.tsv", "grid.geojson"}),
@@ -484,6 +570,20 @@ def test_manifest_contract(chain_dir, name, command, inputs, outputs):
     else:
         assert manifest["status"] == {} and manifest["diagnostics"] == expected
     assert manifest["diagnostics"].get("ingest") == expected.get("ingest")
+    assert set(manifest["config"]) == CONFIG_KEYS[name]
+    if "window" in manifest["config"]:
+        assert manifest["config"]["window"] == WINDOW_BLOCK
+
+
+@pytest.mark.parametrize("name", ["hs", "hs_plain"])
+def test_threshold_contract(chain_dir, name):
+    doc = json.loads((chain_dir / name / "threshold.json").read_text())
+    assert set(doc) == {
+        "p", "mean_intensity", "max_traffic", "delta", "threshold", "n_areas",
+        "k", "truncated", "member_count", "window",
+    }
+    assert doc["window"] == WINDOW_BLOCK
+    assert doc["member_count"] == len(read_csv(chain_dir / name / "hotspots.csv"))
 
 
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):

@@ -9,14 +9,12 @@ from gridhot.compare import (
     autocorrelation,
     compare_weeks,
     cross_correlation,
-    dispersion,
     dispersion_of,
     per_node_rel_diff,
     report_json_obj,
     to_series,
 )
 from gridhot.errors import DomainError, EmptyInputError
-from gridhot.ingest import TimeWindow, TrafficAggregate
 
 
 def series(values, metric="closeness", ordering=None):
@@ -147,13 +145,9 @@ class TestDispersion:
     def test_zero_mean_has_no_cv(self):
         assert dispersion_of([0.0, 0.0]).cv is None
 
-    def test_traffic_wrapper(self):
-        agg = TrafficAggregate(TimeWindow(0, 10), {1: 0.0, 2: 2.0})
-        assert dispersion(agg).variance == 1.0
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            dispersion(TrafficAggregate(TimeWindow(0, 10), {}))
+            dispersion_of([])
 
 
 value_lists = st.lists(

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import gzip
 import json
 import math
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridhot.errors import DomainError, ParseError, UnsupportedGeometryError
 from gridhot.ingest import (
+    ACTIVITY_COLUMNS,
     DEFAULT_LAYOUT,
+    INTERACTION_COLUMNS,
     ActivityRecord,
     ColumnLayout,
     InteractionRecord,
@@ -24,8 +28,7 @@ from gridhot.ingest import (
     parse_grid,
     parse_interactions,
     _activity_record,
-    _checked_activity_record,
-    _checked_interaction_record,
+    _checked_record,
     _interaction_record,
 )
 
@@ -213,8 +216,14 @@ LAYOUTS = [
     ),
 ]
 BUILDERS = {
-    "activity": (_activity_record, _checked_activity_record),
-    "interactions": (_interaction_record, _checked_interaction_record),
+    "activity": (
+        _activity_record,
+        functools.partial(_checked_record, ActivityRecord, ACTIVITY_COLUMNS),
+    ),
+    "interactions": (
+        _interaction_record,
+        functools.partial(_checked_record, InteractionRecord, INTERACTION_COLUMNS),
+    ),
 }
 
 
@@ -249,6 +258,54 @@ def test_fast_path_matches_checked_path_each_column(kind, layout):
             line = layout.delimiter.join(clean[:index] + [value] + clean[index + 1 :])
             expected = _outcome(checked, line.split(layout.delimiter), layout, "x.tsv", 7)
             assert _outcome(fast, line, layout, "x.tsv", 7) == expected, line
+
+
+# One malformed row per column kind (id, time, code, quantity) for each record
+# kind, with the exact message; rows with two bad columns pin which one is named.
+MESSAGE_CASES = [
+    ("activity", "\t1000\t39\t1", "missing cell id column"),
+    ("activity", "x\t1000\t39\t1", "malformed cell id 'x'"),
+    ("activity", "0\t1000\t39\t1", "cell id must be positive, got 0"),
+    ("activity", "5", "missing timestamp column"),
+    ("activity", "5\t 1.5 \t39\t1", "malformed timestamp '1.5'"),
+    ("activity", "5\t1000\tIT\t1", "malformed country code 'IT'"),
+    ("activity", "5\t1000\t39\tabc", "malformed sms_in 'abc'"),
+    ("activity", "5\t1000\t39\t1\t-2", "sms_out must be nonnegative, got -2.0"),
+    ("activity", "5\t1000\t39\t1\t2\t3\t-inf", "call_out must be nonnegative, got -inf"),
+    ("activity", "5\t1000\t39\t1\t2\t3\t4\tnan", "internet must be finite, got nan"),
+    ("activity", "x\ty\t39\t1", "malformed cell id 'x'"),
+    ("activity", "5\tt\tIT\t1", "malformed timestamp 't'"),
+    ("activity", "5\t1000\tIT\tx", "malformed country code 'IT'"),
+    ("activity", "5\t1000\t39\tx\t-1\t-1\t-1\t-1", "malformed sms_in 'x'"),
+    ("interactions", "\t2\t1000\t1", "missing source id column"),
+    ("interactions", "1\t-2\t1000\t1", "destination id must be positive, got -2"),
+    ("interactions", "1\t2\t\t1", "missing timestamp column"),
+    ("interactions", "1\t2\tt\t1", "malformed timestamp 't'"),
+    ("interactions", "1\t2\t1000\tinf", "strength must be finite, got inf"),
+    ("interactions", "1\t2\t1000\t-1", "strength must be nonnegative, got -1.0"),
+    ("interactions", "1\t2\t1000\tstrong", "malformed strength 'strong'"),
+    ("interactions", "a\tb\t1000\t1", "malformed source id 'a'"),
+    ("interactions", "1\t0\tt\t1", "destination id must be positive, got 0"),
+    ("interactions", "1\t2\tt\tx", "malformed timestamp 't'"),
+]
+
+
+@pytest.mark.parametrize("kind, line, message", MESSAGE_CASES)
+def test_malformed_row_message(kind, line, message):
+    fast, _ = BUILDERS[kind]
+    with pytest.raises(ParseError) as info:
+        fast(line, DEFAULT_LAYOUT, "x.tsv", 7)
+    assert str(info.value) == f"{message} (x.tsv:7)"
+    assert info.value.line_no == 7
+
+
+def test_column_tables_cover_layout_and_records():
+    """A new layout column cannot land without a validation rule."""
+    attrs = [attr for _, attr, _, _ in ACTIVITY_COLUMNS + INTERACTION_COLUMNS]
+    layout_fields = [f.name for f in dataclasses.fields(ColumnLayout) if f.name != "delimiter"]
+    assert sorted(attrs) == sorted(layout_fields)
+    assert {field for field, *_ in ACTIVITY_COLUMNS} == set(ActivityRecord._fields)
+    assert {field for field, *_ in INTERACTION_COLUMNS} == set(InteractionRecord._fields)
 
 
 def test_record_is_immutable_tuple():
@@ -294,6 +351,25 @@ class TestParseGrid:
         feature["geometry"]["coordinates"][0].pop()
         path = write(tmp_path, "g.geojson", grid_doc([feature]))
         with pytest.raises(ParseError, match="closed"):
+            parse_grid(path)
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (5, "features must be a JSON array, got int"),
+            ([1], "feature 0 must be a JSON object, got int"),
+            ([{"geometry": "x"}], "feature 0 geometry must be a JSON object, got str"),
+            ([dict(square_feature(1), properties=5)], "feature 0 properties must be a JSON object"),
+            ([dict(square_feature(1), properties="grid")], "feature 0 properties must be a JSON"),
+            (
+                [square_feature(1), {"geometry": {"type": "Polygon", "coordinates": {"a": 1}}}],
+                "feature 1 has malformed coordinates",
+            ),
+        ],
+    )
+    def test_wrong_json_shapes_rejected(self, tmp_path, features, message):
+        path = write(tmp_path, "g.geojson", grid_doc(features))
+        with pytest.raises(ParseError, match=message):
             parse_grid(path)
 
     def test_id_fallback_keys(self, tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from gridhot.compare import dispersion
+from gridhot.compare import dispersion_of
 from gridhot.errors import DomainError, ParseError
 from gridhot.fileio import sha256_file
 from gridhot.hotspot import detect_hotspots
@@ -105,7 +105,7 @@ class TestGenerateCity:
             out.mkdir()
             city = generate_city(config(concentration=concentration, noise=0.0), out)
             traffic = aggregate_traffic(parse_activity(city.activity_path), WINDOW)
-            cv = dispersion(traffic).cv
+            cv = dispersion_of(traffic.intensities.values()).cv
             assert cv >= previous
             previous = cv
 
