@@ -271,6 +271,26 @@ def pagerank(
     )
 
 
+def component_count(g: WeightedGraph) -> int:
+    """Connected components of an undirected graph, by depth-first search."""
+    neighbours: dict[int, list[int]] = {u: [] for u in g.nodes}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+    reached: set[int] = set()
+    components = 0
+    for root in g.nodes:
+        if root not in reached:
+            components += 1
+            reached.add(root)
+            stack = [root]
+            while stack:
+                for v in neighbours[stack.pop()]:
+                    if v not in reached:
+                        reached.add(v)
+                        stack.append(v)
+    return components
+
+
 def eigenvector(
     g: WeightedGraph, tol: float = 1e-12, max_iter: int = 10_000
 ) -> CentralityScores:
@@ -288,14 +308,7 @@ def eigenvector(
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if g.n == 0:
         raise DomainError("eigenvector needs a nonempty graph")
-    # the settle order of a shortest-path pass is its source's component
-    indexed = _indexed_adjacency(g)
-    reached: set[int] = set()
-    components = 0
-    for root in range(g.n):
-        if root not in reached:
-            components += 1
-            reached.update(_source_pass(indexed, root)[3])
+    components = component_count(g)
     if components > 1:
         raise DomainError(
             f"eigenvector centrality needs a connected graph; got {components} components"

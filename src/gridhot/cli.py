@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-import zlib
 from pathlib import Path
 
 from . import __version__
@@ -25,14 +24,15 @@ from .centrality import (
     PAGERANK_VARIANTS,
     CentralityParams,
     CentralityScores,
+    component_count,
     compute_all,
     rank,
     scores_csv_rows,
 )
 from .compare import compare_weeks, report_json_obj, to_series
-from .errors import GridhotError
+from .errors import GridhotError, UnreadableInputError
 from .fileio import atomic_write_text, sha256_file
-from .graph import build_graph
+from .graph import build_graph, symmetrize
 from .hotspot import calibrate_p, detect_hotspots
 from .ingest import (
     GridCell,
@@ -43,6 +43,7 @@ from .ingest import (
     aggregate_interactions,
     aggregate_traffic,
     load_ingest_config,
+    open_text,
     parse_activity,
     parse_epoch_ms,
     parse_grid,
@@ -233,7 +234,7 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _read_hotspots_csv(path) -> dict[int, float]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "cell_id" not in reader.fieldnames:
             raise GridhotError(f"hotspot file {path} lacks a cell_id column")
@@ -247,7 +248,7 @@ def _read_hotspots_csv(path) -> dict[int, float]:
 
 
 def _read_scores_csv(path) -> dict[str, dict[int, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path) as handle:
         reader = csv.DictReader(handle)
         required = {"cell_id", "metric", "score"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -326,7 +327,8 @@ def cmd_synth(args) -> int:
 
     outputs = (city.activity_path, city.interactions_path, city.grid_path)
     _write_manifest(
-        out_dir / "manifest.json", "synth", {"config": args.config}, dataclasses.asdict(cfg), outputs
+        out_dir / "manifest.json", "synth", {"config": args.config}, dataclasses.asdict(cfg),
+        outputs, diagnostics={"synth": dataclasses.asdict(city.stats)},
     )
     return 0
 
@@ -396,6 +398,8 @@ def cmd_centrality(args) -> int:
         pagerank_variant=args.pagerank_variant,
     )
     results, failures = compute_all(graph, params, metrics=args.metrics)
+    # the size of the undirected graph that the path metrics and eigenvector see
+    undirected = symmetrize(graph)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,6 +434,11 @@ def cmd_centrality(args) -> int:
         status=status,
         diagnostics={
             "ingest": {**counts, "pairs": len(interactions.strengths)},
+            "graph": {
+                "nodes": graph.n,
+                "edges": len(undirected.edges) // 2,
+                "components": component_count(undirected),
+            },
             **{name: result.params for name, result in results.items()},
         },
     )
@@ -531,9 +540,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except GridhotError as exc:
         print(f"gridhot {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
-        # unreadable input: a missing file, bytes that are not UTF-8, a broken .gz
+        return 2 if isinstance(exc, UnreadableInputError) else 1
+    except OSError as exc:
+        # a missing or unopenable file; undecodable bytes are UnreadableInputError
         print(f"gridhot {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,10 @@ class ParseError(GridhotError):
         super().__init__(f"{message}{where}")
 
 
+class UnreadableInputError(GridhotError):
+    """An input file is not UTF-8 text or not a whole gzip stream."""
+
+
 class UnsupportedGeometryError(ParseError):
     """A grid feature uses a geometry type other than Polygon."""
 

@@ -8,13 +8,14 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of strings written in order,
+    via a temp file in the same directory, then rename into place."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:

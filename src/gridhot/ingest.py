@@ -14,12 +14,14 @@ import dataclasses
 import gzip
 import json
 import math
+import zlib
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, ParseError, UnsupportedGeometryError
+from .errors import DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
 
 MALFORMED_POLICIES = ("abort", "skip")
 
@@ -142,13 +144,20 @@ class ParseStats:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def open_text(path) -> IO[str]:
-    """Open a text file, transparently unpacking gzip (sniffed by magic bytes)."""
+@contextmanager
+def open_text(path) -> Iterator[IO[str]]:
+    """Open a text file, transparently unpacking gzip (sniffed by magic bytes).
+
+    Bytes that are not UTF-8 or a broken gzip stream raise
+    :class:`UnreadableInputError` naming ``path``.
+    """
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic == _GZIP_MAGIC:
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    with (gzip.open if magic == _GZIP_MAGIC else open)(path, "rt", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
+            raise UnreadableInputError(f"cannot read {path}: {exc}") from None
 
 
 def parse_epoch_ms(text: str) -> int:

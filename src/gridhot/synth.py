@@ -31,6 +31,10 @@ BACKGROUND_INTENSITY = 1.0
 ACTIVITY_SPLIT = (0.15, 0.15, 0.20, 0.20, 0.30)
 # the interaction file keeps the strongest 20 * n_cells ordered pairs
 TOP_PAIRS_PER_CELL = 20
+# pair selection: the radius that sets the strength cut, and the side of
+# the cell blocks that are skipped whole when they cannot reach it
+LOCAL_RADIUS = 3
+PRUNE_BLOCK = 6
 GRID_ORIGIN_LON = 9.0
 GRID_ORIGIN_LAT = 45.0
 GRID_STEP_DEG = 0.01
@@ -89,10 +93,21 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
+class SynthStats:
+    """Deterministic counts of one run, for the manifest's ``diagnostics``."""
+
+    cells: int
+    activity_lines: int
+    interaction_pairs: int
+    pairs_scored: int
+
+
+@dataclass(frozen=True)
 class GeneratedCity:
     activity_path: Path
     interactions_path: Path
     grid_path: Path
+    stats: SynthStats
 
 
 def cell_intensities(cfg: SynthConfig, rng: SplitMix64) -> dict[int, float]:
@@ -116,11 +131,6 @@ def cell_intensities(cfg: SynthConfig, rng: SplitMix64) -> dict[int, float]:
             jitter = 1.0 + cfg.noise * (2.0 * rng.next_float() - 1.0)
             intensities[cell_id] = max(base * jitter, 0.0)
     return intensities
-
-
-def _cell_center(cell_id: int, side: int) -> tuple[float, float]:
-    row, col = divmod(cell_id - 1, side)
-    return row + 0.5, col + 0.5
 
 
 def _draw_timestamp(rng: SplitMix64, window: TimeWindow) -> int:
@@ -149,6 +159,62 @@ def _grid_geojson(cfg: SynthConfig) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _select_pairs(intensities: list[float], side: int) -> tuple[list[tuple[float, int, int]], int]:
+    """The ``TOP_PAIRS_PER_CELL * n`` strongest ordered pairs (strength, u, v)
+    in (u, v) order, and the number of strengths evaluated to find them.
+
+    ``intensities[i]`` belongs to cell id ``i + 1``.  A pair's strength is
+    symmetric to the bit (the product commutes and the centre offsets are
+    exact integers), so each unordered pair is scored once.  ``tau`` is a
+    lower bound on the K-th largest strength: first the K-th over the pairs
+    within Chebyshev radius ``LOCAL_RADIUS``, later the K-th of the pairs
+    kept so far.  Every pair that can make the cut scores at least ``tau``.
+    A block of cells is skipped when the strength formula, fed the block's
+    largest intensity and the floor of its smallest distance, falls below
+    ``tau``: rounding is monotone, so that bound is never below a strength
+    inside the block.
+    """
+    top = TOP_PAIRS_PER_CELL * len(intensities)
+    cells = [(i + 1, *divmod(i, side), intensity) for i, intensity in enumerate(intensities)]
+    local = []
+    for u, ru, cu, iu in cells:
+        for dy in range(min(LOCAL_RADIUS, side - 1 - ru) + 1):
+            for dx in range(-min(LOCAL_RADIUS, cu) if dy else 1, min(LOCAL_RADIUS, side - 1 - cu) + 1):
+                iv = intensities[u - 1 + dy * side + dx]
+                local.append(iu * iv / (1.0 + math.sqrt(dy * dy + dx * dx)))
+    # each unordered pair stands for two ordered pairs of equal strength
+    tau = sorted(local, reverse=True)[(top + 1) // 2 - 1] if 2 * len(local) >= top else 0.0
+    evaluated = len(local)
+
+    starts = range(0, side, PRUNE_BLOCK)
+    blocks = [[[] for _ in starts] for _ in starts]
+    for cell in cells:
+        blocks[cell[1] // PRUNE_BLOCK][cell[2] // PRUNE_BLOCK].append(cell)
+    tops = [[max(cell[3] for cell in block) for block in row] for row in blocks]
+    pairs = []  # (-strength, u, v): plain tuple order is the order of the cut
+    for u, ru, cu, iu in cells:
+        for by in range(ru // PRUNE_BLOCK, len(starts)):
+            dy = max(starts[by] - ru, 0)
+            for bx, block in enumerate(blocks[by]):
+                dx = max(starts[bx] - cu, cu - starts[bx] - PRUNE_BLOCK + 1, 0)
+                if iu * tops[by][bx] / (1.0 + math.isqrt(dy * dy + dx * dx)) < tau:
+                    continue
+                for v, rv, cv, iv in block:
+                    if v > u:
+                        evaluated += 1
+                        s = iu * iv / (1.0 + math.sqrt((rv - ru) ** 2 + (cv - cu) ** 2))
+                        if s > 0.0 and s >= tau:
+                            pairs += ((-s, u, v), (-s, v, u))
+        if len(pairs) > 2 * top:
+            # a pair outside the best K of a subset is outside the best K of all
+            pairs.sort()
+            del pairs[top:]
+            tau = -pairs[-1][0]
+    pairs.sort()
+    kept = sorted(pairs[:top], key=lambda item: (item[1], item[2]))
+    return [(-neg, u, v) for neg, u, v in kept], evaluated
+
+
 def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     """Write activity.tsv, interactions.tsv and grid.geojson into ``out_dir``.
 
@@ -161,58 +227,34 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in ("activity.tsv", "interactions.tsv", "grid.geojson")]
     rng = SplitMix64(cfg.seed)
     intensities = cell_intensities(cfg, rng)
-    side = cfg.grid_side
 
-    activity_lines = []
-    for cell_id in sorted(intensities):
-        slice_total = intensities[cell_id] / cfg.records_per_cell
-        for _ in range(cfg.records_per_cell):
-            record = ActivityRecord(
-                cell_id=cell_id,
-                timestamp=_draw_timestamp(rng, cfg.window),
-                sms_in=slice_total * ACTIVITY_SPLIT[0],
-                sms_out=slice_total * ACTIVITY_SPLIT[1],
-                call_in=slice_total * ACTIVITY_SPLIT[2],
-                call_out=slice_total * ACTIVITY_SPLIT[3],
-                internet=slice_total * ACTIVITY_SPLIT[4],
+    def activity_chunks():
+        for cell_id, intensity in sorted(intensities.items()):
+            slice_total = intensity / cfg.records_per_cell
+            quantities = (slice_total * share for share in ACTIVITY_SPLIT)
+            # the default layout leads with cell id and time, so the records
+            # of one cell differ only in the text before the second tab
+            tail = format_activity_line(ActivityRecord(cell_id, 0, *quantities)).split("\t", 2)[2]
+            yield "".join(
+                f"{cell_id}\t{_draw_timestamp(rng, cfg.window)}\t{tail}\n"
+                for _ in range(cfg.records_per_cell)
             )
-            activity_lines.append(format_activity_line(record))
 
-    pairs = []
-    cells = sorted(intensities)
-    for u in cells:
-        uy, ux = _cell_center(u, side)
-        for v in cells:
-            if u == v:
-                continue
-            vy, vx = _cell_center(v, side)
-            distance = math.sqrt((uy - vy) ** 2 + (ux - vx) ** 2)
-            strength = intensities[u] * intensities[v] / (1.0 + distance)
-            if strength > 0.0:
-                pairs.append((strength, u, v))
-    pairs.sort(key=lambda item: (-item[0], item[1], item[2]))
-    kept = sorted(pairs[: TOP_PAIRS_PER_CELL * len(cells)], key=lambda item: (item[1], item[2]))
-    interaction_lines = []
-    for strength, u, v in kept:
-        record = InteractionRecord(
-            src_id=u,
-            dst_id=v,
-            timestamp=_draw_timestamp(rng, cfg.window),
-            strength=strength,
-        )
-        interaction_lines.append(format_interaction_line(record))
-
-    city = GeneratedCity(
-        activity_path=out_dir / "activity.tsv",
-        interactions_path=out_dir / "interactions.tsv",
-        grid_path=out_dir / "grid.geojson",
+    atomic_write_text(paths[0], activity_chunks())
+    kept, scored = _select_pairs([intensities[c] for c in sorted(intensities)], cfg.grid_side)
+    atomic_write_text(
+        paths[1],
+        (
+            format_interaction_line(InteractionRecord(u, v, _draw_timestamp(rng, cfg.window), s)) + "\n"
+            for s, u, v in kept
+        ),
     )
-    atomic_write_text(city.activity_path, "".join(line + "\n" for line in activity_lines))
-    atomic_write_text(city.interactions_path, "".join(line + "\n" for line in interaction_lines))
-    atomic_write_text(city.grid_path, _grid_geojson(cfg))
-    return city
+    atomic_write_text(paths[2], _grid_geojson(cfg))
+    cells = len(intensities)
+    return GeneratedCity(*paths, SynthStats(cells, cells * cfg.records_per_cell, len(kept), scored))
 
 
 _INT_KEYS = ("grid_side", "n_centers", "seed", "records_per_cell")

@@ -3,7 +3,9 @@
 Deliberately different algorithm families from the package: Floyd-Warshall
 plus exhaustive path enumeration instead of Dijkstra/dependency
 accumulation, a dense linear solve instead of power iteration for
-PageRank, and a dense eigendecomposition for the eigenvector metric.
+PageRank, a dense eigendecomposition for the eigenvector metric, and
+every ordered cell pair scored and sorted instead of the synthetic
+generator's pruned pair search.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ import random
 import numpy as np
 
 from gridhot.graph import WeightedGraph
+from gridhot.ingest import (
+    ActivityRecord,
+    InteractionRecord,
+    format_activity_line,
+    format_interaction_line,
+)
+from gridhot.synth import (
+    ACTIVITY_SPLIT,
+    TOP_PAIRS_PER_CELL,
+    SplitMix64,
+    SynthConfig,
+    _draw_timestamp,
+    cell_intensities,
+)
 
 INF = math.inf
 TIE_REL_TOL = 1e-9
@@ -181,3 +197,63 @@ def eigenvector_dense(g: WeightedGraph) -> tuple[dict[int, float], float]:
     if principal.sum() < 0:
         principal = -principal
     return {u: float(principal[idx[u]]) for u in nodes}, float(eigenvalues[-1])
+
+
+
+def _cell_center(cell_id: int, side: int) -> tuple[float, float]:
+    row, col = divmod(cell_id - 1, side)
+    return row + 0.5, col + 0.5
+
+
+def reference_pairs(intensities: dict[int, float], side: int) -> list[tuple[float, int, int]]:
+    """The kept (strength, u, v) of a synthetic city: every ordered pair scored,
+    sorted by (-strength, u, v), cut at the top 20 per cell, sorted by (u, v)."""
+    pairs = []
+    cells = sorted(intensities)
+    for u in cells:
+        uy, ux = _cell_center(u, side)
+        for v in cells:
+            if u == v:
+                continue
+            vy, vx = _cell_center(v, side)
+            distance = math.sqrt((uy - vy) ** 2 + (ux - vx) ** 2)
+            strength = intensities[u] * intensities[v] / (1.0 + distance)
+            if strength > 0.0:
+                pairs.append((strength, u, v))
+    pairs.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return sorted(pairs[: TOP_PAIRS_PER_CELL * len(cells)], key=lambda item: (item[1], item[2]))
+
+
+def reference_city_lines(cfg: SynthConfig) -> tuple[list[str], list[str]]:
+    """The lines of a synthetic city's activity.tsv and interactions.tsv,
+    one record formatted at a time and every ordered cell pair scored."""
+    rng = SplitMix64(cfg.seed)
+    intensities = cell_intensities(cfg, rng)
+    side = cfg.grid_side
+
+    activity_lines = []
+    for cell_id in sorted(intensities):
+        slice_total = intensities[cell_id] / cfg.records_per_cell
+        for _ in range(cfg.records_per_cell):
+            record = ActivityRecord(
+                cell_id=cell_id,
+                timestamp=_draw_timestamp(rng, cfg.window),
+                sms_in=slice_total * ACTIVITY_SPLIT[0],
+                sms_out=slice_total * ACTIVITY_SPLIT[1],
+                call_in=slice_total * ACTIVITY_SPLIT[2],
+                call_out=slice_total * ACTIVITY_SPLIT[3],
+                internet=slice_total * ACTIVITY_SPLIT[4],
+            )
+            activity_lines.append(format_activity_line(record))
+
+    kept = reference_pairs(intensities, side)
+    interaction_lines = []
+    for strength, u, v in kept:
+        record = InteractionRecord(
+            src_id=u,
+            dst_id=v,
+            timestamp=_draw_timestamp(rng, cfg.window),
+            strength=strength,
+        )
+        interaction_lines.append(format_interaction_line(record))
+    return activity_lines, interaction_lines

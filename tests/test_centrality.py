@@ -12,6 +12,7 @@ from gridhot.centrality import (
     CentralityScores,
     betweenness,
     closeness,
+    component_count,
     compute_all,
     degree,
     eigenvector,
@@ -261,6 +262,7 @@ class TestEigenvector:
     def test_component_count_named(self):
         # a triangle, a pair and an isolated node, listed out of component order
         g = und([1, 2, 3, 4, 5, 6], [(1, 5, 1.0), (5, 3, 2.0), (3, 1, 1.0), (2, 6, 4.0)])
+        assert component_count(g) == 3
         with pytest.raises(DomainError, match="connected graph; got 3 components"):
             eigenvector(g)
         _, failures = compute_all(g, CentralityParams(), metrics=("eigenvector",))

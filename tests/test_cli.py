@@ -255,6 +255,7 @@ def test_unreadable_input_exits_two(tmp_path, capsys, command, spoiled, spoil):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"gridhot {command}: ") and err.count("\n") == 1, err
+    assert str(target) in err
     assert "Traceback" not in err
 
 
@@ -285,7 +286,7 @@ class TestCentralityCommand:
         manifest = json.loads((cen_dir / "manifest.json").read_text())
         assert all(status == "ok" for status in manifest["status"].values())
         diagnostics = manifest["diagnostics"]
-        assert sorted(diagnostics) == sorted([*manifest["status"], "ingest"])
+        assert sorted(diagnostics) == sorted([*manifest["status"], "ingest", "graph"])
         assert set(diagnostics["ingest"]) == {"lines", "parsed", "skipped", "in_window", "pairs"}
         assert diagnostics["closeness"]["on_component"] is False
         assert diagnostics["pagerank"]["iterations"] >= 1
@@ -315,6 +316,25 @@ class TestCentralityCommand:
         assert manifest["status"]["degree"] == "ok"
         assert "betweenness" not in manifest["diagnostics"]
         assert manifest["diagnostics"]["degree"] == {}
+
+    def test_graph_size_in_manifest(self, tmp_path):
+        # a triangle, a pair seen in one direction only and an isolated node
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "".join(
+                f"{src}\t{dst}\t1384732800000\t{w}\n"
+                for src, dst, w in [(1, 5, 1.0), (5, 1, 2.0), (5, 3, 2.0), (3, 1, 1.0), (2, 6, 4.0)]
+            ),
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n" + "".join(f"{c},1.0\n" for c in range(1, 7)))
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["graph"] == {"nodes": 6, "edges": 4, "components": 3}
+        assert "got 3 components" in manifest["status"]["eigenvector"]
 
     def test_metric_subset_flag(self, tmp_path):
         city, hs_dir, _ = run_pipeline(tmp_path)
@@ -502,8 +522,12 @@ DIAGNOSTICS = {
     "hs_plain/manifest.json": {
         "ingest": {"lines": 144, "parsed": 144, "skipped": 0, "in_window": 144, "cells": 36}
     },
+    "city/manifest.json": {
+        "synth": {"cells": 36, "activity_lines": 72, "interaction_pairs": 720, "pairs_scored": 1062}
+    },
     "cen/manifest.json": {
-        "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720, "pairs": 720}
+        "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720, "pairs": 720},
+        "graph": {"nodes": 6, "edges": 15, "components": 1},
     },
     "heat.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},
 }
@@ -570,6 +594,7 @@ def test_manifest_contract(chain_dir, name, command, inputs, outputs):
     else:
         assert manifest["status"] == {} and manifest["diagnostics"] == expected
     assert manifest["diagnostics"].get("ingest") == expected.get("ingest")
+    assert manifest["diagnostics"].get("graph") == expected.get("graph")
     assert set(manifest["config"]) == CONFIG_KEYS[name]
     if "window" in manifest["config"]:
         assert manifest["config"]["window"] == WINDOW_BLOCK

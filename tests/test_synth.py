@@ -1,5 +1,13 @@
-import pytest
+import importlib
+import json
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import gridhot.synth
+import oracles
 from gridhot.compare import dispersion_of
 from gridhot.errors import DomainError, ParseError
 from gridhot.fileio import sha256_file
@@ -8,13 +16,22 @@ from gridhot.ingest import (
     TimeWindow,
     aggregate_interactions,
     aggregate_traffic,
+    format_activity_line,
     parse_activity,
     parse_grid,
     parse_interactions,
 )
-from gridhot.synth import SplitMix64, SynthConfig, cell_intensities, generate_city, load_synth_config
+from gridhot.synth import (
+    SplitMix64,
+    SynthConfig,
+    _select_pairs,
+    cell_intensities,
+    generate_city,
+    load_synth_config,
+)
 
 WINDOW = TimeWindow(0, 604_800_000)  # one week in ms
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def config(**overrides):
@@ -108,6 +125,110 @@ class TestGenerateCity:
             cv = dispersion_of(traffic.intensities.values()).cv
             assert cv >= previous
             previous = cv
+
+
+def file_lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+@st.composite
+def intensity_grids(draw):
+    """(side, intensities in cell-id order); few distinct values make ties,
+    and a descending grid puts the strongest pairs first."""
+    side = draw(st.integers(1, 12))
+    values = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 50.0),
+            min_size=side * side,
+            max_size=side * side,
+        )
+    )
+    if draw(st.booleans()):
+        values.sort(reverse=True)
+    return side, values
+
+
+class TestAgainstReference:
+    """The pruned pair search and per-cell formatting against the one-record,
+    all-pairs reference in ``oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    # flat fields: every pair at one distance ties, also at the cut
+    @example(grid_side=7, n_centers=0, concentration=0.0, decay_radius=1.0, noise=0.0, seed=0,
+             records_per_cell=1)
+    @example(grid_side=12, n_centers=0, concentration=0.0, decay_radius=1.0, noise=0.0, seed=0,
+             records_per_cell=1)
+    @given(
+        grid_side=st.integers(1, 14),
+        n_centers=st.integers(0, 5),
+        concentration=st.floats(0.0, 20.0),
+        decay_radius=st.floats(0.5, 5.0),
+        noise=st.floats(0.0, 1.5),  # above 1 some cells clamp to intensity 0
+        seed=st.integers(0, 2**64 - 1),
+        records_per_cell=st.integers(1, 3),
+    )
+    def test_files_match_reference(self, **knobs):
+        cfg = SynthConfig(window=WINDOW, **knobs)
+        with tempfile.TemporaryDirectory() as out:
+            city = generate_city(cfg, out)
+            activity, interactions = oracles.reference_city_lines(cfg)
+            assert file_lines(city.interactions_path) == interactions
+            assert file_lines(city.activity_path) == activity
+            assert city.stats.interaction_pairs == len(interactions)
+            assert city.stats.activity_lines == len(activity)
+
+    @settings(max_examples=100, deadline=None)
+    # strongest first: the cut is raised before the last pairs are scored
+    @example(grid=(11, [float(121 - i) for i in range(121)]))
+    @given(grid=intensity_grids())
+    def test_pair_selection_matches_reference(self, grid):
+        side, values = grid
+        kept, _ = _select_pairs(values, side)
+        assert kept == oracles.reference_pairs(dict(enumerate(values, start=1)), side)
+
+    @pytest.mark.parametrize("n_centers", [4, 12])
+    def test_interactions_match_reference_40x40(self, tmp_path, n_centers):
+        cfg = config(grid_side=40, n_centers=n_centers, concentration=8.0, decay_radius=2.5,
+                     noise=0.3, records_per_cell=1)
+        city = generate_city(cfg, tmp_path)
+        assert file_lines(city.interactions_path) == oracles.reference_city_lines(cfg)[1]
+        assert city.stats.pairs_scored < 1600 * 1599 // 2  # not every pair was scored
+
+    def test_activity_lines_format_their_records(self, tmp_path):
+        cfg = config(noise=1.2, records_per_cell=4)
+        city = generate_city(cfg, tmp_path)
+        records = list(parse_activity(city.activity_path))
+        assert file_lines(city.activity_path) == [format_activity_line(r) for r in records]
+        assert any(r.total() == 0.0 for r in records)  # a clamped cell
+        assert len({r.timestamp for r in records}) == len(records)
+
+
+def test_pairs_scored_counts_sqrt_calls(tmp_path, monkeypatch):
+    """The benchmark counts scored pairs as the synth module's ``math.sqrt`` calls."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for side in (5, 12):
+        with tracing.counting_sqrt(gridhot.synth) as calls:
+            city = generate_city(config(grid_side=side), tmp_path / str(side))
+        assert calls[0] == city.stats.pairs_scored > 0
+
+
+PAIRS_SCORED = {"graph-k250": 166_405, "ingest-week": 153_492}
+
+
+@pytest.mark.parametrize("workload", sorted(PAIRS_SCORED))
+def test_benchmark_cities_match_pinned_digests(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))[workload]
+    path = tmp_path / "synth.cfg"
+    path.write_text(run.WORKLOADS[workload].synth_config(), encoding="utf-8")
+    city = generate_city(load_synth_config(path), tmp_path / "city")
+    for file in (city.activity_path, city.interactions_path, city.grid_path):
+        assert sha256_file(file) == digests[file.name], file.name
+    # the search's work is pinned like its bytes; scoring every ordered
+    # pair would take 900 * 899 = 809,100
+    assert city.stats.pairs_scored == PAIRS_SCORED[workload]
 
 
 class TestSynthConfig:
