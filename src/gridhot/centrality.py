@@ -9,12 +9,16 @@ one.
 
 from __future__ import annotations
 
+import marshal
 import math
+import operator
+import os
+import signal
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
-from .errors import ConvergenceError, DomainError, GridhotError
+from .errors import ConvergenceError, DomainError, GridhotError, WorkerError
 from .graph import WeightedGraph, symmetrize
 
 METRICS = ("closeness", "betweenness", "degree", "pagerank", "eigenvector")
@@ -25,6 +29,19 @@ PAGERANK_VARIANTS = ("weighted", "literal")
 PATH_TIE_REL_TOL = 1e-9
 
 INF = math.inf
+
+# Smaller graphs run the shortest-path pass in this process: below this many
+# nodes, forking and reading the children's records cost more than the
+# other cores save.
+PARALLEL_MIN_NODES = 64
+
+# each record a child sends is its marshal bytes behind their length; whole
+# records are read with two calls, where marshal.load would read per item
+_FRAME_HEADER = 4
+
+# largest pipe buffer the parallel pass asks for; Linux grants up to 1 MiB
+# to any process (fs.pipe-max-size)
+_PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,49 +127,203 @@ def _source_pass(
     return dist, sigma, preds, order
 
 
-def _path_metrics(g: WeightedGraph, metrics: Sequence[str]) -> dict[str, CentralityScores]:
+def _source_terms(
+    adj: list[list[tuple[int, float]]], s: int, closeness: bool, betweenness: bool
+) -> tuple[float | None, bool | None, list[float] | None]:
+    """One source's share of the path metrics, from one :func:`_source_pass`.
+
+    Returns the closeness of ``s``, whether some node is unreachable from
+    it, and the Brandes dependency of every node on ``s`` with the entry of
+    ``s`` itself 0.0; parts that were not asked for are None.
+    """
+    dist, sigma, preds, order = _source_pass(adj, s)
+    close = partial = delta = None
+    if closeness:
+        reachable = [d for v, d in enumerate(dist) if v != s and d < INF]
+        partial = len(reachable) < len(adj) - 1
+        close = 0.0 if not reachable else 1.0 / math.fsum(reachable)
+    if betweenness:
+        delta = [0.0] * len(adj)
+        for w in reversed(order):
+            sigma_w = sigma[w]
+            carried = 1.0 + delta[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma_w * carried
+        # a source is no interior vertex of its own paths
+        delta[s] = 0.0
+    return close, partial, delta
+
+
+def _worker_count() -> int:
+    """Processes the path pass may use: the CPUs this process may run on."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _PathPass:
     """Closeness and/or betweenness from one shortest-path pass per source.
 
-    Closeness sums each source's reachable distances; betweenness
-    accumulates Brandes dependencies over the same shortest-path DAG.
-    Preconditions are the caller's to check.
+    With at least ``PARALLEL_MIN_NODES`` nodes and two or more CPUs, the
+    sources are split over forked children, one per CPU: child k runs the
+    sources ``s ≡ k (mod W)`` and writes one marshal record per source to
+    its pipe, while the caller is free to compute other metrics.
+    :meth:`results` reads the records in source order and folds them as the
+    in-process loop does, so scores are bitwise the same for any W, and at
+    most a pipe buffer of records per child is held at once.  Use it as a
+    context manager: leaving the block reaps every child, after a SIGKILL
+    that ends any still at work when the block ends early.
     """
-    adj = _indexed_adjacency(g)
-    n = g.n
-    close = [0.0] * n
-    between = [0.0] * n
-    on_component = False
-    for s in range(n):
-        dist, sigma, preds, order = _source_pass(adj, s)
-        if "closeness" in metrics:
-            reachable = [d for v, d in enumerate(dist) if v != s and d < INF]
-            if len(reachable) < n - 1:
-                on_component = True
-            close[s] = 0.0 if not reachable else 1.0 / math.fsum(reachable)
-        if "betweenness" in metrics:
-            delta = [0.0] * n
-            for w in reversed(order):
-                sigma_w = sigma[w]
-                carried = 1.0 + delta[w]
-                for v in preds[w]:
-                    delta[v] += sigma[v] / sigma_w * carried
-                if w != s:
-                    between[w] += delta[w]
-    results = {}
-    if "closeness" in metrics:
-        results["closeness"] = CentralityScores(
-            metric="closeness",
-            scores=dict(zip(g.nodes, close)),
-            params={"on_component": on_component, "tie_rel_tol": PATH_TIE_REL_TOL},
-        )
-    if "betweenness" in metrics:
-        # each unordered pair was accumulated from both endpoints
-        results["betweenness"] = CentralityScores(
-            metric="betweenness",
-            scores={v: value / 2.0 for v, value in zip(g.nodes, between)},
-            params={"tie_rel_tol": PATH_TIE_REL_TOL},
-        )
-    return results
+
+    def __init__(self, g: WeightedGraph, metrics: Sequence[str]):
+        self._g = g
+        self._closeness = "closeness" in metrics
+        self._betweenness = "betweenness" in metrics
+        self._children: list[tuple[int, BinaryIO]] = []
+        workers = _worker_count() if metrics and g.n >= PARALLEL_MIN_NODES else 1
+        if workers > 1:
+            self._fork(workers)
+
+    def __enter__(self) -> _PathPass:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Reap every child, killing first any still at work."""
+        for pid, reader in self._children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._children = []
+
+    def _fork(self, workers: int) -> None:
+        # a record of dependencies is about 9 bytes per node
+        per_child = -(-self._g.n // workers) * (9 * self._g.n + 64)
+        # built for the children only: this process drops it once they run
+        adj = _indexed_adjacency(self._g)
+        try:
+            for k in range(workers):
+                read_fd, write_fd = os.pipe()
+                _reserve_pipe(write_fd, per_child)
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    inherited = [read_fd] + [reader.fileno() for _, reader in self._children]
+                    self._run_child(adj, k, workers, write_fd, inherited)
+                os.close(write_fd)
+                self._children.append((pid, os.fdopen(read_fd, "rb")))
+        except OSError as exc:
+            self.close()
+            raise WorkerError(f"cannot start a shortest-path worker: {exc}") from None
+        except BaseException:
+            self.close()
+            raise
+
+    def _run_child(
+        self, adj: list[list[tuple[int, float]]], k: int, workers: int, write_fd: int,
+        inherited: list[int],
+    ) -> None:
+        """Send the terms of sources k, k + W, ... and leave the process."""
+        status = 1
+        try:
+            for fd in inherited:
+                os.close(fd)
+            with os.fdopen(write_fd, "wb") as out:
+                for s in range(k, self._g.n, workers):
+                    record = marshal.dumps(
+                        _source_terms(adj, s, self._closeness, self._betweenness)
+                    )
+                    out.write(len(record).to_bytes(_FRAME_HEADER, "little") + record)
+                    out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _received(self):
+        """The children's records in source order."""
+        workers = len(self._children)
+        for s in range(self._g.n):
+            child = pid, reader = self._children[s % workers]
+            record = _read_frame(reader)
+            if record is None:
+                # the child closed its pipe early, so it has ended: reap it
+                # here for its status, and leave the others to close()
+                self._children.remove(child)
+                reader.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+                raise WorkerError(
+                    f"shortest-path worker {s % workers + 1} of {workers} {how}"
+                    f" before sending the paths from node {self._g.nodes[s]}"
+                )
+            yield marshal.loads(record)
+
+    def results(self) -> dict[str, CentralityScores]:
+        g = self._g
+        if self._children:
+            records = self._received()
+        else:
+            adj = _indexed_adjacency(g)
+            records = (
+                _source_terms(adj, s, self._closeness, self._betweenness) for s in range(g.n)
+            )
+        close = [0.0] * g.n
+        between = [0.0] * g.n
+        on_component = False
+        for s, (close_s, partial, delta) in enumerate(records):
+            if self._closeness:
+                close[s] = close_s
+                on_component = on_component or partial
+            if self._betweenness:
+                # x + 0.0 == x: the zero entries of s and of the nodes it does
+                # not reach leave each sum as the serial accumulation has it
+                between = list(map(operator.add, between, delta))
+        results = {}
+        if self._closeness:
+            results["closeness"] = CentralityScores(
+                metric="closeness",
+                scores=dict(zip(g.nodes, close)),
+                params={"on_component": on_component, "tie_rel_tol": PATH_TIE_REL_TOL},
+            )
+        if self._betweenness:
+            # each unordered pair was accumulated from both endpoints
+            results["betweenness"] = CentralityScores(
+                metric="betweenness",
+                scores={v: value / 2.0 for v, value in zip(g.nodes, between)},
+                params={"tie_rel_tol": PATH_TIE_REL_TOL},
+            )
+        return results
+
+
+def _read_frame(reader: BinaryIO) -> bytes | None:
+    """One length-prefixed record, or None when the stream ends first."""
+    header = reader.read(_FRAME_HEADER)
+    if len(header) == _FRAME_HEADER:
+        size = int.from_bytes(header, "little")
+        record = reader.read(size)
+        if len(record) == size:
+            return record
+    return None
+
+
+def _reserve_pipe(fd: int, nbytes: int) -> None:
+    """Ask the kernel for a pipe buffer of ``nbytes``, up to ``_PIPE_BYTES``,
+    so that a child need not wait while the parent computes other metrics.
+    Where the call is missing or refused the default buffer serves."""
+    import fcntl  # POSIX only, like os.fork
+
+    set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if set_size is not None:
+        try:
+            fcntl.fcntl(fd, set_size, min(nbytes, _PIPE_BYTES))
+        except OSError:
+            pass
 
 
 def closeness(g: WeightedGraph) -> CentralityScores:
@@ -162,7 +333,8 @@ def closeness(g: WeightedGraph) -> CentralityScores:
     the result is flagged ``on_component``; a node reaching nothing scores 0.
     """
     _require_path_metric(g, "closeness")
-    return _path_metrics(g, ("closeness",))["closeness"]
+    with _PathPass(g, ("closeness",)) as paths:
+        return paths.results()["closeness"]
 
 
 def betweenness(g: WeightedGraph) -> CentralityScores:
@@ -173,7 +345,8 @@ def betweenness(g: WeightedGraph) -> CentralityScores:
     accumulation over the shortest-path DAG of every source (Brandes 2001).
     """
     _require_path_metric(g, "betweenness")
-    return _path_metrics(g, ("betweenness",))["betweenness"]
+    with _PathPass(g, ("betweenness",)) as paths:
+        return paths.results()["betweenness"]
 
 
 def degree(g: WeightedGraph) -> CentralityScores:
@@ -271,26 +444,6 @@ def pagerank(
     )
 
 
-def component_count(g: WeightedGraph) -> int:
-    """Connected components of an undirected graph, by depth-first search."""
-    neighbours: dict[int, list[int]] = {u: [] for u in g.nodes}
-    for u, v in g.edges:
-        neighbours[u].append(v)
-    reached: set[int] = set()
-    components = 0
-    for root in g.nodes:
-        if root not in reached:
-            components += 1
-            reached.add(root)
-            stack = [root]
-            while stack:
-                for v in neighbours[stack.pop()]:
-                    if v not in reached:
-                        reached.add(v)
-                        stack.append(v)
-    return components
-
-
 def eigenvector(
     g: WeightedGraph, tol: float = 1e-12, max_iter: int = 10_000
 ) -> CentralityScores:
@@ -308,10 +461,9 @@ def eigenvector(
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if g.n == 0:
         raise DomainError("eigenvector needs a nonempty graph")
-    components = component_count(g)
-    if components > 1:
+    if g.components > 1:
         raise DomainError(
-            f"eigenvector centrality needs a connected graph; got {components} components"
+            f"eigenvector centrality needs a connected graph; got {g.components} components"
         )
     adj = g.adjacency()
     x = {u: 1.0 / math.sqrt(g.n) for u in g.nodes}
@@ -343,48 +495,58 @@ def compute_all(
     g: WeightedGraph,
     params: CentralityParams | None = None,
     metrics: Sequence[str] | None = None,
+    *,
+    undirected: WeightedGraph | None = None,
 ) -> tuple[dict[str, CentralityScores], dict[str, GridhotError]]:
     """Compute the requested metrics, symmetrizing internally where needed.
 
     Returns ``(results, failures)``: metrics whose preconditions fail (for
     example betweenness on a 2-node graph) land in ``failures`` keyed by
-    metric name while the rest still succeed.
+    metric name while the rest still succeed.  ``undirected`` is ``g``
+    symmetrized, for a caller that already holds it.  The shortest-path pass
+    of closeness and betweenness runs while degree, PageRank and eigenvector
+    are computed, on every CPU for graphs of ``PARALLEL_MIN_NODES`` or more.
     """
     params = params or CentralityParams()
     requested = tuple(metrics) if metrics is not None else METRICS
     for name in requested:
         if name not in METRICS:
             raise DomainError(f"unknown metric {name!r}; expected one of {METRICS}")
-    undirected = symmetrize(g) if g.directed else g
+    if undirected is None:
+        undirected = symmetrize(g) if g.directed else g
     results: dict[str, CentralityScores] = {}
     failures: dict[str, GridhotError] = {}
     path_metrics = []
-    for name in METRICS:
-        if name not in requested:
-            continue
-        try:
-            if name in _PATH_MIN_NODES:
-                # closeness and betweenness share the shortest-path pass below
+    for name in _PATH_MIN_NODES:
+        if name in requested:
+            try:
                 _require_path_metric(undirected, name)
                 path_metrics.append(name)
-            elif name == "degree":
-                results[name] = degree(undirected)
-            elif name == "pagerank":
-                results[name] = pagerank(
-                    g,
-                    damping=params.damping,
-                    tol=params.tol,
-                    max_iter=params.max_iter,
-                    variant=params.pagerank_variant,
-                )
-            else:
-                results[name] = eigenvector(
-                    undirected, tol=params.tol, max_iter=params.max_iter
-                )
-        except (DomainError, ConvergenceError) as exc:
-            failures[name] = exc
-    if path_metrics:
-        results.update(_path_metrics(undirected, path_metrics))
+            except DomainError as exc:
+                failures[name] = exc
+    with _PathPass(undirected, path_metrics) as paths:
+        for name in ("degree", "pagerank", "eigenvector"):
+            if name not in requested:
+                continue
+            try:
+                if name == "degree":
+                    results[name] = degree(undirected)
+                elif name == "pagerank":
+                    results[name] = pagerank(
+                        g,
+                        damping=params.damping,
+                        tol=params.tol,
+                        max_iter=params.max_iter,
+                        variant=params.pagerank_variant,
+                    )
+                else:
+                    results[name] = eigenvector(
+                        undirected, tol=params.tol, max_iter=params.max_iter
+                    )
+            except (DomainError, ConvergenceError) as exc:
+                failures[name] = exc
+        if path_metrics:
+            results.update(paths.results())
     return results, failures
 
 

@@ -24,7 +24,6 @@ from .centrality import (
     PAGERANK_VARIANTS,
     CentralityParams,
     CentralityScores,
-    component_count,
     compute_all,
     rank,
     scores_csv_rows,
@@ -397,9 +396,10 @@ def cmd_centrality(args) -> int:
         max_iter=args.max_iter,
         pagerank_variant=args.pagerank_variant,
     )
-    results, failures = compute_all(graph, params, metrics=args.metrics)
-    # the size of the undirected graph that the path metrics and eigenvector see
+    # one undirected graph serves the path metrics, degree, eigenvector and
+    # the diagnostics below
     undirected = symmetrize(graph)
+    results, failures = compute_all(graph, params, metrics=args.metrics, undirected=undirected)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -437,7 +437,7 @@ def cmd_centrality(args) -> int:
             "graph": {
                 "nodes": graph.n,
                 "edges": len(undirected.edges) // 2,
-                "components": component_count(undirected),
+                "components": undirected.components,
             },
             **{name: result.params for name, result in results.items()},
         },

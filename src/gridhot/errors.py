@@ -48,6 +48,10 @@ class CalibrationError(DomainError):
         super().__init__(message)
 
 
+class WorkerError(GridhotError):
+    """A forked worker stopped before it delivered its share of a computation."""
+
+
 class ConvergenceError(GridhotError):
     """An iterative solver did not converge within its iteration budget."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .hotspot import HotspotSet
@@ -38,6 +39,28 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def components(self) -> int:
+        """Connected components, edge directions ignored; counted once per graph."""
+        neighbours: dict[int, list[int]] = {u: [] for u in self.nodes}
+        for u, v in self.edges:
+            neighbours[u].append(v)
+            if self.directed:
+                neighbours[v].append(u)
+        reached: set[int] = set()
+        components = 0
+        for root in self.nodes:
+            if root not in reached:
+                components += 1
+                reached.add(root)
+                stack = [root]
+                while stack:
+                    for v in neighbours[stack.pop()]:
+                        if v not in reached:
+                            reached.add(v)
+                            stack.append(v)
+        return components
 
     def adjacency(self) -> dict[int, list[tuple[int, float]]]:
         """Out-adjacency lists with neighbours in ascending order."""

@@ -138,9 +138,15 @@ def _draw_timestamp(rng: SplitMix64, window: TimeWindow) -> int:
     return window.start + int(rng.next_float() * span)
 
 
-def _grid_geojson(cfg: SynthConfig) -> str:
-    features = []
+def _grid_geojson(cfg: SynthConfig):
+    """The grid FeatureCollection as text chunks, one per grid row.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)`` of
+    the whole document, but only one row of features is held at a time.
+    """
+    yield '{\n  "features": [\n'
     for row in range(cfg.grid_side):
+        features = []
         for col in range(cfg.grid_side):
             cell_id = row * cfg.grid_side + col + 1
             lon0 = GRID_ORIGIN_LON + col * GRID_STEP_DEG
@@ -155,8 +161,11 @@ def _grid_geojson(cfg: SynthConfig) -> str:
                     "geometry": {"type": "Polygon", "coordinates": [ring]},
                 }
             )
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # the row's "[\n  {...},\n  {...}\n]" without brackets, indented
+        # to the depth of the document's feature list
+        text = json.dumps(features, sort_keys=True, indent=2)[2:-2].replace("\n", "\n  ")
+        yield ("  " if row == 0 else ",\n  ") + text
+    yield '\n  ],\n  "type": "FeatureCollection"\n}\n'
 
 
 def _select_pairs(intensities: list[float], side: int) -> tuple[list[tuple[float, int, int]], int]:

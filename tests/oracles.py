@@ -5,7 +5,9 @@ plus exhaustive path enumeration instead of Dijkstra/dependency
 accumulation, a dense linear solve instead of power iteration for
 PageRank, a dense eigendecomposition for the eigenvector metric, and
 every ordered cell pair scored and sorted instead of the synthetic
-generator's pruned pair search.
+generator's pruned pair search.  One exception is kept on purpose: the
+one-process path loop, the bitwise reference for the path pass at any
+worker count.
 """
 
 from __future__ import annotations
@@ -198,6 +200,36 @@ def eigenvector_dense(g: WeightedGraph) -> tuple[dict[int, float], float]:
         principal = -principal
     return {u: float(principal[idx[u]]) for u in nodes}, float(eigenvalues[-1])
 
+
+
+def reference_path_sums(g: WeightedGraph) -> tuple[list[float], list[float], bool]:
+    """Closeness scores, betweenness sums (before halving) and the
+    ``on_component`` flag from the one-process loop the package ran before its
+    path pass could be split over workers, verbatim: each source's
+    dependencies are added into the sums while its settle order unwinds.
+    Scores of any worker count must match these to the bit."""
+    from gridhot.centrality import _indexed_adjacency, _source_pass
+
+    adj = _indexed_adjacency(g)
+    n = g.n
+    close = [0.0] * n
+    between = [0.0] * n
+    on_component = False
+    for s in range(n):
+        dist, sigma, preds, order = _source_pass(adj, s)
+        reachable = [d for v, d in enumerate(dist) if v != s and d < INF]
+        if len(reachable) < n - 1:
+            on_component = True
+        close[s] = 0.0 if not reachable else 1.0 / math.fsum(reachable)
+        delta = [0.0] * n
+        for w in reversed(order):
+            sigma_w = sigma[w]
+            carried = 1.0 + delta[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma_w * carried
+            if w != s:
+                between[w] += delta[w]
+    return close, between, on_component
 
 
 def _cell_center(cell_id: int, side: int) -> tuple[float, float]:

@@ -1,18 +1,20 @@
 import math
+import os
 import random
 
 import pytest
 
 import oracles
-from gridhot.errors import ConvergenceError, DomainError
+from gridhot import centrality
+from gridhot.errors import ConvergenceError, DomainError, WorkerError
 from gridhot.graph import WeightedGraph, symmetrize
 from gridhot.centrality import (
+    PARALLEL_MIN_NODES,
     PATH_TIE_REL_TOL,
     CentralityParams,
     CentralityScores,
     betweenness,
     closeness,
-    component_count,
     compute_all,
     degree,
     eigenvector,
@@ -262,7 +264,8 @@ class TestEigenvector:
     def test_component_count_named(self):
         # a triangle, a pair and an isolated node, listed out of component order
         g = und([1, 2, 3, 4, 5, 6], [(1, 5, 1.0), (5, 3, 2.0), (3, 1, 1.0), (2, 6, 4.0)])
-        assert component_count(g) == 3
+        assert g.components == 3
+        assert TRIANGLE_AND_PAIR.components == symmetrize(TRIANGLE_AND_PAIR).components == 2
         with pytest.raises(DomainError, match="connected graph; got 3 components"):
             eigenvector(g)
         _, failures = compute_all(g, CentralityParams(), metrics=("eigenvector",))
@@ -392,6 +395,170 @@ class TestNetworkxCrossCheck:
         }
         for metric, expected in reference.items():
             assert results[metric].scores == pytest.approx(expected, rel=1e-9), metric
+
+
+def _two_pieces(rng: random.Random) -> WeightedGraph:
+    """Two random directed graphs side by side, 45 and 30 nodes."""
+    left = oracles.random_directed_graph(rng, 45, edge_prob=0.15)
+    right = oracles.random_directed_graph(rng, 30, edge_prob=0.2)
+    edges = dict(left.edges)
+    edges.update({(u + 100, v + 100): w for (u, v), w in right.edges.items()})
+    nodes = left.nodes + tuple(u + 100 for u in right.nodes)
+    return WeightedGraph(nodes=nodes, edges=edges, directed=True)
+
+
+# graphs large enough for the path pass to fork
+PARALLEL_GRAPHS = {
+    "connected": oracles.random_directed_graph(random.Random(61), 80, edge_prob=0.08),
+    "disconnected": _two_pieces(random.Random(63)),
+    "integer-ties": integer_weighted(
+        oracles.random_directed_graph(random.Random(67), 90, edge_prob=0.06), random.Random(69)
+    ),
+}
+
+
+def _hex(scores: dict[int, float]) -> dict[int, str]:
+    return {v: s.hex() for v, s in scores.items()}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelPathPass:
+    """The path pass split over W forked workers against the one-process loop."""
+
+    def test_worker_count_is_affinity(self):
+        if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+            assert centrality._worker_count() == len(os.sched_getaffinity(0))
+        else:
+            assert centrality._worker_count() == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(PARALLEL_GRAPHS))
+    def test_bitwise_equal_to_serial(self, monkeypatch, forks, workers, kind):
+        g = PARALLEL_GRAPHS[kind]
+        assert g.n >= PARALLEL_MIN_NODES
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 1)
+        serial, serial_failures = compute_all(g)
+        assert forks == []
+        monkeypatch.setattr(centrality, "_worker_count", lambda: workers)
+        results, failures = compute_all(g)
+        assert len(forks) == (workers if workers > 1 else 0)
+        assert_no_children()
+
+        close, between, on_component = oracles.reference_path_sums(symmetrize(g))
+        assert _hex(results["closeness"].scores) == _hex(dict(zip(g.nodes, close)))
+        assert _hex(results["betweenness"].scores) == _hex(
+            {v: b / 2.0 for v, b in zip(g.nodes, between)}
+        )
+        assert results["closeness"].params["on_component"] is on_component
+        assert on_component is (kind == "disconnected")
+        assert list(results) == list(serial)
+        for metric, scores in serial.items():
+            assert _hex(results[metric].scores) == _hex(scores.scores), metric
+            assert results[metric].params == scores.params, metric
+        assert {k: str(e) for k, e in failures.items()} == {
+            k: str(e) for k, e in serial_failures.items()
+        }
+        assert set(failures) == ({"eigenvector"} if kind == "disconnected" else set())
+
+    @pytest.mark.parametrize("metric", [closeness, betweenness])
+    def test_standalone_metrics_fork_too(self, monkeypatch, forks, metric):
+        g = symmetrize(PARALLEL_GRAPHS["integer-ties"])
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 1)
+        serial = metric(g)
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 3)
+        assert _hex(metric(g).scores) == _hex(serial.scores)
+        assert len(forks) == 3
+        assert_no_children()
+
+    @pytest.mark.parametrize("n", [20, PARALLEL_MIN_NODES - 1])
+    def test_small_graphs_never_fork(self, monkeypatch, n):
+        calls = []
+
+        def refused_fork():
+            calls.append(1)
+            raise AssertionError("the path pass forked below its threshold")
+
+        monkeypatch.setattr(os, "fork", refused_fork)
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 3)
+        g = oracles.random_directed_graph(random.Random(n), n, edge_prob=6.0 / n)
+        results, _ = compute_all(g)
+        assert {"closeness", "betweenness"} <= set(results)
+        assert calls == []
+
+    def test_children_reaped_when_a_solver_raises(self, monkeypatch, forks):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver broke")
+
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 2)
+        monkeypatch.setattr(centrality, "pagerank", broken)
+        with pytest.raises(RuntimeError, match="solver broke"):
+            compute_all(PARALLEL_GRAPHS["connected"])
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_fork_failure_named(self, monkeypatch):
+        real_fork = os.fork
+        calls = []
+
+        def second_fork_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(WorkerError, match="cannot start a shortest-path worker: .*unavailable"):
+            compute_all(PARALLEL_GRAPHS["connected"])
+        assert len(calls) == 2
+        assert_no_children()
+        if open_fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    @pytest.mark.parametrize(
+        "die, source, expected",
+        [
+            (lambda: os._exit(3), 5, "worker 2 of 2 exited with status 3"),
+            (lambda: os.kill(os.getpid(), 9), 4, "worker 1 of 2 was killed by signal 9"),
+        ],
+        ids=["exit", "signal"],
+    )
+    def test_dead_worker_named(self, monkeypatch, die, source, expected):
+        real_terms = centrality._source_terms
+
+        def dying_terms(adj, s, *args):
+            if s == source:
+                die()
+            return real_terms(adj, s, *args)
+
+        monkeypatch.setattr(centrality, "_worker_count", lambda: 2)
+        monkeypatch.setattr(centrality, "_source_terms", dying_terms)
+        g = PARALLEL_GRAPHS["connected"]
+        with pytest.raises(WorkerError) as info:
+            compute_all(g)
+        assert str(info.value) == f"shortest-path {expected} before sending the paths from node {g.nodes[source]}"
+        assert_no_children()
 
 
 class TestRank:

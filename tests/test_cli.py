@@ -3,6 +3,8 @@ import gzip
 import importlib
 import inspect
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -356,6 +358,61 @@ class TestCentralityCommand:
                  "--metrics", "closeness,fame", "--out", "z"]
             )
         assert info.value.code == 2
+
+
+def centrality_above_fork_threshold(tmp_path, out):
+    """Run ``centrality`` on a graph large enough for the path pass to fork."""
+    city = tmp_path / "city"
+    if not city.exists():
+        run_synth(tmp_path, grid_side=10, n_centers=0, noise=0.5)
+    hotspots = tmp_path / "big.csv"
+    members = range(1, gridhot.centrality.PARALLEL_MIN_NODES + 7)
+    hotspots.write_text("cell_id,intensity\n" + "".join(f"{c},1.0\n" for c in members))
+    return main(["centrality", "--interactions", str(city / "interactions.tsv"),
+                 "--hotspots", str(hotspots), *WEEK, "--out", str(out)])
+
+
+class TestParallelCentrality:
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        real_fork = os.fork
+        forked = []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+        out = tmp_path / "cen"
+        digests = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(gridhot.centrality, "_worker_count", lambda: workers)
+            assert centrality_above_fork_threshold(tmp_path, out) == 0
+            digests[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            shutil.rmtree(out)
+        assert sorted(digests[1]) == ["centrality.csv", "manifest.json", "rankings.csv"]
+        assert digests[1] == digests[2]
+        assert len(forked) == 2
+        manifest = json.loads(digests[2]["manifest.json"])
+        assert set(manifest["status"].values()) == {"ok"}
+        assert manifest["diagnostics"]["graph"]["nodes"] >= gridhot.centrality.PARALLEL_MIN_NODES
+
+    def test_dead_worker_exits_one(self, tmp_path, monkeypatch, capsys):
+        real_terms = gridhot.centrality._source_terms
+
+        def dying_terms(adj, s, *args):
+            if s == 3:
+                os._exit(3)
+            return real_terms(adj, s, *args)
+
+        monkeypatch.setattr(gridhot.centrality, "_worker_count", lambda: 2)
+        monkeypatch.setattr(gridhot.centrality, "_source_terms", dying_terms)
+        run_synth(tmp_path, grid_side=10, n_centers=0, noise=0.5)
+        capsys.readouterr()
+        out = tmp_path / "cen"
+        assert centrality_above_fork_threshold(tmp_path, out) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "gridhot centrality: shortest-path worker 2 of 2 exited with status 3"
+            " before sending the paths from node 4\n"
+        )
+        assert not out.exists() or list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def read_csv_from_synth_hotspots(city, tmp_path):

@@ -107,6 +107,15 @@ class TestGenerateCity:
         cells = parse_grid(city.grid_path)
         assert sorted(c.cell_id for c in cells) == list(range(1, 26))
 
+    @pytest.mark.parametrize("side", [1, 2, 5])
+    def test_grid_is_one_document_dump(self, tmp_path, side):
+        # the grid is written a row at a time; its bytes are still those of
+        # one json.dumps of the whole FeatureCollection
+        city = generate_city(config(grid_side=side), tmp_path)
+        text = city.grid_path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert [c.cell_id for c in parse_grid(city.grid_path)] == list(range(1, side * side + 1))
+
     def test_aggregate_matches_intensity_field(self, tmp_path):
         cfg = config(noise=0.0)
         city = generate_city(cfg, tmp_path)
