@@ -9,17 +9,16 @@ one.
 
 from __future__ import annotations
 
-import marshal
 import math
 import operator
-import os
-import signal
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ConvergenceError, DomainError, GridhotError, WorkerError
+from .errors import ConvergenceError, DomainError, GridhotError
 from .graph import WeightedGraph, symmetrize
+from .workers import Workers
+from .workers import worker_count as _worker_count
 
 METRICS = ("closeness", "betweenness", "degree", "pagerank", "eigenvector")
 
@@ -34,14 +33,6 @@ INF = math.inf
 # nodes, forking and reading the children's records cost more than the
 # other cores save.
 PARALLEL_MIN_NODES = 64
-
-# each record a child sends is its marshal bytes behind their length; whole
-# records are read with two calls, where marshal.load would read per item
-_FRAME_HEADER = 4
-
-# largest pipe buffer the parallel pass asks for; Linux grants up to 1 MiB
-# to any process (fs.pipe-max-size)
-_PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -154,119 +145,55 @@ def _source_terms(
     return close, partial, delta
 
 
-def _worker_count() -> int:
-    """Processes the path pass may use: the CPUs this process may run on."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 class _PathPass:
     """Closeness and/or betweenness from one shortest-path pass per source.
 
     With at least ``PARALLEL_MIN_NODES`` nodes and two or more CPUs, the
-    sources are split over forked children, one per CPU: child k runs the
-    sources ``s ≡ k (mod W)`` and writes one marshal record per source to
-    its pipe, while the caller is free to compute other metrics.
-    :meth:`results` reads the records in source order and folds them as the
-    in-process loop does, so scores are bitwise the same for any W, and at
-    most a pipe buffer of records per child is held at once.  Use it as a
-    context manager: leaving the block reaps every child, after a SIGKILL
-    that ends any still at work when the block ends early.
+    sources are split over forked :class:`Workers`, one per CPU: worker k
+    runs the sources ``s ≡ k (mod W)`` and sends one record per source,
+    while the caller is free to compute other metrics.  :meth:`results`
+    reads the records in source order and folds them as the in-process loop
+    does, so scores are bitwise the same for any W, and at most a pipe
+    buffer of records per worker is held at once.  Use it as a context
+    manager: leaving the block reaps every worker.
     """
 
     def __init__(self, g: WeightedGraph, metrics: Sequence[str]):
         self._g = g
         self._closeness = "closeness" in metrics
         self._betweenness = "betweenness" in metrics
-        self._children: list[tuple[int, BinaryIO]] = []
+        self._workers = None
         workers = _worker_count() if metrics and g.n >= PARALLEL_MIN_NODES else 1
         if workers > 1:
-            self._fork(workers)
+            # a record of dependencies is about 9 bytes per node
+            per_child = -(-g.n // workers) * (9 * g.n + 64)
+            # built for the children only: this process drops it once they run
+            adj = _indexed_adjacency(g)
+
+            def send_terms(k, send):
+                for s in range(k, g.n, workers):
+                    send(_source_terms(adj, s, self._closeness, self._betweenness))
+
+            self._workers = Workers("shortest-path", workers, send_terms, pipe_bytes=per_child)
 
     def __enter__(self) -> _PathPass:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Reap every child, killing first any still at work."""
-        for pid, reader in self._children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self._children = []
-
-    def _fork(self, workers: int) -> None:
-        # a record of dependencies is about 9 bytes per node
-        per_child = -(-self._g.n // workers) * (9 * self._g.n + 64)
-        # built for the children only: this process drops it once they run
-        adj = _indexed_adjacency(self._g)
-        try:
-            for k in range(workers):
-                read_fd, write_fd = os.pipe()
-                _reserve_pipe(write_fd, per_child)
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
-                if pid == 0:
-                    inherited = [read_fd] + [reader.fileno() for _, reader in self._children]
-                    self._run_child(adj, k, workers, write_fd, inherited)
-                os.close(write_fd)
-                self._children.append((pid, os.fdopen(read_fd, "rb")))
-        except OSError as exc:
-            self.close()
-            raise WorkerError(f"cannot start a shortest-path worker: {exc}") from None
-        except BaseException:
-            self.close()
-            raise
-
-    def _run_child(
-        self, adj: list[list[tuple[int, float]]], k: int, workers: int, write_fd: int,
-        inherited: list[int],
-    ) -> None:
-        """Send the terms of sources k, k + W, ... and leave the process."""
-        status = 1
-        try:
-            for fd in inherited:
-                os.close(fd)
-            with os.fdopen(write_fd, "wb") as out:
-                for s in range(k, self._g.n, workers):
-                    record = marshal.dumps(
-                        _source_terms(adj, s, self._closeness, self._betweenness)
-                    )
-                    out.write(len(record).to_bytes(_FRAME_HEADER, "little") + record)
-                    out.flush()
-            status = 0
-        finally:
-            os._exit(status)
+        if self._workers is not None:
+            self._workers.close()
 
     def _received(self):
-        """The children's records in source order."""
-        workers = len(self._children)
+        """The workers' records in source order."""
+        workers = self._workers
         for s in range(self._g.n):
-            child = pid, reader = self._children[s % workers]
-            record = _read_frame(reader)
-            if record is None:
-                # the child closed its pipe early, so it has ended: reap it
-                # here for its status, and leave the others to close()
-                self._children.remove(child)
-                reader.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-                raise WorkerError(
-                    f"shortest-path worker {s % workers + 1} of {workers} {how}"
-                    f" before sending the paths from node {self._g.nodes[s]}"
-                )
-            yield marshal.loads(record)
+            yield workers.receive(
+                s % workers.count, f"sending the paths from node {self._g.nodes[s]}"
+            )
 
     def results(self) -> dict[str, CentralityScores]:
         g = self._g
-        if self._children:
+        if self._workers is not None:
             records = self._received()
         else:
             adj = _indexed_adjacency(g)
@@ -299,31 +226,6 @@ class _PathPass:
                 params={"tie_rel_tol": PATH_TIE_REL_TOL},
             )
         return results
-
-
-def _read_frame(reader: BinaryIO) -> bytes | None:
-    """One length-prefixed record, or None when the stream ends first."""
-    header = reader.read(_FRAME_HEADER)
-    if len(header) == _FRAME_HEADER:
-        size = int.from_bytes(header, "little")
-        record = reader.read(size)
-        if len(record) == size:
-            return record
-    return None
-
-
-def _reserve_pipe(fd: int, nbytes: int) -> None:
-    """Ask the kernel for a pipe buffer of ``nbytes``, up to ``_PIPE_BYTES``,
-    so that a child need not wait while the parent computes other metrics.
-    Where the call is missing or refused the default buffer serves."""
-    import fcntl  # POSIX only, like os.fork
-
-    set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
-    if set_size is not None:
-        try:
-            fcntl.fcntl(fd, set_size, min(nbytes, _PIPE_BYTES))
-        except OSError:
-            pass
 
 
 def closeness(g: WeightedGraph) -> CentralityScores:

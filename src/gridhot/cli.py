@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import logging
 import os
@@ -36,11 +35,11 @@ from .hotspot import calibrate_p, detect_hotspots
 from .ingest import (
     GridCell,
     IngestConfig,
-    ParseStats,
     TimeWindow,
     TrafficAggregate,
     aggregate_interactions,
     aggregate_traffic,
+    load_aggregate,
     load_ingest_config,
     open_text,
     parse_activity,
@@ -216,11 +215,7 @@ def _load_records(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: I
     Returns the aggregate and its ingest counts for the manifest's
     ``diagnostics``: lines read, parsed and skipped, and records in the window.
     """
-    stats = ParseStats()
-    records = itertools.chain.from_iterable(
-        parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
-    )
-    result = aggregate(records, window)
+    result, stats = load_aggregate(kind, parse, aggregate, paths, window, cfg)
     if stats.skipped:
         log.warning("skipped %d malformed %s line(s)", stats.skipped, kind)
     counts = dataclasses.asdict(stats)

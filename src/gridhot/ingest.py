@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
+import io
+import itertools
 import json
 import math
+import operator
+import os
 import zlib
 from collections import defaultdict
 from contextlib import contextmanager
@@ -22,6 +26,8 @@ from datetime import datetime, timezone
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
+from .workers import Workers
+from .workers import worker_count as _worker_count
 
 MALFORMED_POLICIES = ("abort", "skip")
 
@@ -144,16 +150,45 @@ class ParseStats:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
+def _is_gzip(path) -> bool:
+    with open(path, "rb") as probe:
+        return probe.read(2) == _GZIP_MAGIC
+
+
+class _ByteRange(io.RawIOBase):
+    """The bytes ``[start, end)`` of a file, read as a stream of their own."""
+
+    def __init__(self, path, start: int, end: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
 @contextmanager
-def open_text(path) -> Iterator[IO[str]]:
+def open_text(path, span: tuple[int, int] | None = None) -> Iterator[IO[str]]:
     """Open a text file, transparently unpacking gzip (sniffed by magic bytes).
 
-    Bytes that are not UTF-8 or a broken gzip stream raise
-    :class:`UnreadableInputError` naming ``path``.
+    ``span`` reads only the bytes ``[start, end)`` of a plain file, with the
+    same decoding and universal newlines.  Bytes that are not UTF-8 or a
+    broken gzip stream raise :class:`UnreadableInputError` naming ``path``.
     """
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    with (gzip.open if magic == _GZIP_MAGIC else open)(path, "rt", encoding="utf-8") as handle:
+    if span is not None:
+        handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, *span)), encoding="utf-8")
+    else:
+        handle = (gzip.open if _is_gzip(path) else open)(path, "rt", encoding="utf-8")
+    with handle:
         try:
             yield handle
         except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
@@ -298,17 +333,19 @@ def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> 
 
 
 def _parse_lines(
-    path, record_fn, layout: ColumnLayout, on_malformed: str, stats: ParseStats | None
+    path, record_fn, layout: ColumnLayout, on_malformed: str, stats: ParseStats | None,
+    span: tuple[int, int] | None = None,
 ) -> Iterator:
     """Yield ``record_fn(line, layout, path, line_no)`` for each line of ``path``.
 
     Owns the malformed-line policy and the :class:`ParseStats` counting
-    shared by :func:`parse_activity` and :func:`parse_interactions`.
+    shared by :func:`parse_activity` and :func:`parse_interactions`.  With
+    a ``span`` only its lines are read, numbered from 1 at its start.
     """
     _check_policy(on_malformed)
     if stats is None:
         stats = ParseStats()
-    with open_text(path) as handle:
+    with open_text(path, span) as handle:
         for line_no, line in enumerate(handle, start=1):
             stats.lines += 1
             try:
@@ -327,6 +364,7 @@ def parse_activity(
     layout: ColumnLayout = DEFAULT_LAYOUT,
     on_malformed: str = "abort",
     stats: ParseStats | None = None,
+    span: tuple[int, int] | None = None,
 ) -> Iterator[ActivityRecord]:
     """Yield one :class:`ActivityRecord` per line of an activity file.
 
@@ -336,8 +374,10 @@ def parse_activity(
         on_malformed: ``"abort"`` raises :class:`ParseError` on the first bad
             line; ``"skip"`` drops bad lines and counts them in ``stats``.
         stats: optional :class:`ParseStats` to fill with line counters.
+        span: optional byte range ``(start, end)`` of a plain file, both at
+            line starts; its lines are numbered from 1 in errors.
     """
-    return _parse_lines(path, _activity_record, layout, on_malformed, stats)
+    return _parse_lines(path, _activity_record, layout, on_malformed, stats, span)
 
 
 def parse_interactions(
@@ -470,22 +510,90 @@ def parse_grid(path) -> list[GridCell]:
     return cells
 
 
-def aggregate_traffic(records: Iterable[ActivityRecord], window: TimeWindow) -> TrafficAggregate:
+def _activity_terms(records: Iterable[ActivityRecord]):
+    # added in the order of ActivityRecord.total(), so bit for bit equal
+    return ((cell, t, a + b + c + d + e) for cell, t, a, b, c, d, e, _ in records)
+
+
+def _interaction_terms(records: Iterable[InteractionRecord]):
+    return (((src, dst), t, strength) for src, dst, t, strength in records)
+
+
+def _window_values(terms, window: TimeWindow) -> tuple[defaultdict, int]:
+    """Per-key lists of the values of in-window ``(key, timestamp, value)`` terms.
+
+    The one reducer behind both aggregates, in this process and in the
+    workers of :func:`load_aggregate`.  Returns the lists and their total length.
+    """
+    start, end = window.start, window.end
+    parts: defaultdict = defaultdict(list)
+    for key, timestamp, value in terms:
+        if start <= timestamp < end:
+            parts[key].append(value)
+    return parts, sum(map(len, parts.values()))
+
+
+def _exact_partials(values: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of ``values``.
+
+    The first is ``fsum(values)`` and each next one the correctly rounded
+    rest of the exact sum after those before it, until nothing is left: a
+    nonoverlapping expansion, like the partials of Shewchuk (1997) that
+    ``math.fsum`` keeps, found by C-speed ``fsum`` calls.  ``fsum`` over
+    the partials of disjoint lists therefore equals ``fsum`` over all their
+    values, bit for bit.  A sum that is not finite, because it overflows or
+    a value is infinite, gives ``[nan]``, which makes the merged sum nan.
+    """
+    try:
+        partials = [math.fsum(values)]
+        if not math.isfinite(partials[0]):
+            return [math.nan]
+        while rest := math.fsum(itertools.chain(values, map(operator.neg, partials))):
+            partials.append(rest)
+    except OverflowError:
+        return [math.nan]
+    return partials
+
+
+def _window_sums(terms, window: TimeWindow, ranges, name) -> tuple[dict, int]:
+    """``math.fsum`` per key of the in-window terms and of ``ranges``, in key order.
+
+    ``ranges`` holds ``(partials, in_window)`` pairs from other parts of the
+    same inputs, with per-key :func:`_exact_partials`.  ``name(key)`` names a
+    key whose sum is not finite in the :class:`DomainError` raised for it.
+    """
+    parts, in_window = _window_values(terms, window)
+    for partials, count in ranges:
+        in_window += count
+        for key, values in partials.items():
+            parts[key] += values
+    sums = {}
+    for key in sorted(parts):
+        try:
+            total = math.fsum(parts[key])
+        except OverflowError:
+            total = math.inf
+        if not total < math.inf:
+            raise DomainError(f"in-window {name(key)} sums past the largest float")
+        sums[key] = total
+    return sums, in_window
+
+
+def aggregate_traffic(
+    records: Iterable[ActivityRecord], window: TimeWindow, ranges=()
+) -> TrafficAggregate:
     """Sum per-cell activity over in-window records.
 
     The per-cell intensity is the equal-weight sum of all five activity
     quantities.  Summation uses ``math.fsum`` so the result is identical
     under any permutation of the input stream.  Cells with no in-window
-    records are absent from the map.
+    records are absent from the map.  ``ranges`` holds the exact partial
+    sums of other parts of the same inputs (see :func:`load_aggregate`).
+    A cell whose sum overflows raises :class:`DomainError`.
     """
-    start, end = window.start, window.end
-    parts: defaultdict[int, list[float]] = defaultdict(list)
-    for cell_id, timestamp, sms_in, sms_out, call_in, call_out, internet, _ in records:
-        if start <= timestamp < end:
-            # added in the order of ActivityRecord.total(), so bit for bit equal
-            parts[cell_id].append(sms_in + sms_out + call_in + call_out + internet)
-    intensities = {cell: math.fsum(values) for cell, values in sorted(parts.items())}
-    in_window = sum(map(len, parts.values()))
+    intensities, in_window = _window_sums(
+        _activity_terms(records), window, ranges, lambda cell: f"activity of cell {cell}"
+    )
     return TrafficAggregate(window=window, intensities=intensities, in_window=in_window)
 
 
@@ -494,21 +602,177 @@ def aggregate_interactions(
 ) -> InteractionAggregate:
     """Sum directional strength per ordered (src, dst) pair over in-window records.
 
-    Pairs whose strengths sum to zero are omitted.  Order-independent for
-    the same reason as :func:`aggregate_traffic`.
+    Pairs whose strengths sum to zero are omitted.  Order-independent and
+    overflow-checked like :func:`aggregate_traffic`.
     """
-    start, end = window.start, window.end
-    parts: defaultdict[tuple[int, int], list[float]] = defaultdict(list)
-    for src, dst, timestamp, strength in records:
-        if start <= timestamp < end:
-            parts[src, dst].append(strength)
-    strengths = {}
-    for pair, values in sorted(parts.items()):
-        total = math.fsum(values)
-        if total > 0.0:
-            strengths[pair] = total
-    in_window = sum(map(len, parts.values()))
+    sums, in_window = _window_sums(
+        _interaction_terms(records), window, (),
+        lambda pair: f"strength of pair {pair[0]} -> {pair[1]}",
+    )
+    strengths = {pair: total for pair, total in sums.items() if total > 0.0}
     return InteractionAggregate(window=window, strengths=strengths, in_window=in_window)
+
+
+# Smaller activity inputs are read in this process.  On a 2-core host a
+# forked read of an activity file (hundreds of records per cell) broke even
+# near 256 KB and took three quarters of the one-process time at 512 KB.
+# Interaction files are always read in this process: with one record per
+# pair, as in every file measured, the merge costs as much as the parse
+# saves.  The tables are in CHANGES.md.
+PARALLEL_MIN_BYTES = 1 << 19
+
+# the kinds read on every CPU, with the (key, timestamp, value) terms of a record
+_TERMS = {"activity": _activity_terms}
+
+
+def _line_start(path, offset: int) -> int:
+    """The first line start at or after ``offset``: just past a newline byte."""
+    if offset == 0:
+        return 0
+    with open(path, "rb") as handle:
+        handle.seek(offset - 1)
+        while chunk := handle.read(1 << 16):
+            at = chunk.find(b"\n")
+            if at >= 0:
+                return handle.tell() - len(chunk) + at + 1
+        return handle.tell()
+
+
+def _shares(paths, workers: int) -> list[list[tuple]]:
+    """Cut the inputs into at most ``workers`` shares of about equal bytes.
+
+    A share is a list of ``(path, span)`` segments in input order, and the
+    shares follow each other in input order too.  ``span`` None is a whole
+    file; a ``(start, end)`` span begins and ends at line starts.  A gzip
+    file is never cut.  Inputs under ``PARALLEL_MIN_BYTES`` in all, or that
+    cannot be sized, make one share of whole files, so that any error they
+    raise comes in file order.
+    """
+    whole = [[(path, None) for path in paths]]
+    if workers < 2:
+        return whole
+    try:
+        sizes = [os.path.getsize(path) for path in paths]
+        packed = [_is_gzip(path) for path in paths]
+        total = sum(sizes)
+        if total < PARALLEL_MIN_BYTES:
+            return whole
+        # cut points in the inputs laid end to end, each moved to a line start
+        cuts = set()
+        start = 0
+        for path, size, gz in zip(paths, sizes, packed):
+            for k in range(1, workers):
+                offset = total * k // workers - start
+                if 0 <= offset < size:
+                    cuts.add(start + (size if gz and offset else _line_start(path, offset)))
+            start += size
+    except OSError:
+        return whole
+    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < total), total]
+    shares = []
+    for low, high in zip(bounds, bounds[1:]):
+        share = []
+        start = 0
+        for path, size in zip(paths, sizes):
+            lo, hi = max(low - start, 0), min(high - start, size)
+            if lo < hi:
+                share.append((path, None if hi - lo == size else (lo, hi)))
+            start += size
+        shares.append(share)
+    return shares
+
+
+def _segments(parse, share, cfg: IngestConfig, stats: ParseStats):
+    """The records of a share's segments, in input order."""
+    return itertools.chain.from_iterable(
+        parse(path, cfg.layout, cfg.on_malformed, stats, span=span) for path, span in share
+    )
+
+
+def _reread(parse, share, cfg: IngestConfig) -> None:
+    """Read the files of a share that met an error whole, in order, in this
+    process, and raise the first error that raises.
+
+    The error a one-process read meets first can differ from the share's:
+    its line numbers count from the file's start, and its decoder reads
+    chunks counted from there too, so a chunk can reach from the last lines
+    before a cut past it.  The files before the faulty one read cleanly.
+    """
+    for path, _ in share:
+        for _ in parse(path, cfg.layout, cfg.on_malformed, ParseStats()):
+            pass
+    raise UnreadableInputError("an input file changed while it was read")
+
+
+def _own_share(parse, share, cfg: IngestConfig, stats: ParseStats):
+    """The records of the main process's share; its first error raised as
+    a one-process read raises it."""
+    try:
+        yield from _segments(parse, share, cfg, stats)
+    except (ParseError, UnreadableInputError):
+        _reread(parse, share, cfg)
+
+
+def _reduce_share(terms, parse, share, window: TimeWindow, cfg: IngestConfig):
+    """A worker's report on its share: its counters and exact per-key
+    partials, or None if it met an error."""
+    stats = ParseStats()
+    try:
+        parts, in_window = _window_values(terms(_segments(parse, share, cfg, stats)), window)
+    except (ParseError, UnreadableInputError):
+        return None
+    partials = {key: _exact_partials(values) for key, values in parts.items()}
+    return dataclasses.astuple(stats), partials, in_window
+
+
+def _received(workers: Workers, shares, parse, cfg: IngestConfig, stats: ParseStats):
+    """The workers' ``(partials, in_window)`` in share order, their counters
+    added to ``stats``.  A worker's error is raised as a one-process read
+    raises it."""
+    for k, share in enumerate(shares[1:]):
+        report = workers.receive(k, f"sending its sums of {share[0][0]}")
+        if report is None:
+            _reread(parse, share, cfg)
+        (lines, parsed, skipped), partials, in_window = report
+        stats.lines += lines
+        stats.parsed += parsed
+        stats.skipped += skipped
+        yield partials, in_window
+
+
+def load_aggregate(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: IngestConfig):
+    """Aggregate the in-window records of every file in ``paths``.
+
+    ``kind`` is ``"activity"`` or ``"interaction"``, and ``parse`` and
+    ``aggregate`` are its reader and aggregate, :func:`parse_activity` and
+    :func:`aggregate_traffic` or :func:`parse_interactions` and
+    :func:`aggregate_interactions`, or wrappers of them: they are taken
+    from the caller so that its wrappers, such as the benchmark's tracing
+    spans, see the calls made in this process.  Activity inputs
+    of ``PARALLEL_MIN_BYTES`` or more are read on every CPU: they are cut at
+    line starts into one share per CPU (see :func:`_shares`), this process
+    reads the first share while forked workers reduce the others to exact
+    per-key partial sums, and ``aggregate`` merges those with one
+    ``math.fsum`` per key.  The aggregate, the :class:`ParseStats` returned
+    with it and the error raised, text included, are the same as a
+    one-process read's for any number of CPUs.
+    """
+    _check_policy(cfg.on_malformed)
+    stats = ParseStats()
+    shares = _shares(paths, _worker_count() if kind in _TERMS else 1)
+    if len(shares) == 1:
+        records = itertools.chain.from_iterable(
+            parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
+        )
+        return aggregate(records, window), stats
+    terms = _TERMS[kind]
+
+    def reduce_share(k, send):
+        send(_reduce_share(terms, parse, shares[k + 1], window, cfg))
+
+    with Workers("ingest", len(shares) - 1, reduce_share) as workers:
+        own = _own_share(parse, shares[0], cfg, stats)
+        return aggregate(own, window, _received(workers, shares, parse, cfg, stats)), stats
 
 
 _DELIMITER_NAMES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}

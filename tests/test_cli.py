@@ -11,6 +11,7 @@ import pytest
 
 import gridhot.centrality
 import gridhot.cli
+import gridhot.ingest
 from gridhot.cli import main
 from gridhot.fileio import sha256_file
 
@@ -413,6 +414,112 @@ class TestParallelCentrality:
         assert not out.exists() or list(out.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def ingest_workers(monkeypatch, workers):
+    """Read every input with ``workers`` CPUs, however small it is."""
+    monkeypatch.setattr(gridhot.ingest, "_worker_count", lambda: workers)
+    monkeypatch.setattr(gridhot.ingest, "PARALLEL_MIN_BYTES", 1)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelIngest:
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        city = run_synth(tmp_path, grid_side=8, records_per_cell=6)
+        lines = (city / "activity.tsv").read_bytes().splitlines(keepends=True)
+        parts = [tmp_path / "a1.tsv", tmp_path / "a2.tsv"]
+        parts[0].write_bytes(b"".join(lines[: len(lines) // 3]))
+        parts[1].write_bytes(b"".join(lines[len(lines) // 3:]))
+        activity = [arg for part in parts for arg in ("--activity", str(part))]
+        out = tmp_path / "out"
+        steps = [
+            ["hotspots", *activity, *WEEK, "--k", "6", "--grid", str(city / "grid.geojson"),
+             "--out", str(out / "hs")],
+            ["heatmap", *activity, "--grid", str(city / "grid.geojson"), *WEEK,
+             "--hotspots", str(out / "hs" / "hotspots.csv"), "--out", str(out / "heat.geojson")],
+            ["centrality", "--interactions", str(city / "interactions.tsv"),
+             "--hotspots", str(out / "hs" / "hotspots.csv"), *WEEK, "--out", str(out / "cen")],
+        ]
+        real_fork = os.fork
+        forked = []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+        trees = {}
+        for workers in (1, 2, 3):
+            ingest_workers(monkeypatch, workers)
+            for argv in steps:
+                assert main(argv) == 0, argv
+            trees[workers] = {
+                str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            shutil.rmtree(out)
+            assert_no_children()
+        assert len(trees[1]) == 9 and "cen/manifest.json" in trees[1]
+        assert trees[1] == trees[2] == trees[3]
+        # hotspots and heatmap fork one ingest worker per CPU after the first;
+        # centrality reads its interactions in-process
+        assert len(forked) == 2 * (1 + 2)
+
+    def test_dead_worker_exits_one(self, tmp_path, monkeypatch, capsys):
+        city = run_synth(tmp_path)
+        ingest_workers(monkeypatch, 2)
+        monkeypatch.setattr(gridhot.ingest, "_reduce_share", lambda *args: os._exit(3))
+        capsys.readouterr()
+        out = tmp_path / "hs"
+        activity = str(city / "activity.tsv")
+        assert main(["hotspots", "--activity", activity, *WEEK, "--k", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "gridhot hotspots: ingest worker 1 of 1 exited with status 3"
+            f" before sending its sums of {activity}\n"
+        )
+        assert not out.exists()
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "first, last",
+        [("1\t1384732800000\t0\t1e308", "1\t1384732800001\t0\t1e308"),
+         ("1\t1384732800000\t0\t1e308\t1e308", "3\t1384732800000\t0\t1.0")],
+        ids=["two-records", "one-record"],
+    )
+    def test_overflowing_sums_exit_one(self, tmp_path, monkeypatch, capsys, workers, first, last):
+        ingest_workers(monkeypatch, workers)
+        activity = tmp_path / "a.tsv"
+        activity.write_text(f"{first}\n" + "2\t1384732800000\t0\t1.0\n" * 20 + f"{last}\n")
+        interactions = tmp_path / "i.tsv"
+        interactions.write_text(
+            "1\t2\t1384732800000\t1e308\n" + "2\t1\t1384732800000\t1.0\n" * 20
+            + "1\t2\t1384732800001\t1e308\n"
+        )
+        members = tmp_path / "hs.csv"
+        members.write_text("cell_id,intensity\n1,1.0\n2,1.0\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5",
+                     "--out", str(out)]) == 1
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots", str(members),
+                     *WEEK, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "gridhot hotspots: in-window activity of cell 1 sums past the largest float\n"
+            "gridhot centrality: in-window strength of pair 1 -> 2 sums past the largest float\n"
+        )
+        assert not out.exists()
+
+    def test_undecodable_later_range_exits_two(self, tmp_path, monkeypatch, capsys):
+        city = run_synth(tmp_path)
+        activity = city / "activity.tsv"
+        activity.write_bytes(activity.read_bytes()[:-30] + b"\xff\n")
+        ingest_workers(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridhot hotspots: cannot read {activity}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        assert_no_children()
 
 
 def read_csv_from_synth_hotspots(city, tmp_path):

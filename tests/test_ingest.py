@@ -3,18 +3,23 @@ import functools
 import gzip
 import json
 import math
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridhot.errors import DomainError, ParseError, UnsupportedGeometryError
+from gridhot import ingest
+from gridhot.errors import DomainError, GridhotError, ParseError, UnsupportedGeometryError
 from gridhot.ingest import (
     ACTIVITY_COLUMNS,
     DEFAULT_LAYOUT,
     INTERACTION_COLUMNS,
     ActivityRecord,
     ColumnLayout,
+    IngestConfig,
     InteractionRecord,
     ParseStats,
     TimeWindow,
@@ -22,6 +27,7 @@ from gridhot.ingest import (
     aggregate_traffic,
     format_activity_line,
     format_interaction_line,
+    load_aggregate,
     load_ingest_config,
     parse_activity,
     parse_epoch_ms,
@@ -29,6 +35,7 @@ from gridhot.ingest import (
     parse_interactions,
     _activity_record,
     _checked_record,
+    _exact_partials,
     _interaction_record,
 )
 
@@ -594,3 +601,287 @@ class TestIngestConfig:
         path = write(tmp_path, "ingest.cfg", "on_malformed = maybe\n")
         with pytest.raises(ParseError):
             load_ingest_config(path)
+
+
+# ---------------------------------------------------------------------------
+# Parallel ingest: byte ranges reduced in forked workers, merged exactly
+
+LOADERS = {
+    "activity": (parse_activity, aggregate_traffic),
+    "interaction": (parse_interactions, aggregate_interactions),
+}
+
+
+def _loaded(kind, paths, workers, policy="abort"):
+    """What ``load_aggregate`` gives with ``workers`` CPUs and no size floor:
+    the sums as float.hex and the counters, or the error type and text."""
+    parse, aggregate = LOADERS[kind]
+    cfg = IngestConfig(on_malformed=policy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_worker_count", lambda: workers)
+        patch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
+        try:
+            result, stats = load_aggregate(kind, parse, aggregate, paths, WINDOW, cfg)
+        except GridhotError as exc:
+            return type(exc).__name__, str(exc)
+    sums = result.intensities if kind == "activity" else result.strengths
+    assert_no_children()
+    return [(key, value.hex()) for key, value in sums.items()], result.in_window, stats
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _activity_lines(rng, count):
+    return [
+        f"{rng.randint(1, 6)}\t{rng.randint(500, 2_500)}\t39\t{rng.random() * 10}\t\t"
+        f"{rng.uniform(0, 1e3)}\t{rng.random()}\t{rng.expovariate(0.1)}"
+        for _ in range(count)
+    ]
+
+
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+LINES = _activity_lines(random.Random(3), 40)
+BAD = "7\t1500\t39\tnot-a-number"
+
+# name -> the files' bytes; each is read with 1, 2 and 3 workers
+EDGE_FILES = {
+    "lf": ["\n".join(LINES).encode() + b"\n"],
+    "crlf": ["\r\n".join(LINES).encode() + b"\r\n"],
+    "no-trailing-newline": ["\n".join(LINES).encode()],
+    "lone-cr-lines": ["\r".join(LINES).encode() + b"\r"],
+    "blank-line-at-boundary": [
+        ("\n".join(LINES[:20]) + "\n").encode() + b"\n" + ("\n".join(LINES[20:]) + "\n").encode()
+    ],
+    "fewer-lines-than-workers": [(LINES[0] + "\n" + LINES[1] + "\n").encode()],
+    "one-line": [LINES[0].encode()],
+    "empty": [b""],
+    "bad-line-in-later-range": [
+        "\n".join(LINES[:25] + [BAD] + LINES[25:30] + ["x"] + LINES[30:]).encode() + b"\n"
+    ],
+    "two-files": ["\n".join(LINES[:15]).encode() + b"\n", "\n".join(LINES[15:]).encode() + b"\n"],
+    "two-files-bad-in-second": [
+        "\n".join(LINES[:15]).encode() + b"\n",
+        "\n".join(LINES[15:30] + [BAD] + LINES[30:]).encode() + b"\n",
+    ],
+    "gzip": [gzip.compress("\n".join(LINES).encode() + b"\n", mtime=0)],
+    "gzip-and-plain": [
+        gzip.compress("\n".join(LINES[:10] + [BAD]).encode() + b"\n", mtime=0),
+        "\n".join(LINES[10:20] + ["x"] + LINES[20:]).encode() + b"\n",
+    ],
+}
+
+
+@pytest.mark.parametrize("policy", ["abort", "skip"])
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_parallel_ingest_matches_one_process(tmp_path, name, policy):
+    paths = [_write_bytes(tmp_path, f"{i}.tsv", data) for i, data in enumerate(EDGE_FILES[name])]
+    serial = _loaded("activity", paths, 1, policy)
+    for workers in (2, 3):
+        assert _loaded("activity", paths, workers, policy) == serial, workers
+    # and the same as reading through the public functions directly
+    try:
+        stats = ParseStats()
+        records = (r for p in paths for r in parse_activity(p, on_malformed=policy, stats=stats))
+        traffic = aggregate_traffic(records, WINDOW)
+    except GridhotError as exc:
+        assert serial == (type(exc).__name__, str(exc))
+    else:
+        expected = [(cell, value.hex()) for cell, value in traffic.intensities.items()]
+        assert serial == (expected, traffic.in_window, stats)
+
+
+def test_bad_line_in_later_range_named_with_file_line(tmp_path):
+    data = EDGE_FILES["bad-line-in-later-range"][0]
+    # past the first cut for 2 and for 3 workers
+    assert data.index(BAD.encode()) > len(data) // 2
+    path = _write_bytes(tmp_path, "a.tsv", data)
+    kind, message = _loaded("activity", [path], 3)
+    assert kind == "ParseError"
+    assert message == f"malformed sms_in 'not-a-number' ({path}:26)"
+    _, _, stats = _loaded("activity", [path], 3, "skip")
+    assert (stats.lines, stats.parsed, stats.skipped) == (42, 40, 2)
+
+
+def test_interactions_read_in_one_process(tmp_path, monkeypatch):
+    rng = random.Random(8)
+    lines = [
+        f"{rng.randint(1, 4)}\t{rng.randint(1, 4)}\t{rng.randint(500, 2_500)}\t{rng.random()}"
+        for _ in range(60)
+    ] + ["2\t3\t1500\t0.0", "3\t2\t1500\t", "bad"]
+    path = _write_bytes(tmp_path, "i.tsv", "\n".join(lines).encode() + b"\n")
+    serial = _loaded("interaction", [path], 1, "skip")
+
+    def refused_fork():
+        raise AssertionError("interaction ingest forked")
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    assert _loaded("interaction", [path], 3, "skip") == serial
+    assert serial[2].skipped == 1
+
+
+# a file of several 8 KiB decode chunks
+LONG = _activity_lines(random.Random(5), 400)
+
+
+def _faulty(tmp_path, workers, before, after):
+    """``LONG`` with the lines ``before`` and ``after`` on either side of
+    the last cut that ``workers`` make in it, and with the start of
+    ``before`` in the 8 KiB decode chunk of ``after``; the file's path and
+    bytes.  Leading zeros on the first cell id shift the bytes."""
+    for pad in range(300):
+        lines = [line + "\n" for line in ["0" * pad + LONG[0], *LONG[1:]]]
+        for at in range(1, len(lines)):
+            head = "".join(lines[:at]).encode() + before
+            data = head + after + "".join(lines[at:]).encode()
+            last_cut = len(data) * (workers - 1) // workers
+            if len(head) > last_cut + 100:
+                break
+            if data.index(b"\n", last_cut - 1) + 1 != len(head):
+                continue
+            if (len(head) - len(before)) // 8192 != len(head) // 8192:
+                continue
+            path = _write_bytes(tmp_path, f"{workers}.tsv", data)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
+                assert ingest._shares([path], workers)[-1][0][1][0] == len(head)
+            return path, data
+    raise AssertionError("no line start puts the faults at the cut")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "before, after, error",
+    [
+        (b"", b"\xff\n", "UnreadableInputError"),
+        # a one-process read decodes the chunk holding both before it parses
+        # the bad line, so it meets the undecodable byte first
+        (BAD.encode() + b"\n", b"\xff\n", "UnreadableInputError"),
+        (BAD.encode() + b"\n", b"", "ParseError"),
+        (b"", BAD.encode() + b"\n", "ParseError"),
+    ],
+    ids=["undecodable", "bad-line-then-undecodable", "bad-line-before-cut", "bad-line-after-cut"],
+)
+def test_first_error_same_text_for_any_workers(tmp_path, workers, before, after, error):
+    path, data = _faulty(tmp_path, workers, before, after)
+    serial = _loaded("activity", [path], 1)
+    assert serial[0] == error
+    if b"\xff" in data:
+        at = data.index(b"\xff")
+        assert at > 8192
+        assert serial[1] == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position {at % 8192}:"
+            " invalid start byte"
+        )
+    if error == "ParseError":
+        line_no = data.count(b"\n", 0, data.index(BAD.encode())) + 1
+        assert serial[1] == f"malformed sms_in 'not-a-number' ({path}:{line_no})"
+    assert _loaded("activity", [path], workers) == serial
+    assert _loaded("activity", [path], 5 - workers) == serial
+
+
+def test_shares_cut_at_line_starts(tmp_path):
+    data = "\r\n".join(LINES).encode() + b"\n\n" + "\n".join(LINES).encode()
+    path = _write_bytes(tmp_path, "a.tsv", data)
+    starts = {0} | {i + 1 for i, byte in enumerate(data) if byte == ord("\n")}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
+        for workers in range(1, 8):
+            shares = ingest._shares([path], workers)
+            assert len(shares) == workers
+            spans = [span or (0, len(data)) for share in shares for _, span in share]
+            assert spans[0][0] == 0 and spans[-1][1] == len(data)
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert end == start and start in starts
+
+
+def test_small_inputs_never_fork(tmp_path, monkeypatch):
+    def refused_fork():
+        raise AssertionError("ingest forked below its threshold")
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    monkeypatch.setattr(ingest, "_worker_count", lambda: 3)
+    data = "\n".join(LINES).encode() + b"\n"
+    paths = [_write_bytes(tmp_path, f"{i}.tsv", data) for i in range(2)]
+    assert 2 * len(data) < ingest.PARALLEL_MIN_BYTES
+    parse, aggregate = LOADERS["activity"]
+    traffic, stats = load_aggregate("activity", parse, aggregate, paths, WINDOW, IngestConfig())
+    assert stats.lines == 2 * len(LINES)
+
+
+def test_dead_worker_named(tmp_path, monkeypatch):
+    def dying_reduce(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(ingest, "_reduce_share", dying_reduce)
+    path = _write_bytes(tmp_path, "a.tsv", "\n".join(LINES).encode() + b"\n")
+    assert _loaded("activity", [path], 2) == (
+        "WorkerError", f"ingest worker 1 of 1 exited with status 3 before sending its sums of {path}"
+    )
+
+
+# in-window values whose sums overflow; the two big lines fall in different ranges
+OVERFLOWS = {
+    "across-ranges": ["1\t1500\t0\t1e308"] + LINES + ["1\t1600\t0\t1e308"],
+    "one-record": LINES + ["2\t1500\t0\t1e308\t1e308"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_overflow_is_a_domain_error(tmp_path, name):
+    path = _write_bytes(tmp_path, "a.tsv", "\n".join(OVERFLOWS[name]).encode() + b"\n")
+    cell = 1 if name == "across-ranges" else 2
+    expected = ("DomainError", f"in-window activity of cell {cell} sums past the largest float")
+    for workers in (1, 2, 3):
+        assert _loaded("activity", [path], workers) == expected
+
+
+def test_pair_overflow_is_a_domain_error():
+    records = [InteractionRecord(4, 5, 1_100, 1e308), InteractionRecord(4, 5, 1_200, 1e308)]
+    with pytest.raises(DomainError, match=r"^in-window strength of pair 4 -> 5 sums past"):
+        aggregate_interactions(records, WINDOW)
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@given(st.lists(st.lists(finite, max_size=12), min_size=1, max_size=5))
+def test_exact_partials_merge_bitwise(chunks):
+    merged = [p for chunk in chunks for p in _exact_partials(chunk)]
+    assert math.fsum(merged).hex() == math.fsum([x for chunk in chunks for x in chunk]).hex()
+
+
+def test_exact_partials_of_non_finite_sums_are_nan():
+    assert math.isnan(_exact_partials([1e308, 1e308])[0])
+    assert math.isnan(_exact_partials([1.0, math.inf])[0])
+    assert _exact_partials([]) == [0.0]
+
+
+line_kinds = st.sampled_from(["good", "good", "good", "bad", "blank", "late"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(line_kinds, max_size=30),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+    st.integers(min_value=2, max_value=5),
+    st.sampled_from(["abort", "skip"]),
+    st.randoms(use_true_random=False),
+)
+def test_random_files_any_range_count(kinds, newline, trailing, workers, policy, rng):
+    """Random files with malformed lines read in 2-5 ranges agree with one process."""
+    good = iter(_activity_lines(rng, len(kinds)))
+    text_of = {"bad": lambda: BAD, "blank": lambda: "", "late": lambda: "1\t9999\t0\t1.5"}
+    lines = [next(good) if kind == "good" else text_of[kind]() for kind in kinds]
+    data = (newline.join(lines) + (newline if trailing else "")).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_bytes(Path(tmp), "r.tsv", data)
+        assert _loaded("activity", [path], workers, policy) == _loaded("activity", [path], 1, policy)
