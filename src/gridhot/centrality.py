@@ -10,9 +10,10 @@ one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import ConvergenceError, DomainError, GridhotError
@@ -107,6 +108,9 @@ def _source_pass(
             if settled[v]:
                 continue
             candidate = d + weight
+            # far above dist[v]: neither a tie at PATH_TIE_REL_TOL nor shorter
+            if candidate > dist[v] * 1.000001:
+                continue
             if isclose(candidate, dist[v], rel_tol=PATH_TIE_REL_TOL):
                 sigma[v] += sigma_u
                 preds[v].append(u)
@@ -210,7 +214,7 @@ class _PathPass:
             if self._betweenness:
                 # x + 0.0 == x: the zero entries of s and of the nodes it does
                 # not reach leave each sum as the serial accumulation has it
-                between = list(map(operator.add, between, delta))
+                between = list(map(add, between, delta))
         results = {}
         if self._closeness:
             results["closeness"] = CentralityScores(
@@ -255,22 +259,51 @@ def degree(g: WeightedGraph) -> CentralityScores:
     """Weighted degree: the sum of incident edge weights (node strength)."""
     _require_undirected(g, "degree")
     adj = g.adjacency()
-    scores = {v: math.fsum(weight for _, weight in adj[v]) for v in g.nodes}
+    scores = {v: math.fsum([weight for _, weight in adj[v]]) for v in g.nodes}
     return CentralityScores(metric="degree", scores=scores, params={})
 
 
 def _pagerank_structure(g: WeightedGraph, variant: str):
-    out_weight = {u: 0.0 for u in g.nodes}
-    out_count = {u: 0 for u in g.nodes}
+    """Per node index, the indices of its in-neighbours and the share of their
+    mass each sends, in ascending source order; and the dangling indices."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    out_weight = [0.0] * g.n
+    out_count = [0] * g.n
     for (u, _), weight in g.edges.items():
-        out_weight[u] += weight
-        out_count[u] += 1
-    in_shares: dict[int, list[tuple[int, float]]] = {u: [] for u in g.nodes}
+        out_weight[index[u]] += weight
+        out_count[index[u]] += 1
+    sources: list[list[int]] = [[] for _ in g.nodes]
+    shares: list[list[float]] = [[] for _ in g.nodes]
     for (u, v), weight in sorted(g.edges.items()):
-        share = weight / out_weight[u] if variant == "weighted" else 1.0 / out_count[u]
-        in_shares[v].append((u, share))
-    dangling = tuple(u for u in g.nodes if out_count[u] == 0)
-    return in_shares, dangling
+        i = index[u]
+        sources[index[v]].append(i)
+        shares[index[v]].append(
+            weight / out_weight[i] if variant == "weighted" else 1.0 / out_count[i]
+        )
+    dangling = [i for i, count in enumerate(out_count) if count == 0]
+    return list(zip(sources, shares)), dangling
+
+
+def _pagerank_lists(g: WeightedGraph, damping: float, variant: str):
+    """Successive PageRank iterates as lists over node indices."""
+    if not 0.0 < damping < 1.0:
+        raise DomainError(f"damping must lie strictly in (0, 1), got {damping}")
+    if variant not in PAGERANK_VARIANTS:
+        raise DomainError(f"pagerank variant must be one of {PAGERANK_VARIANTS}, got {variant!r}")
+    n = g.n
+    if n == 0:
+        raise DomainError("pagerank needs a nonempty graph")
+    in_shares, dangling = _pagerank_structure(g, variant)
+    ranks = [1.0 / n] * n
+    while True:
+        rank_of = ranks.__getitem__
+        dangling_mass = math.fsum(map(rank_of, dangling))
+        base = (1.0 - damping) / n + damping * dangling_mass / n
+        ranks = [
+            base + damping * math.fsum(map(mul, map(rank_of, sources), shares))
+            for sources, shares in in_shares
+        ]
+        yield ranks
 
 
 def pagerank_iterates(
@@ -281,23 +314,8 @@ def pagerank_iterates(
     Every iterate sums to 1: teleportation contributes ``(1 - damping) / n``
     per node and dangling nodes spread their mass uniformly.
     """
-    if not 0.0 < damping < 1.0:
-        raise DomainError(f"damping must lie strictly in (0, 1), got {damping}")
-    if variant not in PAGERANK_VARIANTS:
-        raise DomainError(f"pagerank variant must be one of {PAGERANK_VARIANTS}, got {variant!r}")
-    n = g.n
-    if n == 0:
-        raise DomainError("pagerank needs a nonempty graph")
-    in_shares, dangling = _pagerank_structure(g, variant)
-    ranks = {u: 1.0 / n for u in g.nodes}
-    while True:
-        dangling_mass = math.fsum(ranks[u] for u in dangling)
-        base = (1.0 - damping) / n + damping * dangling_mass / n
-        ranks = {
-            x: base + damping * math.fsum(ranks[y] * share for y, share in in_shares[x])
-            for x in g.nodes
-        }
-        yield ranks
+    for ranks in _pagerank_lists(g, damping, variant):
+        yield dict(zip(g.nodes, ranks))
 
 
 def pagerank(
@@ -318,17 +336,17 @@ def pagerank(
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    previous = {u: 1.0 / g.n for u in g.nodes} if g.n else {}
+    previous = [1.0 / g.n] * g.n if g.n else []
     iterations = 0
     residual = INF
-    for ranks in pagerank_iterates(g, damping=damping, variant=variant):
+    for ranks in _pagerank_lists(g, damping, variant):
         iterations += 1
-        residual = math.fsum(abs(ranks[u] - previous[u]) for u in g.nodes)
+        residual = math.fsum(map(abs, map(sub, ranks, previous)))
         previous = ranks
         if residual <= tol:
             return CentralityScores(
                 metric="pagerank",
-                scores=ranks,
+                scores=dict(zip(g.nodes, ranks)),
                 params={
                     "damping": damping,
                     "tol": tol,
@@ -367,23 +385,31 @@ def eigenvector(
         raise DomainError(
             f"eigenvector centrality needs a connected graph; got {g.components} components"
         )
-    adj = g.adjacency()
-    x = {u: 1.0 / math.sqrt(g.n) for u in g.nodes}
+    adj = [
+        (list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges)))
+        for edges in _indexed_adjacency(g)
+    ]
+
+    def times_adjacency(x: list[float]) -> list[float]:
+        at = x.__getitem__
+        return [math.fsum(map(mul, weights, map(at, nbrs))) for nbrs, weights in adj]
+
+    x = [1.0 / math.sqrt(g.n)] * g.n
     iterations = 0
     delta = INF
     while iterations < max_iter:
         iterations += 1
-        y = {u: x[u] + math.fsum(weight * x[v] for v, weight in adj[u]) for u in g.nodes}
-        norm = math.sqrt(math.fsum(value * value for value in y.values()))
-        new_x = {u: y[u] / norm for u in g.nodes}
-        delta = math.sqrt(math.fsum((new_x[u] - x[u]) ** 2 for u in g.nodes))
+        y = list(map(add, x, times_adjacency(x)))
+        norm = math.sqrt(math.fsum(map(mul, y, y)))
+        new_x = list(map(truediv, y, repeat(norm)))
+        # ** 2, not d * d: libm's pow and a product differ by an ulp on some values
+        delta = math.sqrt(math.fsum(map(pow, map(sub, new_x, x), repeat(2))))
         x = new_x
         if delta <= tol:
-            ax = {u: math.fsum(weight * x[v] for v, weight in adj[u]) for u in g.nodes}
-            lam = math.fsum(x[u] * ax[u] for u in g.nodes)
+            lam = math.fsum(map(mul, x, times_adjacency(x)))
             return CentralityScores(
                 metric="eigenvector",
-                scores=x,
+                scores=dict(zip(g.nodes, x)),
                 params={"lambda": lam, "tol": tol, "max_iter": max_iter, "iterations": iterations},
             )
     raise ConvergenceError(

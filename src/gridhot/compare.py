@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .centrality import CentralityScores
@@ -105,28 +107,47 @@ def _check_aligned(f: MetricSeries, g: MetricSeries) -> None:
         )
 
 
+def _series_length(f: MetricSeries, g: MetricSeries) -> int:
+    _check_aligned(f, g)
+    length = len(f.values)
+    if length == 0:
+        raise DomainError("cross-correlation needs series of length at least 1")
+    return length
+
+
+def _dot_at(f: tuple[float, ...], g: tuple[float, ...], n: int) -> float:
+    """``fsum`` of ``f[m] * g[m + n]`` over the m where both indices exist.
+
+    The slices hold the overlapping range, in the order of ascending m.
+    """
+    length = len(f)
+    if n >= 0:
+        return math.fsum(map(mul, f[: length - n], g[n:]))
+    return math.fsum(map(mul, f[-n:], g[: length + n]))
+
+
 def cross_correlation(f: MetricSeries, g: MetricSeries) -> CorrelationSeries:
     """Discrete sliding dot product with zero padding outside the series.
 
     ``value(n) = sum over m of f[m] * g[m + n]`` for shifts -(L-1) ... L-1.
     """
-    _check_aligned(f, g)
-    length = len(f.values)
-    if length == 0:
-        raise DomainError("cross-correlation needs series of length at least 1")
+    length = _series_length(f, g)
     shifts = tuple(range(-(length - 1), length))
-    values = tuple(
-        math.fsum(
-            f.values[m] * g.values[m + n] for m in range(length) if 0 <= m + n < length
-        )
-        for n in shifts
-    )
+    values = tuple(_dot_at(f.values, g.values, n) for n in shifts)
     return CorrelationSeries(shifts=shifts, values=values)
 
 
 def autocorrelation(f: MetricSeries) -> CorrelationSeries:
-    """Correlation of a series with shifted copies of itself."""
-    return cross_correlation(f, f)
+    """Correlation of a series with shifted copies of itself.
+
+    Shift -n sums the same products as shift n, in the same order, since
+    ``f[m + n] * f[m] == f[m] * f[m + n]`` to the bit; each is summed once.
+    """
+    length = _series_length(f, f)
+    right = [_dot_at(f.values, f.values, n) for n in range(length)]
+    return CorrelationSeries(
+        shifts=tuple(range(-(length - 1), length)), values=(*right[:0:-1], *right)
+    )
 
 
 def auto_cross_diff_pct(auto: CorrelationSeries, cross: CorrelationSeries) -> DiffSeries:
@@ -169,7 +190,8 @@ def dispersion_of(values: Sequence[float]) -> Dispersion:
         raise EmptyInputError("dispersion needs at least one value")
     n = len(values)
     mean = math.fsum(values) / n
-    variance = math.fsum((v - mean) ** 2 for v in values) / n
+    # ** 2, not v * v: libm's pow and a product differ by an ulp on some values
+    variance = math.fsum(map(pow, map(sub, values, repeat(mean)), repeat(2))) / n
     cv = math.sqrt(variance) / mean if mean > 0 else None
     return Dispersion(variance=variance, cv=cv)
 

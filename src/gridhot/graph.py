@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,7 +93,11 @@ def build_graph(interactions: InteractionAggregate, hotspots) -> WeightedGraph:
 
 
 def symmetrize(g: WeightedGraph) -> WeightedGraph:
-    """Sum the two directions of every pair into an undirected graph."""
+    """Sum the two directions of every pair into an undirected graph.
+
+    Raises :class:`DomainError` naming the first pair whose sum is past the
+    largest float.
+    """
     if not g.directed:
         raise DomainError("symmetrize expects a directed graph")
     totals: dict[tuple[int, int], float] = {}
@@ -101,6 +106,8 @@ def symmetrize(g: WeightedGraph) -> WeightedGraph:
         totals[key] = totals.get(key, 0.0) + weight
     edges: dict[tuple[int, int], float] = {}
     for (u, v), weight in totals.items():
+        if weight == math.inf:
+            raise DomainError(f"the strengths of pair {u} <-> {v} sum past the largest float")
         if weight > 0:
             edges[(u, v)] = weight
             edges[(v, u)] = weight

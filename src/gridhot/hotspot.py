@@ -48,14 +48,24 @@ class HotspotSet:
 
 
 def compute_threshold(traffic: TrafficAggregate, p: float) -> ThresholdSpec:
-    """Derive the cutoff for parameter ``p`` over a nonempty aggregate."""
+    """Derive the cutoff for parameter ``p`` over a nonempty aggregate.
+
+    Raises :class:`DomainError` when the cells' total, and so their mean,
+    is past the largest float.
+    """
     if not traffic.intensities:
         raise EmptyInputError("cannot compute a threshold over an empty traffic aggregate")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     values = traffic.intensities.values()
     n = len(values)
-    mean = math.fsum(values) / n
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not total < math.inf:
+        raise DomainError(f"the activity of all {n} cells sums past the largest float")
+    mean = total / n
     max_traffic = max(values)
     delta = (max_traffic - mean) * p
     return ThresholdSpec(

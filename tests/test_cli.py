@@ -144,6 +144,21 @@ class TestHotspotsCommand:
         assert "sms_in must be finite" in err
         assert not (tmp_path / "o" / "hotspots.csv").exists()
 
+    @pytest.mark.parametrize("select", [("--p", "0.5"), ("--k", "1")])
+    def test_total_past_largest_float_exits_one(self, tmp_path, capsys, select):
+        # each cell's sum is finite, their total is not
+        activity = tmp_path / "a.tsv"
+        activity.write_text(
+            "1\t1384732800000\t0\t1e308\n2\t1384732800000\t0\t1e308\n", encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        code = main(["hotspots", "--activity", str(activity), *WEEK, *select, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "gridhot hotspots: the activity of all 2 cells sums past the largest float\n"
+        )
+        assert not out.exists()
+
     def test_bad_grid_writes_nothing(self, tmp_path, capsys):
         city = run_synth(tmp_path)
         grid = tmp_path / "points.geojson"
@@ -338,6 +353,24 @@ class TestCentralityCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["graph"] == {"nodes": 6, "edges": 4, "components": 3}
         assert "got 3 components" in manifest["status"]["eigenvector"]
+
+    def test_overflowing_undirected_edge_exits_one(self, tmp_path, capsys):
+        # each direction's sum is finite, the undirected edge's is not
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "1\t2\t1384732800000\t1e308\n2\t1\t1384732800000\t1e308\n"
+            "2\t3\t1384732800000\t1.0\n",
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n1,1.0\n2,1.0\n3,1.0\n")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "gridhot centrality: the strengths of pair 1 <-> 2 sum past the largest float\n"
+        )
+        assert not out.exists()
 
     def test_metric_subset_flag(self, tmp_path):
         city, hs_dir, _ = run_pipeline(tmp_path)

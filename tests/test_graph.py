@@ -55,6 +55,18 @@ class TestSymmetrize:
         assert not und.directed
         assert und.edges == {(1, 2): 4.0, (2, 1): 4.0}
 
+    def test_overflowing_pair_named(self):
+        g = WeightedGraph(
+            nodes=(1, 2, 3), edges={(1, 3): 1.0, (3, 2): 1e308, (2, 3): 1e308}, directed=True
+        )
+        with pytest.raises(DomainError, match="^the strengths of pair 2 <-> 3 sum past the"):
+            symmetrize(g)
+
+    def test_largest_finite_sum_kept(self):
+        big = 1.7976931348623157e308
+        g = WeightedGraph(nodes=(1, 2), edges={(1, 2): big / 2, (2, 1): big / 2}, directed=True)
+        assert symmetrize(g).edges == {(1, 2): big, (2, 1): big}
+
     def test_one_way_edge_kept(self):
         g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 3.0}, directed=True)
         assert symmetrize(g).edges == {(1, 2): 3.0, (2, 1): 3.0}

@@ -41,6 +41,17 @@ class TestComputeThreshold:
         with pytest.raises(EmptyInputError):
             compute_threshold(traffic({}), 0.5)
 
+    def test_total_past_largest_float(self):
+        big = traffic({1: 1e308, 2: 1e308, 3: 1.0})
+        for run in (lambda: compute_threshold(big, 0.5), lambda: calibrate_p(big, 1)):
+            with pytest.raises(DomainError, match="^the activity of all 3 cells sums past"):
+                run()
+
+    def test_largest_finite_total_kept(self):
+        big = 1.7976931348623157e308
+        spec = compute_threshold(traffic({1: big / 2, 2: big / 2}), 1.0)
+        assert spec.mean_intensity == spec.threshold == big / 2
+
     @pytest.mark.parametrize("p", [-0.01, 1.01, 2.0])
     def test_p_out_of_range(self, p):
         with pytest.raises(DomainError):
