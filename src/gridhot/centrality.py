@@ -129,9 +129,15 @@ def _source_terms(
 
     Returns the closeness of ``s``, whether some node is unreachable from
     it, and the Brandes dependency of every node on ``s`` with the entry of
-    ``s`` itself 0.0; parts that were not asked for are None.
+    ``s`` itself 0.0; parts that were not asked for are None.  Raises
+    ``OverflowError`` when a path length or the closeness sum passes the
+    largest float.
     """
     dist, sigma, preds, order = _source_pass(adj, s)
+    # a node reached only by lengths that overflowed keeps dist inf, has
+    # predecessors and is never settled
+    if len(order) < len(adj) and any(preds[v] for v, d in enumerate(dist) if d == INF):
+        raise OverflowError("a path length passes the largest float")
     close = partial = delta = None
     if closeness:
         reachable = [d for v, d in enumerate(dist) if v != s and d < INF]
@@ -147,6 +153,14 @@ def _source_terms(
         # a source is no interior vertex of its own paths
         delta[s] = 0.0
     return close, partial, delta
+
+
+def _source_record(adj, s: int, closeness: bool, betweenness: bool):
+    """:func:`_source_terms`, or None where it overflows."""
+    try:
+        return _source_terms(adj, s, closeness, betweenness)
+    except OverflowError:
+        return None
 
 
 class _PathPass:
@@ -176,7 +190,7 @@ class _PathPass:
 
             def send_terms(k, send):
                 for s in range(k, g.n, workers):
-                    send(_source_terms(adj, s, self._closeness, self._betweenness))
+                    send(_source_record(adj, s, self._closeness, self._betweenness))
 
             self._workers = Workers("shortest-path", workers, send_terms, pipe_bytes=per_child)
 
@@ -202,12 +216,17 @@ class _PathPass:
         else:
             adj = _indexed_adjacency(g)
             records = (
-                _source_terms(adj, s, self._closeness, self._betweenness) for s in range(g.n)
+                _source_record(adj, s, self._closeness, self._betweenness) for s in range(g.n)
             )
         close = [0.0] * g.n
         between = [0.0] * g.n
         on_component = False
-        for s, (close_s, partial, delta) in enumerate(records):
+        for s, record in enumerate(records):
+            if record is None:
+                raise DomainError(
+                    f"the path lengths from node {g.nodes[s]} or their sum pass the largest float"
+                )
+            close_s, partial, delta = record
             if self._closeness:
                 close[s] = close_s
                 on_component = on_component or partial
@@ -259,7 +278,14 @@ def degree(g: WeightedGraph) -> CentralityScores:
     """Weighted degree: the sum of incident edge weights (node strength)."""
     _require_undirected(g, "degree")
     adj = g.adjacency()
-    scores = {v: math.fsum([weight for _, weight in adj[v]]) for v in g.nodes}
+    scores = {}
+    for v in g.nodes:
+        try:
+            scores[v] = math.fsum([weight for _, weight in adj[v]])
+        except OverflowError:
+            raise DomainError(
+                f"the edge weights of node {v} sum past the largest float"
+            ) from None
     return CentralityScores(metric="degree", scores=scores, params={})
 
 
@@ -429,8 +455,9 @@ def compute_all(
     """Compute the requested metrics, symmetrizing internally where needed.
 
     Returns ``(results, failures)``: metrics whose preconditions fail (for
-    example betweenness on a 2-node graph) land in ``failures`` keyed by
-    metric name while the rest still succeed.  ``undirected`` is ``g``
+    example betweenness on a 2-node graph) or whose sums pass the largest
+    float land in ``failures`` keyed by metric name while the rest still
+    succeed.  ``undirected`` is ``g``
     symmetrized, for a caller that already holds it.  The shortest-path pass
     of closeness and betweenness runs while degree, PageRank and eigenvector
     are computed, on every CPU for graphs of ``PARALLEL_MIN_NODES`` or more.
@@ -473,8 +500,14 @@ def compute_all(
                     )
             except (DomainError, ConvergenceError) as exc:
                 failures[name] = exc
+            except ArithmeticError as exc:
+                # weights near the largest float overflow the solver's sums
+                failures[name] = DomainError(f"{name} left the float range ({exc})")
         if path_metrics:
-            results.update(paths.results())
+            try:
+                results.update(paths.results())
+            except DomainError as exc:
+                failures.update(dict.fromkeys(path_metrics, exc))
     return results, failures
 
 

@@ -225,9 +225,20 @@ def compare_weeks(week1: MetricSeries, week2: MetricSeries) -> ComparisonReport:
         auto=auto,
         cross=cross,
         auto_cross_diff=auto_cross_diff_pct(auto, cross),
-        dispersion_week1=dispersion_of(week1.values),
-        dispersion_week2=dispersion_of(week2.values),
+        dispersion_week1=_dispersion(week1, "week 1"),
+        dispersion_week2=_dispersion(week2, "week 2"),
     )
+
+
+def _dispersion(series: MetricSeries, week: str) -> Dispersion:
+    """:func:`dispersion_of` the series, with a ``DomainError`` where its sums
+    or squares pass the largest float."""
+    try:
+        return dispersion_of(series.values)
+    except OverflowError:
+        raise DomainError(
+            f"the dispersion of {series.metric} in {week} passes the largest float"
+        ) from None
 
 
 def report_json_obj(report: ComparisonReport) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .errors import DomainError
@@ -25,6 +26,8 @@ from .ingest import (
     parse_epoch_ms,
     read_key_values,
 )
+from .workers import Workers
+from .workers import worker_count as _worker_count
 
 BACKGROUND_INTENSITY = 1.0
 # share of each record put into sms_in, sms_out, call_in, call_out, internet
@@ -38,22 +41,32 @@ PRUNE_BLOCK = 6
 GRID_ORIGIN_LON = 9.0
 GRID_ORIGIN_LAT = 45.0
 GRID_STEP_DEG = 0.01
+# Smaller cities write all three files in this process.  On a 2-core host
+# the forked worker broke even near 500 activity lines when both CPUs were
+# free, and cost 2-3 ms at any size when they were not; the tables are in
+# CHANGES.md.
+PARALLEL_MIN_LINES = 2_000
 
 
 class SplitMix64:
-    """SplitMix64 generator: 64-bit counter state advanced by a fixed odd
-    constant, output mixed by two xor-shift multiplications.  Ten lines
-    reproduce it identically in any language, which keeps generated
-    datasets portable.
+    """SplitMix64 generator (Steele, Lea & Flood 2014): a 64-bit counter
+    state advanced by the fixed odd constant ``GAMMA``, output mixed by two
+    xor-shift multiplications.  Ten lines reproduce it identically in any
+    language, which keeps generated datasets portable.
+
+    The state after k draws is ``seed + k * GAMMA mod 2**64``, so
+    ``SplitMix64(seed, k)`` starts at draw k of ``seed`` without making the
+    k draws before it.
     """
 
     MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
 
-    def __init__(self, seed: int):
-        self._state = seed & self.MASK
+    def __init__(self, seed: int, draws: int = 0):
+        self._state = (seed + draws * self.GAMMA) & self.MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self.MASK
+        self._state = (self._state + self.GAMMA) & self.MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
@@ -133,9 +146,37 @@ def cell_intensities(cfg: SynthConfig, rng: SplitMix64) -> dict[int, float]:
     return intensities
 
 
-def _draw_timestamp(rng: SplitMix64, window: TimeWindow) -> int:
-    span = window.end - window.start
-    return window.start + int(rng.next_float() * span)
+def _timestamps(cfg: SynthConfig, draw: int):
+    """Endless timestamps uniform over the window, from draw ``draw`` of the
+    seed on: ``start + int(next_float() * span)``, one draw each.
+
+    The draw is made inline, not through :meth:`SplitMix64.next_float`: its
+    calls made 180k timestamps take 128 ms instead of 95 ms (2-core host).
+    """
+    mask, gamma = SplitMix64.MASK, SplitMix64.GAMMA
+    state = SplitMix64(cfg.seed, draw)._state
+    start, span = cfg.window.start, cfg.window.end - cfg.window.start
+    while True:
+        state = (state + gamma) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield start + int(((z ^ (z >> 31)) >> 11) * 2.0**-53 * span)
+
+
+def _activity_chunks(cfg: SynthConfig, intensities: dict[int, float], draw: int):
+    """activity.tsv a cell at a time: ``records_per_cell`` lines per cell,
+    each with an equal slice of the cell's intensity and its own timestamp,
+    drawn in line order from draw ``draw`` on."""
+    timestamps = _timestamps(cfg, draw)
+    for cell_id, intensity in sorted(intensities.items()):
+        slice_total = intensity / cfg.records_per_cell
+        quantities = (slice_total * share for share in ACTIVITY_SPLIT)
+        # the default layout leads with cell id and time, so the records
+        # of one cell differ only in the text before the second tab
+        tail = format_activity_line(ActivityRecord(cell_id, 0, *quantities)).split("\t", 2)[2]
+        yield "".join(
+            [f"{cell_id}\t{t}\t{tail}\n" for t in islice(timestamps, cfg.records_per_cell)]
+        )
 
 
 def _grid_geojson(cfg: SynthConfig):
@@ -233,37 +274,75 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     pair (u, v) with strength ``I_u * I_v / (1 + distance(u, v))`` where
     distance is Euclidean between cell centers in cell units; only the
     strongest ``TOP_PAIRS_PER_CELL * n_cells`` pairs are kept.
+
+    The intensities take the first ``2 * n_centers + cells`` draws of the
+    seed, the activity lines the next ``cells * records_per_cell`` and the
+    interaction lines those after.  Each file starts at its own first draw,
+    so with two or more CPUs and ``PARALLEL_MIN_LINES`` activity lines or
+    more, a forked worker writes activity.tsv and grid.geojson while this
+    process searches the pairs and writes interactions.tsv.  The bytes, and
+    the error raised when a write fails, are the same for any number of CPUs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in ("activity.tsv", "interactions.tsv", "grid.geojson")]
-    rng = SplitMix64(cfg.seed)
-    intensities = cell_intensities(cfg, rng)
-
-    def activity_chunks():
-        for cell_id, intensity in sorted(intensities.items()):
-            slice_total = intensity / cfg.records_per_cell
-            quantities = (slice_total * share for share in ACTIVITY_SPLIT)
-            # the default layout leads with cell id and time, so the records
-            # of one cell differ only in the text before the second tab
-            tail = format_activity_line(ActivityRecord(cell_id, 0, *quantities)).split("\t", 2)[2]
-            yield "".join(
-                f"{cell_id}\t{_draw_timestamp(rng, cfg.window)}\t{tail}\n"
-                for _ in range(cfg.records_per_cell)
-            )
-
-    atomic_write_text(paths[0], activity_chunks())
-    kept, scored = _select_pairs([intensities[c] for c in sorted(intensities)], cfg.grid_side)
-    atomic_write_text(
-        paths[1],
-        (
-            format_interaction_line(InteractionRecord(u, v, _draw_timestamp(rng, cfg.window), s)) + "\n"
-            for s, u, v in kept
-        ),
-    )
-    atomic_write_text(paths[2], _grid_geojson(cfg))
+    intensities = cell_intensities(cfg, SplitMix64(cfg.seed))
     cells = len(intensities)
-    return GeneratedCity(*paths, SynthStats(cells, cells * cfg.records_per_cell, len(kept), scored))
+    lines = cells * cfg.records_per_cell
+    activity_draw = 2 * cfg.n_centers + cells
+
+    def write_activity_and_grid() -> None:
+        atomic_write_text(paths[0], _activity_chunks(cfg, intensities, activity_draw))
+        atomic_write_text(paths[2], _grid_geojson(cfg))
+
+    def write_interactions() -> tuple[int, int]:
+        kept, scored = _select_pairs([intensities[c] for c in sorted(intensities)], cfg.grid_side)
+        atomic_write_text(
+            paths[1],
+            (
+                format_interaction_line(InteractionRecord(u, v, t, s)) + "\n"
+                for (s, u, v), t in zip(kept, _timestamps(cfg, activity_draw + lines))
+            ),
+        )
+        return len(kept), scored
+
+    if _worker_count() < 2 or lines < PARALLEL_MIN_LINES:
+        write_activity_and_grid()
+        pairs, scored = write_interactions()
+    else:
+
+        def worker(_, send) -> None:
+            send(_os_error_args(write_activity_and_grid))
+
+        with Workers("synth", 1, worker) as workers:
+            try:
+                pairs, scored = write_interactions()
+            except OSError:
+                # in one process the worker's files are written first, so
+                # their error is the one to raise
+                _raise_worker_error(workers)
+                raise
+            _raise_worker_error(workers)
+    return GeneratedCity(*paths, SynthStats(cells, lines, pairs, scored))
+
+
+def _os_error_args(job) -> tuple | None:
+    """Run ``job``; None if it returns, else the arguments that rebuild the
+    ``OSError`` it raised, text and subclass included."""
+    try:
+        job()
+    except OSError as exc:
+        if exc.filename is None:
+            return exc.args
+        return (*exc.args[:2], exc.filename, None, exc.filename2)
+    return None
+
+
+def _raise_worker_error(workers: Workers) -> None:
+    """Raise the ``OSError`` the synth worker met, if it met one."""
+    args = workers.receive(0, "finishing activity.tsv and grid.geojson")
+    if args is not None:
+        raise OSError(*args)
 
 
 _INT_KEYS = ("grid_side", "n_centers", "seed", "records_per_cell")

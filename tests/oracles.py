@@ -36,7 +36,6 @@ from gridhot.synth import (
     TOP_PAIRS_PER_CELL,
     SplitMix64,
     SynthConfig,
-    _draw_timestamp,
     cell_intensities,
 )
 
@@ -492,6 +491,12 @@ def reference_pairs(intensities: dict[int, float], side: int) -> list[tuple[floa
                 pairs.append((strength, u, v))
     pairs.sort(key=lambda item: (-item[0], item[1], item[2]))
     return sorted(pairs[: TOP_PAIRS_PER_CELL * len(cells)], key=lambda item: (item[1], item[2]))
+
+
+def _draw_timestamp(rng: SplitMix64, window) -> int:
+    """One timestamp from the generator's next draw, by method calls."""
+    span = window.end - window.start
+    return window.start + int(rng.next_float() * span)
 
 
 def reference_city_lines(cfg: SynthConfig) -> tuple[list[str], list[str]]:

@@ -561,6 +561,45 @@ class TestParallelPathPass:
         assert_no_children()
 
 
+class TestFloatRange:
+    """Weights near the largest float fail the metrics they overflow, each
+    with its own status, and leave the others alone."""
+
+    def test_overflowing_metrics_recorded_as_failures(self):
+        # each edge is finite; node 2's two edges and the path 1 -> 3 are not
+        g = und([1, 2, 3], [(1, 2, 1e308), (2, 3, 1e308)])
+        results, failures = compute_all(g)
+        assert sorted(results) == ["pagerank"]
+        assert str(failures["degree"]) == "the edge weights of node 2 sum past the largest float"
+        assert str(failures["eigenvector"]).startswith("eigenvector left the float range (")
+        path_error = "the path lengths from node 1 or their sum pass the largest float"
+        assert str(failures["closeness"]) == str(failures["betweenness"]) == path_error
+        for metric in (closeness, betweenness):
+            with pytest.raises(DomainError, match=path_error):
+                metric(g)
+
+    def test_closeness_sum_past_largest_float(self):
+        # every path is finite; node 1's distances, 1e308 and 1.5e308, sum past it
+        g = und([1, 2, 3], [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1.5e308)])
+        with pytest.raises(DomainError, match="from node 1 or their sum"):
+            closeness(g)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_failure_for_any_worker_count(self, monkeypatch, workers):
+        # a path of PARALLEL_MIN_NODES + 6 nodes whose far ends are more than
+        # the largest float apart
+        n = PARALLEL_MIN_NODES + 6
+        g = und(range(1, n + 1), [(v, v + 1, 1e307) for v in range(1, n)])
+        monkeypatch.setattr(centrality, "_worker_count", lambda: workers)
+        results, failures = compute_all(g)
+        assert sorted(results) == ["degree", "pagerank"]
+        assert str(failures["closeness"]) == (
+            "the path lengths from node 1 or their sum pass the largest float"
+        )
+        assert failures["betweenness"] is failures["closeness"]
+        assert_no_children()
+
+
 class TestRank:
     def test_ties_broken_by_id(self):
         scores = CentralityScores("degree", {1: 0.5, 2: 0.9, 3: 0.5})

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gzip
 import importlib
 import inspect
@@ -12,6 +13,7 @@ import pytest
 import gridhot.centrality
 import gridhot.cli
 import gridhot.ingest
+import gridhot.synth
 from gridhot.cli import main
 from gridhot.fileio import sha256_file
 
@@ -76,6 +78,68 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "grid_side" in capsys.readouterr().err
+
+
+def synth_workers(monkeypatch, workers):
+    """Write the synth files with ``workers`` CPUs, however small the city."""
+    monkeypatch.setattr(gridhot.synth, "_worker_count", lambda: workers)
+    monkeypatch.setattr(gridhot.synth, "PARALLEL_MIN_LINES", 1)
+
+
+class TestParallelSynth:
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        out = tmp_path / "city"
+        trees = {}
+        for workers in (1, 2, 3):
+            synth_workers(monkeypatch, workers)
+            assert main(["synth", "--config", str(EXAMPLE_CONFIG), "--out", str(out)]) == 0
+            trees[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            shutil.rmtree(out)
+            assert_no_children()
+        assert len(trees[1]) == 4 and "manifest.json" in trees[1]
+        assert trees[1] == trees[2] == trees[3]
+
+    def test_dead_worker_exits_one(self, tmp_path, monkeypatch, capsys):
+        synth_workers(monkeypatch, 2)
+        monkeypatch.setattr(gridhot.synth, "_activity_chunks", lambda *args: os._exit(3))
+        out = tmp_path / "city"
+        assert main(["synth", "--config", str(synth_config(tmp_path)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "gridhot synth: synth worker 1 of 1 exited with status 3"
+            " before finishing activity.tsv and grid.geojson\n"
+        )
+        assert not (out / "manifest.json").exists()
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "failing",
+        [{"activity.tsv"}, {"grid.geojson"}, {"interactions.tsv"},
+         {"grid.geojson", "interactions.tsv"}],
+        ids=["activity", "grid", "interactions", "grid-and-interactions"],
+    )
+    def test_write_error_same_for_any_worker_count(self, tmp_path, monkeypatch, capsys, failing):
+        real_write = gridhot.synth.atomic_write_text
+
+        def write(path, text):
+            if path.name in failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            real_write(path, text)
+
+        monkeypatch.setattr(gridhot.synth, "atomic_write_text", write)
+        config = synth_config(tmp_path)
+        out = tmp_path / "city"
+        errors = []
+        for workers in (1, 2):
+            synth_workers(monkeypatch, workers)
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not (out / "manifest.json").exists()
+            assert_no_children()
+        # in one process the files are written in the order activity, grid,
+        # interactions, and the first failure ends the run
+        first = next(name for name in ("activity.tsv", "grid.geojson", "interactions.tsv")
+                     if name in failing)
+        assert errors == [f"gridhot synth: [Errno 28] No space left on device: '{out / first}'\n"] * 2
 
 
 class TestHotspotsCommand:
@@ -372,6 +436,25 @@ class TestCentralityCommand:
         )
         assert not out.exists()
 
+    def test_metric_sums_past_largest_float_are_statuses(self, tmp_path):
+        # every edge is finite; node 2's degree and the path 1 -> 3 are not
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "1\t2\t1384732800000\t1e308\n2\t3\t1384732800000\t1e308\n", encoding="utf-8"
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n1,1.0\n2,1.0\n3,1.0\n")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--out", str(out)]) == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status["degree"] == "error: the edge weights of node 2 sum past the largest float"
+        assert status["pagerank"] == "ok"
+        assert all(text.startswith("error: ") for name, text in status.items() if name != "pagerank")
+        rows = read_csv(out / "centrality.csv")
+        assert {row["metric"] for row in rows} == {"pagerank"}
+        assert [row["cell_id"] for row in rows] == ["1", "2", "3"]
+
     def test_metric_subset_flag(self, tmp_path):
         city, hs_dir, _ = run_pipeline(tmp_path)
         out = tmp_path / "subset"
@@ -616,6 +699,28 @@ class TestCompareCommand:
         )
         assert code == 1
         assert dropped in capsys.readouterr().err
+
+
+    def test_dispersion_past_largest_float_is_metric_status(self, tmp_path):
+        # 1e200 squared passes the largest float; the other metric is unaffected
+        report = tmp_path / "week.csv"
+        report.write_text(
+            "cell_id,metric,score\n1,degree,1e200\n2,degree,1.0\n3,degree,2.0\n"
+            "1,pagerank,0.25\n2,pagerank,0.25\n3,pagerank,0.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", str(report), str(report), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == {
+            "degree": "error: the dispersion of degree in week 1 passes the largest float",
+            "pagerank": "ok",
+        }
+        assert sorted(manifest["outputs"]) == [
+            "pagerank_comparison.json", "pagerank_corr_diff.csv", "pagerank_reldiff.csv"
+        ]
+        assert main(["compare", str(report), str(report), "--metrics", "degree",
+                     "--out", str(tmp_path / "alone")]) == 1
 
 
 class TestHeatmapCommand:

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from gridhot.ingest import (
 from gridhot.synth import (
     SplitMix64,
     SynthConfig,
+    SynthStats,
     _select_pairs,
     cell_intensities,
     generate_city,
@@ -63,6 +65,23 @@ class TestSplitMix64:
         rng = SplitMix64(123)
         values = [rng.next_float() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in values)
+
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, draws=0)
+    @example(seed=2**64 - 1, draws=1)  # the state passes 2**64 at once
+    @given(seed=st.integers(-(2**65), 2**65), draws=st.integers(0, 300))
+    def test_start_at_draw_equals_draws_made(self, seed, draws):
+        rng = SplitMix64(seed)
+        for _ in range(draws):
+            rng.next_u64()
+        jumped = SplitMix64(seed, draws)
+        assert jumped._state == rng._state
+        assert [jumped.next_u64() for _ in range(3)] == [rng.next_u64() for _ in range(3)]
+
+    @given(seed=st.integers(0, 2**64 - 1), draws=st.integers(0, 2**70))
+    def test_state_has_period_two_to_the_64(self, seed, draws):
+        assert SplitMix64(seed, draws + 2**64)._state == SplitMix64(seed, draws)._state
+        assert SplitMix64(seed, 2**64)._state == seed
 
 
 class TestGenerateCity:
@@ -134,6 +153,68 @@ class TestGenerateCity:
             cv = dispersion_of(traffic.intensities.values()).cv
             assert cv >= previous
             previous = cv
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def synth_workers(monkeypatch, workers):
+    """Write the synth files with ``workers`` CPUs, however small the city."""
+    monkeypatch.setattr(gridhot.synth, "_worker_count", lambda: workers)
+    monkeypatch.setattr(gridhot.synth, "PARALLEL_MIN_LINES", 1)
+
+
+class TestParallelFiles:
+    """activity.tsv and grid.geojson written by a forked worker while this
+    process searches the pairs, against the one-process run and the reference."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [dict(n_centers=0, noise=0.0), dict(n_centers=3, noise=1.4)],
+        ids=["flat", "clamped"],
+    )
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch, forks, knobs):
+        cfg = config(grid_side=9, records_per_cell=4, **knobs)
+        activity, interactions = oracles.reference_city_lines(cfg)
+        trees = {}
+        for workers in (1, 2, 3):
+            synth_workers(monkeypatch, workers)
+            city = generate_city(cfg, tmp_path / str(workers))
+            assert file_lines(city.activity_path) == activity
+            assert file_lines(city.interactions_path) == interactions
+            assert city.stats == SynthStats(81, 324, len(interactions), city.stats.pairs_scored)
+            trees[workers] = {p.name: p.read_bytes() for p in sorted(city.activity_path.parent.iterdir())}
+        assert sorted(trees[1]) == ["activity.tsv", "grid.geojson", "interactions.tsv"]
+        assert trees[1] == trees[2] == trees[3]
+        assert len(forks) == 2  # one worker at W = 2 and at W = 3
+        if knobs["noise"] > 1.0:
+            assert any(line.endswith("\t0.0\t0.0\t0.0\t0.0\t0.0") for line in activity)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "grid_side, records_per_cell, forked",
+        [(12, 3, 0), (1, gridhot.synth.PARALLEL_MIN_LINES - 1, 0),
+         (1, gridhot.synth.PARALLEL_MIN_LINES, 1)],
+    )
+    def test_forks_from_the_threshold_on(self, tmp_path, monkeypatch, forks, grid_side,
+                                         records_per_cell, forked):
+        monkeypatch.setattr(gridhot.synth, "_worker_count", lambda: 3)
+        generate_city(config(grid_side=grid_side, records_per_cell=records_per_cell), tmp_path)
+        assert len(forks) == forked
 
 
 def file_lines(path):
