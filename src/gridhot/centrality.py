@@ -291,13 +291,22 @@ def degree(g: WeightedGraph) -> CentralityScores:
 
 def _pagerank_structure(g: WeightedGraph, variant: str):
     """Per node index, the indices of its in-neighbours and the share of their
-    mass each sends, in ascending source order; and the dangling indices."""
+    mass each sends, in ascending source order; and the dangling indices.
+
+    A node whose out-edge weights sum past the largest float raises
+    :class:`DomainError` in the ``weighted`` variant, whose shares it would
+    make 0.
+    """
     index = {v: i for i, v in enumerate(g.nodes)}
     out_weight = [0.0] * g.n
     out_count = [0] * g.n
     for (u, _), weight in g.edges.items():
         out_weight[index[u]] += weight
         out_count[index[u]] += 1
+    if variant == "weighted":
+        for v, total in zip(g.nodes, out_weight):
+            if total == INF:
+                raise DomainError(f"the out-edge weights of node {v} sum past the largest float")
     sources: list[list[int]] = [[] for _ in g.nodes]
     shares: list[list[float]] = [[] for _ in g.nodes]
     for (u, v), weight in sorted(g.edges.items()):
@@ -308,40 +317,6 @@ def _pagerank_structure(g: WeightedGraph, variant: str):
         )
     dangling = [i for i, count in enumerate(out_count) if count == 0]
     return list(zip(sources, shares)), dangling
-
-
-def _pagerank_lists(g: WeightedGraph, damping: float, variant: str):
-    """Successive PageRank iterates as lists over node indices."""
-    if not 0.0 < damping < 1.0:
-        raise DomainError(f"damping must lie strictly in (0, 1), got {damping}")
-    if variant not in PAGERANK_VARIANTS:
-        raise DomainError(f"pagerank variant must be one of {PAGERANK_VARIANTS}, got {variant!r}")
-    n = g.n
-    if n == 0:
-        raise DomainError("pagerank needs a nonempty graph")
-    in_shares, dangling = _pagerank_structure(g, variant)
-    ranks = [1.0 / n] * n
-    while True:
-        rank_of = ranks.__getitem__
-        dangling_mass = math.fsum(map(rank_of, dangling))
-        base = (1.0 - damping) / n + damping * dangling_mass / n
-        ranks = [
-            base + damping * math.fsum(map(mul, map(rank_of, sources), shares))
-            for sources, shares in in_shares
-        ]
-        yield ranks
-
-
-def pagerank_iterates(
-    g: WeightedGraph, damping: float = 0.85, variant: str = "weighted"
-) -> Iterable[dict[int, float]]:
-    """Yield successive score maps of the damped random-walk update.
-
-    Every iterate sums to 1: teleportation contributes ``(1 - damping) / n``
-    per node and dangling nodes spread their mass uniformly.
-    """
-    for ranks in _pagerank_lists(g, damping, variant):
-        yield dict(zip(g.nodes, ranks))
 
 
 def pagerank(
@@ -355,20 +330,33 @@ def pagerank(
 
     The ``weighted`` variant spreads a node's mass over its successors in
     proportion to outgoing edge weight; the ``literal`` variant splits it
-    evenly across out-neighbours.  Stops when the L1 change drops to ``tol``;
+    evenly across out-neighbours.  Every iterate sums to 1: teleportation
+    contributes ``(1 - damping) / n`` per node and dangling nodes spread
+    their mass uniformly.  Stops when the L1 change drops to ``tol``;
     raises :class:`ConvergenceError` after ``max_iter`` iterations.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    previous = [1.0 / g.n] * g.n if g.n else []
-    iterations = 0
-    residual = INF
-    for ranks in _pagerank_lists(g, damping, variant):
-        iterations += 1
+    if not 0.0 < damping < 1.0:
+        raise DomainError(f"damping must lie strictly in (0, 1), got {damping}")
+    if variant not in PAGERANK_VARIANTS:
+        raise DomainError(f"pagerank variant must be one of {PAGERANK_VARIANTS}, got {variant!r}")
+    n = g.n
+    if n == 0:
+        raise DomainError("pagerank needs a nonempty graph")
+    in_shares, dangling = _pagerank_structure(g, variant)
+    ranks = [1.0 / n] * n
+    for iterations in range(1, max_iter + 1):
+        rank_of = ranks.__getitem__
+        dangling_mass = math.fsum(map(rank_of, dangling))
+        base = (1.0 - damping) / n + damping * dangling_mass / n
+        previous, ranks = ranks, [
+            base + damping * math.fsum(map(mul, map(rank_of, sources), shares))
+            for sources, shares in in_shares
+        ]
         residual = math.fsum(map(abs, map(sub, ranks, previous)))
-        previous = ranks
         if residual <= tol:
             return CentralityScores(
                 metric="pagerank",
@@ -381,8 +369,6 @@ def pagerank(
                     "iterations": iterations,
                 },
             )
-        if iterations >= max_iter:
-            break
     raise ConvergenceError(
         f"pagerank did not converge within {max_iter} iterations (residual {residual:.3e})",
         residual=residual,

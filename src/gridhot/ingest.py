@@ -398,39 +398,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def format_activity_line(record: ActivityRecord, layout: ColumnLayout = DEFAULT_LAYOUT) -> str:
-    """Render a record as one input line (inverse of :func:`parse_activity`)."""
-    width = 1 + max(
-        layout.square_id,
-        layout.time,
-        layout.country_code,
-        layout.sms_in,
-        layout.sms_out,
-        layout.call_in,
-        layout.call_out,
-        layout.internet,
-    )
-    fields = [""] * width
-    fields[layout.square_id] = str(record.cell_id)
-    fields[layout.time] = str(record.timestamp)
-    fields[layout.country_code] = str(record.country_code)
-    fields[layout.sms_in] = _fmt(record.sms_in)
-    fields[layout.sms_out] = _fmt(record.sms_out)
-    fields[layout.call_in] = _fmt(record.call_in)
-    fields[layout.call_out] = _fmt(record.call_out)
-    fields[layout.internet] = _fmt(record.internet)
-    return layout.delimiter.join(fields)
+def format_activity_line(record: ActivityRecord) -> str:
+    """Render a record as one line of the default layout (inverse of :func:`parse_activity`)."""
+    quantities = "\t".join(map(_fmt, record[2:7]))
+    return f"{record.cell_id}\t{record.timestamp}\t{record.country_code}\t{quantities}"
 
 
-def format_interaction_line(record: InteractionRecord, layout: ColumnLayout = DEFAULT_LAYOUT) -> str:
-    """Render a record as one input line (inverse of :func:`parse_interactions`)."""
-    width = 1 + max(layout.src_id, layout.dst_id, layout.interaction_time, layout.strength)
-    fields = [""] * width
-    fields[layout.src_id] = str(record.src_id)
-    fields[layout.dst_id] = str(record.dst_id)
-    fields[layout.interaction_time] = str(record.timestamp)
-    fields[layout.strength] = _fmt(record.strength)
-    return layout.delimiter.join(fields)
+def format_interaction_line(record: InteractionRecord) -> str:
+    """Render a record as one line of the default layout (inverse of :func:`parse_interactions`)."""
+    return f"{record.src_id}\t{record.dst_id}\t{record.timestamp}\t{_fmt(record.strength)}"
 
 
 _CELL_ID_KEYS = ("cell_id", "cellId", "id")
@@ -689,30 +665,6 @@ def _segments(parse, share, cfg: IngestConfig, stats: ParseStats):
     )
 
 
-def _reread(parse, share, cfg: IngestConfig) -> None:
-    """Read the files of a share that met an error whole, in order, in this
-    process, and raise the first error that raises.
-
-    The error a one-process read meets first can differ from the share's:
-    its line numbers count from the file's start, and its decoder reads
-    chunks counted from there too, so a chunk can reach from the last lines
-    before a cut past it.  The files before the faulty one read cleanly.
-    """
-    for path, _ in share:
-        for _ in parse(path, cfg.layout, cfg.on_malformed, ParseStats()):
-            pass
-    raise UnreadableInputError("an input file changed while it was read")
-
-
-def _own_share(parse, share, cfg: IngestConfig, stats: ParseStats):
-    """The records of the main process's share; its first error raised as
-    a one-process read raises it."""
-    try:
-        yield from _segments(parse, share, cfg, stats)
-    except (ParseError, UnreadableInputError):
-        _reread(parse, share, cfg)
-
-
 def _reduce_share(terms, parse, share, window: TimeWindow, cfg: IngestConfig):
     """A worker's report on its share: its counters and exact per-key
     partials, or None if it met an error."""
@@ -725,14 +677,17 @@ def _reduce_share(terms, parse, share, window: TimeWindow, cfg: IngestConfig):
     return dataclasses.astuple(stats), partials, in_window
 
 
-def _received(workers: Workers, shares, parse, cfg: IngestConfig, stats: ParseStats):
+class _ShareFailed(Exception):
+    """A worker met an error in its share."""
+
+
+def _received(workers: Workers, shares, stats: ParseStats):
     """The workers' ``(partials, in_window)`` in share order, their counters
-    added to ``stats``.  A worker's error is raised as a one-process read
-    raises it."""
+    added to ``stats``."""
     for k, share in enumerate(shares[1:]):
         report = workers.receive(k, f"sending its sums of {share[0][0]}")
         if report is None:
-            _reread(parse, share, cfg)
+            raise _ShareFailed
         (lines, parsed, skipped), partials, in_window = report
         stats.lines += lines
         stats.parsed += parsed
@@ -753,26 +708,32 @@ def load_aggregate(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: 
     line starts into one share per CPU (see :func:`_shares`), this process
     reads the first share while forked workers reduce the others to exact
     per-key partial sums, and ``aggregate`` merges those with one
-    ``math.fsum`` per key.  The aggregate, the :class:`ParseStats` returned
-    with it and the error raised, text included, are the same as a
-    one-process read's for any number of CPUs.
+    ``math.fsum`` per key.  If any share meets an input error, the workers
+    are closed and every input is read again in this process, so the
+    aggregate, the :class:`ParseStats` returned with it and the error
+    raised, text included, are those of a one-process read for any number
+    of CPUs.
     """
     _check_policy(cfg.on_malformed)
-    stats = ParseStats()
     shares = _shares(paths, _worker_count() if kind in _TERMS else 1)
-    if len(shares) == 1:
-        records = itertools.chain.from_iterable(
-            parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
-        )
-        return aggregate(records, window), stats
-    terms = _TERMS[kind]
+    if len(shares) > 1:
+        terms = _TERMS[kind]
 
-    def reduce_share(k, send):
-        send(_reduce_share(terms, parse, shares[k + 1], window, cfg))
+        def reduce_share(k, send):
+            send(_reduce_share(terms, parse, shares[k + 1], window, cfg))
 
-    with Workers("ingest", len(shares) - 1, reduce_share) as workers:
-        own = _own_share(parse, shares[0], cfg, stats)
-        return aggregate(own, window, _received(workers, shares, parse, cfg, stats)), stats
+        stats = ParseStats()
+        try:
+            with Workers("ingest", len(shares) - 1, reduce_share) as workers:
+                own = _segments(parse, shares[0], cfg, stats)
+                return aggregate(own, window, _received(workers, shares, stats)), stats
+        except (ParseError, UnreadableInputError, _ShareFailed):
+            pass  # what the one-process read below gives is what is reported
+    stats = ParseStats()
+    records = itertools.chain.from_iterable(
+        parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
+    )
+    return aggregate(records, window), stats
 
 
 _DELIMITER_NAMES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}

@@ -280,8 +280,10 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     interaction lines those after.  Each file starts at its own first draw,
     so with two or more CPUs and ``PARALLEL_MIN_LINES`` activity lines or
     more, a forked worker writes activity.tsv and grid.geojson while this
-    process searches the pairs and writes interactions.tsv.  The bytes, and
-    the error raised when a write fails, are the same for any number of CPUs.
+    process searches the pairs and writes interactions.tsv.  If either
+    write fails, all three files are written again in this process, so the
+    bytes, and the error raised when a write fails, are the same for any
+    number of CPUs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,43 +308,29 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
         )
         return len(kept), scored
 
-    if _worker_count() < 2 or lines < PARALLEL_MIN_LINES:
-        write_activity_and_grid()
-        pairs, scored = write_interactions()
-    else:
+    pair_counts = None
+    if _worker_count() >= 2 and lines >= PARALLEL_MIN_LINES:
 
         def worker(_, send) -> None:
-            send(_os_error_args(write_activity_and_grid))
+            try:
+                write_activity_and_grid()
+            except OSError:
+                send(False)
+            else:
+                send(True)
 
         with Workers("synth", 1, worker) as workers:
             try:
-                pairs, scored = write_interactions()
+                pair_counts = write_interactions()
             except OSError:
-                # in one process the worker's files are written first, so
-                # their error is the one to raise
-                _raise_worker_error(workers)
-                raise
-            _raise_worker_error(workers)
-    return GeneratedCity(*paths, SynthStats(cells, lines, pairs, scored))
-
-
-def _os_error_args(job) -> tuple | None:
-    """Run ``job``; None if it returns, else the arguments that rebuild the
-    ``OSError`` it raised, text and subclass included."""
-    try:
-        job()
-    except OSError as exc:
-        if exc.filename is None:
-            return exc.args
-        return (*exc.args[:2], exc.filename, None, exc.filename2)
-    return None
-
-
-def _raise_worker_error(workers: Workers) -> None:
-    """Raise the ``OSError`` the synth worker met, if it met one."""
-    args = workers.receive(0, "finishing activity.tsv and grid.geojson")
-    if args is not None:
-        raise OSError(*args)
+                pass
+            if not workers.receive(0, "finishing activity.tsv and grid.geojson"):
+                pair_counts = None
+    if pair_counts is None:
+        # the one-process order; after a failed forked write, its error is the one raised
+        write_activity_and_grid()
+        pair_counts = write_interactions()
+    return GeneratedCity(*paths, SynthStats(cells, lines, *pair_counts))
 
 
 _INT_KEYS = ("grid_side", "n_centers", "seed", "records_per_cell")

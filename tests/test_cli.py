@@ -9,6 +9,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gridhot.centrality
 import gridhot.cli
@@ -455,6 +456,26 @@ class TestCentralityCommand:
         assert {row["metric"] for row in rows} == {"pagerank"}
         assert [row["cell_id"] for row in rows] == ["1", "2", "3"]
 
+    def test_pagerank_out_weight_past_largest_float_is_a_status(self, tmp_path):
+        # node 1's two finite out-edges sum to inf, which would make their shares 0;
+        # with no metric left the run exits 1, its manifest still written
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "1\t2\t1384732800000\t1e308\n1\t3\t1384732800000\t1e308\n"
+            "2\t1\t1384732800000\t1.0\n3\t1\t1384732800000\t1.0\n",
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n1,1.0\n2,1.0\n3,1.0\n")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--metrics", "pagerank", "--out", str(out)]) == 1
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == {
+            "pagerank": "error: the out-edge weights of node 1 sum past the largest float"
+        }
+        assert read_csv(out / "centrality.csv") == []
+
     def test_metric_subset_flag(self, tmp_path):
         city, hs_dir, _ = run_pipeline(tmp_path)
         out = tmp_path / "subset"
@@ -636,6 +657,34 @@ class TestParallelIngest:
         assert err.startswith(f"gridhot hotspots: cannot read {activity}: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
         assert_no_children()
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), fault=st.sampled_from([b"\xff", b"\n7\t1384732800000\t39\tbad\n"]))
+    def test_fault_anywhere_same_line_for_any_workers(self, tmp_path, capsys, data, fault):
+        city = tmp_path / "city"
+        if not city.exists():
+            run_synth(tmp_path, grid_side=8, records_per_cell=6)
+        clean = (city / "activity.tsv").read_bytes()
+        at = data.draw(st.integers(0, len(clean)), label="offset")
+        activity = tmp_path / "faulty.tsv"
+        activity.write_bytes(clean[:at] + fault + clean[at:])
+        capsys.readouterr()
+        outcomes = set()
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                ingest_workers(patch, workers)
+                out = tmp_path / f"hs{workers}"
+                code = main(["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5",
+                             "--out", str(out)])
+            err = capsys.readouterr().err
+            # a malformed line exits 1, an undecodable byte 2
+            assert code == (2 if fault == b"\xff" else 1)
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not out.exists()
+            assert_no_children()
+            outcomes.add((code, err))
+        assert len(outcomes) == 1
 
 
 def read_csv_from_synth_hotspots(city, tmp_path):

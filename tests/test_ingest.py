@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridhot import ingest
-from gridhot.errors import DomainError, GridhotError, ParseError, UnsupportedGeometryError
+from gridhot.errors import (
+    DomainError,
+    GridhotError,
+    ParseError,
+    UnreadableInputError,
+    UnsupportedGeometryError,
+)
 from gridhot.ingest import (
     ACTIVITY_COLUMNS,
     DEFAULT_LAYOUT,
@@ -814,6 +820,32 @@ def test_small_inputs_never_fork(tmp_path, monkeypatch):
     parse, aggregate = LOADERS["activity"]
     traffic, stats = load_aggregate("activity", parse, aggregate, paths, WINDOW, IngestConfig())
     assert stats.lines == 2 * len(LINES)
+
+
+def test_failed_share_read_again_in_one_process(tmp_path, monkeypatch):
+    """A share that meets an error a one-process read does not, as when a
+    file changes while it is read, gives that read's result."""
+    path = _write_bytes(tmp_path, "a.tsv", "\n".join(LINES).encode() + b"\n")
+    serial = _loaded("activity", [path], 1)
+    assert serial[2].lines == len(LINES)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_reduce_share", lambda *args: None)
+        for workers in (2, 3):
+            assert _loaded("activity", [path], workers) == serial
+
+    def faulty_spans(path, layout, on_malformed, stats, span=None):
+        if span is not None:
+            raise UnreadableInputError(f"cannot read {path}: it changed")
+        return parse_activity(path, layout, on_malformed, stats)
+
+    monkeypatch.setattr(ingest, "_worker_count", lambda: 3)
+    monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
+    result, stats = load_aggregate(
+        "activity", faulty_spans, aggregate_traffic, [path], WINDOW, IngestConfig()
+    )
+    assert ([(key, value.hex()) for key, value in result.intensities.items()],
+            result.in_window, stats) == serial
+    assert_no_children()
 
 
 def test_dead_worker_named(tmp_path, monkeypatch):
