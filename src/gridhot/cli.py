@@ -11,11 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
+import operator
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .centrality import (
@@ -29,7 +32,7 @@ from .centrality import (
 )
 from .compare import compare_weeks, report_json_obj, to_series
 from .errors import GridhotError, UnreadableInputError
-from .fileio import atomic_write_text, sha256_file
+from .fileio import SizedChunks, atomic_write_text, sha256_file
 from .graph import build_graph, symmetrize
 from .hotspot import calibrate_p, detect_hotspots
 from .ingest import (
@@ -256,61 +259,83 @@ def _read_scores_csv(path) -> dict[str, dict[int, float]]:
     return scores
 
 
+_FEATURE_TEXT = """
+    {{
+      "geometry": {{
+        "coordinates": [
+          [
+{ring}
+          ]
+        ],
+        "type": "Polygon"
+      }},
+      "properties": {{
+        "cell_id": {cell_id!r},
+        "intensity": {intensity!r},
+        "intensity_norm": {norm!r}{hotspot}
+      }},
+      "type": "Feature"
+    }}"""
+_POINT_TEXT = """            [
+              {!r},
+              {!r}
+            ]"""
+_HOTSPOT_TEXT = {None: "", False: ',\n        "is_hotspot": false', True: ',\n        "is_hotspot": true'}
+
+
 def heatmap_feature_collection(
     cells: list[GridCell],
     traffic: TrafficAggregate,
     hotspot_members: set[int] | None = None,
-) -> tuple[dict, int]:
-    """Build the heatmap FeatureCollection and count geometry-less cells.
+) -> tuple[Iterator[str], int]:
+    """The heatmap FeatureCollection as text chunks, and the geometry-less cells.
 
     Every grid cell becomes a feature (intensity 0 when it saw no traffic);
     ``intensity_norm`` is min-max over those cells and defined as 0 for all
     of them when max equals min.  Activity cells with no grid polygon are
-    skipped and counted.
+    skipped and counted.  ``cells`` have distinct ids and finite
+    coordinates, as :func:`parse_grid` gives them.  The chunks, a header
+    and then one per feature in cell id order, join to
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of the whole
+    document, which is never built.
     """
-    by_id = {cell.cell_id: cell for cell in cells}
-    skipped = sum(1 for cell_id in traffic.intensities if cell_id not in by_id)
-    intensities = {cell_id: traffic.intensities.get(cell_id, 0.0) for cell_id in by_id}
-    low = min(intensities.values(), default=0.0)
-    high = max(intensities.values(), default=0.0)
+    intensities = traffic.intensities
+    skipped = len(intensities) - sum(cell.cell_id in intensities for cell in cells)
+    low = min((intensities.get(cell.cell_id, 0.0) for cell in cells), default=0.0)
+    high = max((intensities.get(cell.cell_id, 0.0) for cell in cells), default=0.0)
     span = high - low
-    features = []
-    for cell_id in sorted(by_id):
-        properties = {
-            "cell_id": cell_id,
-            "intensity": intensities[cell_id],
-            "intensity_norm": 0.0 if span == 0 else (intensities[cell_id] - low) / span,
-        }
-        if hotspot_members is not None:
-            properties["is_hotspot"] = cell_id in hotspot_members
-        features.append(
-            {
-                "type": "Feature",
-                "properties": properties,
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [[list(point) for point in by_id[cell_id].polygon]],
-                },
-            }
+
+    def chunks():
+        yield '{\n  "features": ['
+        separator = ""
+        for cell in sorted(cells, key=operator.attrgetter("cell_id")):
+            intensity = intensities.get(cell.cell_id, 0.0)
+            member = None if hotspot_members is None else cell.cell_id in hotspot_members
+            yield separator + _FEATURE_TEXT.format(
+                ring=",\n".join(_POINT_TEXT.format(lon, lat) for lon, lat in cell.polygon),
+                cell_id=cell.cell_id,
+                intensity=intensity,
+                norm=0.0 if span == 0 else (intensity - low) / span,
+                hotspot=_HOTSPOT_TEXT[member],
+            )
+            separator = ","
+        yield (
+            ("\n  ]" if cells else "]")
+            + ',\n  "properties": {\n    "cells_without_geometry": ' + repr(skipped)
+            + ',\n    "normalization": "min-max over grid cells; all zero when max equals min"'
+            + '\n  },\n  "type": "FeatureCollection"\n}\n'
         )
-    doc = {
-        "type": "FeatureCollection",
-        "properties": {
-            "normalization": "min-max over grid cells; all zero when max equals min",
-            "cells_without_geometry": skipped,
-        },
-        "features": features,
-    }
-    return doc, skipped
+
+    return chunks(), skipped
 
 
 def _write_heatmap(
     path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
 ) -> None:
-    doc, skipped = heatmap_feature_collection(cells, traffic, members)
+    chunks, skipped = heatmap_feature_collection(cells, traffic, members)
     if skipped:
         log.warning("%d active cell(s) have no grid geometry and were skipped", skipped)
-    _write_json(path, doc)
+    atomic_write_text(path, SizedChunks(chunks))
 
 
 def cmd_synth(args) -> int:
@@ -380,8 +405,10 @@ def cmd_centrality(args) -> int:
     window = _window(args)
     members = _read_hotspots_csv(args.hotspots)
 
+    # only the pairs between hotspots are summed; the others are checked and counted
+    aggregate = functools.partial(aggregate_interactions, members=members)
     interactions, counts = _load_records(
-        "interaction", parse_interactions, aggregate_interactions, args.interactions, window, cfg
+        "interaction", parse_interactions, aggregate, args.interactions, window, cfg
     )
 
     graph = build_graph(interactions, sorted(members))
@@ -428,7 +455,7 @@ def cmd_centrality(args) -> int:
         [out_dir / "centrality.csv", out_dir / "rankings.csv"],
         status=status,
         diagnostics={
-            "ingest": {**counts, "pairs": len(interactions.strengths)},
+            "ingest": {**counts, "pairs": interactions.pairs},
             "graph": {
                 "nodes": graph.n,
                 "edges": len(undirected.edges) // 2,

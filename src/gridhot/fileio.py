@@ -25,6 +25,27 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
+class SizedChunks:
+    """Text chunks whose ``len()`` is the number of characters read from
+    them so far: once written, the length of the whole text, as for a str.
+
+    Passing one to :func:`atomic_write_text` streams the text and still lets
+    a caller size what was written, as the benchmark's tracer does.
+    """
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        self._size = 0
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            self._size += len(chunk)
+            yield chunk
+
+    def __len__(self) -> int:
+        return self._size
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

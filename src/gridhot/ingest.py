@@ -19,11 +19,13 @@ import math
 import operator
 import os
 import zlib
+from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
 from .workers import Workers
@@ -130,12 +132,19 @@ class TrafficAggregate:
 
 @dataclass(frozen=True)
 class InteractionAggregate:
-    """Summed directional strength per ordered cell pair over one window."""
+    """Summed directional strength per ordered cell pair over one window.
+
+    ``strengths`` holds every pair whose sum is above 0, or only those
+    between members when :func:`aggregate_interactions` was given a member
+    set; ``pairs`` counts them all, kept or not.
+    """
 
     window: TimeWindow
     strengths: dict[tuple[int, int], float]
-    # records summed into the map, zero-sum pairs included; 0 when built by hand
+    # in-window records, zero-sum and unkept pairs included; 0 when built by hand
     in_window: int = 0
+    # pairs whose in-window strengths sum above 0, kept or not; 0 when built by hand
+    pairs: int = 0
 
 
 @dataclass
@@ -432,7 +441,7 @@ def _feature_cell_id(feature: dict, index: int, path) -> int:
         raise ParseError(f"feature {index} has no cell id property", path)
     try:
         cell_id = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"feature {index} has malformed cell id {raw!r}", path) from None
     if cell_id <= 0:
         raise ParseError(f"feature {index} cell id must be positive, got {cell_id}", path)
@@ -444,8 +453,8 @@ def parse_grid(path) -> list[GridCell]:
 
     Each feature must carry a Polygon geometry and a cell id under one of
     the property keys ``cell_id`` / ``cellId`` / ``id`` (or a feature-level
-    ``id``).  Duplicate ids, open rings, non-polygon geometries and values
-    of the wrong JSON type are rejected.
+    ``id``).  Duplicate ids, open rings, non-finite coordinates,
+    non-polygon geometries and values of the wrong JSON type are rejected.
     """
     with open_text(path) as handle:
         try:
@@ -474,6 +483,9 @@ def parse_grid(path) -> list[GridCell]:
             ring = tuple((float(lon), float(lat)) for lon, lat in rings[0])
         except (TypeError, ValueError, KeyError):
             raise ParseError(f"feature {index} has malformed coordinates", path) from None
+        # json.load reads the non-standard NaN and Infinity literals as floats
+        if not all(map(math.isfinite, itertools.chain.from_iterable(ring))):
+            raise ParseError(f"feature {index} has non-finite coordinates", path)
         if len(ring) < 4 or ring[0] != ring[-1]:
             raise ParseError(
                 f"feature {index} ring must be closed with at least 4 points", path
@@ -495,21 +507,40 @@ def _interaction_terms(records: Iterable[InteractionRecord]):
     return (((src, dst), t, strength) for src, dst, t, strength in records)
 
 
-def _window_values(terms, window: TimeWindow) -> tuple[defaultdict, int]:
-    """Per-key lists of the values of in-window ``(key, timestamp, value)`` terms.
+_float_array = partial(array, "d")
+
+
+def _window_values(terms, window: TimeWindow) -> tuple[dict, defaultdict, int]:
+    """The values of in-window ``(key, timestamp, value)`` terms, per key.
 
     The one reducer behind both aggregates, in this process and in the
-    workers of :func:`load_aggregate`.  Returns the lists and their total length.
+    workers of :func:`load_aggregate`.  A key's first value is kept as a
+    float; from its second on, all its values go to an ``array('d')``, at
+    8 bytes a value.  Returns the keys seen once with their value, the keys
+    seen more often with their arrays, and the number of values.
     """
     start, end = window.start, window.end
-    parts: defaultdict = defaultdict(list)
+    single: dict = {}
+    multiple: defaultdict = defaultdict(_float_array)
     for key, timestamp, value in terms:
         if start <= timestamp < end:
-            parts[key].append(value)
-    return parts, sum(map(len, parts.values()))
+            if key in single:
+                multiple[key].append(value)
+            else:
+                single[key] = value
+    # a key seen again has its first value still in single
+    for key, values in multiple.items():
+        values.append(single.pop(key))
+    return single, multiple, len(single) + sum(map(len, multiple.values()))
 
 
-def _exact_partials(values: list[float]) -> list[float]:
+def _keyed_values(single: dict, multiple: dict):
+    """``(key, values)`` for every key of :func:`_window_values`' two maps,
+    a single value in a 1-tuple."""
+    return itertools.chain(zip(single, zip(single.values())), multiple.items())
+
+
+def _exact_partials(values: Sequence[float]) -> list[float]:
     """Floats whose exact sum is the exact sum of ``values``.
 
     The first is ``fsum(values)`` and each next one the correctly rounded
@@ -531,28 +562,43 @@ def _exact_partials(values: list[float]) -> list[float]:
     return partials
 
 
-def _window_sums(terms, window: TimeWindow, ranges, name) -> tuple[dict, int]:
+def _window_sums(terms, window: TimeWindow, ranges, name, summed=None) -> tuple[dict, int, int]:
     """``math.fsum`` per key of the in-window terms and of ``ranges``, in key order.
 
     ``ranges`` holds ``(partials, in_window)`` pairs from other parts of the
-    same inputs, with per-key :func:`_exact_partials`.  ``name(key)`` names a
-    key whose sum is not finite in the :class:`DomainError` raised for it.
+    same inputs, with per-key :func:`_exact_partials`.  ``name(key)`` names
+    the first key, in key order, whose sum is not finite in the
+    :class:`DomainError` raised for it.  With ``summed``, a predicate on
+    keys, only the keys it accepts are in the sums; the others are checked
+    and counted all the same.  Returns the sums, the number of keys whose
+    sum is above 0 and the number of in-window terms.
     """
-    parts, in_window = _window_values(terms, window)
+    single, multiple, in_window = _window_values(terms, window)
     for partials, count in ranges:
         in_window += count
         for key, values in partials.items():
-            parts[key] += values
+            merged = multiple[key]
+            if key in single:
+                merged.append(single.pop(key))
+            merged.extend(values)
     sums = {}
-    for key in sorted(parts):
+    positive = 0
+    past = None
+    for key, values in _keyed_values(single, multiple):
         try:
-            total = math.fsum(parts[key])
+            total = math.fsum(values)
         except OverflowError:
             total = math.inf
         if not total < math.inf:
-            raise DomainError(f"in-window {name(key)} sums past the largest float")
-        sums[key] = total
-    return sums, in_window
+            if past is None or key < past:
+                past = key
+        elif total > 0.0:
+            positive += 1
+        if summed is None or summed(key):
+            sums[key] = total
+    if past is not None:
+        raise DomainError(f"in-window {name(past)} sums past the largest float")
+    return dict(sorted(sums.items())), positive, in_window
 
 
 def aggregate_traffic(
@@ -565,28 +611,39 @@ def aggregate_traffic(
     under any permutation of the input stream.  Cells with no in-window
     records are absent from the map.  ``ranges`` holds the exact partial
     sums of other parts of the same inputs (see :func:`load_aggregate`).
-    A cell whose sum overflows raises :class:`DomainError`.
+    A cell whose sum overflows raises :class:`DomainError`.  Each cell's
+    values are held as 8-byte doubles until they are summed.
     """
-    intensities, in_window = _window_sums(
+    intensities, _, in_window = _window_sums(
         _activity_terms(records), window, ranges, lambda cell: f"activity of cell {cell}"
     )
     return TrafficAggregate(window=window, intensities=intensities, in_window=in_window)
 
 
 def aggregate_interactions(
-    records: Iterable[InteractionRecord], window: TimeWindow
+    records: Iterable[InteractionRecord],
+    window: TimeWindow,
+    members: Iterable[int] | None = None,
 ) -> InteractionAggregate:
     """Sum directional strength per ordered (src, dst) pair over in-window records.
 
     Pairs whose strengths sum to zero are omitted.  Order-independent and
-    overflow-checked like :func:`aggregate_traffic`.
+    overflow-checked like :func:`aggregate_traffic`.  With ``members``, a
+    set of cell ids, only the pairs whose two ends are members are kept in
+    ``strengths``.  Every other in-window pair is still checked, so the
+    first pair in (src, dst) order whose sum overflows raises whether it
+    is kept or not, and counted in ``pairs`` when its sum is above 0; a
+    pair seen once costs one float until then.
     """
-    sums, in_window = _window_sums(
+    summed = None if members is None else frozenset(members).issuperset
+    sums, positive, in_window = _window_sums(
         _interaction_terms(records), window, (),
-        lambda pair: f"strength of pair {pair[0]} -> {pair[1]}",
+        lambda pair: f"strength of pair {pair[0]} -> {pair[1]}", summed,
     )
     strengths = {pair: total for pair, total in sums.items() if total > 0.0}
-    return InteractionAggregate(window=window, strengths=strengths, in_window=in_window)
+    return InteractionAggregate(
+        window=window, strengths=strengths, in_window=in_window, pairs=positive
+    )
 
 
 # Smaller activity inputs are read in this process.  On a 2-core host a
@@ -670,10 +727,12 @@ def _reduce_share(terms, parse, share, window: TimeWindow, cfg: IngestConfig):
     partials, or None if it met an error."""
     stats = ParseStats()
     try:
-        parts, in_window = _window_values(terms(_segments(parse, share, cfg, stats)), window)
+        single, multiple, in_window = _window_values(
+            terms(_segments(parse, share, cfg, stats)), window
+        )
     except (ParseError, UnreadableInputError):
         return None
-    partials = {key: _exact_partials(values) for key, values in parts.items()}
+    partials = {key: _exact_partials(values) for key, values in _keyed_values(single, multiple)}
     return dataclasses.astuple(stats), partials, in_window
 
 

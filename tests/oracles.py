@@ -5,11 +5,13 @@ plus exhaustive path enumeration instead of Dijkstra/dependency
 accumulation, a dense linear solve instead of power iteration for
 PageRank, a dense eigendecomposition for the eigenvector metric, and
 every ordered cell pair scored and sorted instead of the synthetic
-generator's pruned pair search.  Two exceptions are kept on purpose: the
+generator's pruned pair search.  Three exceptions are kept on purpose: the
 one-process path loop, the bitwise reference for the path pass at any
-worker count, and frozen copies of the package's own kernels (Dijkstra,
+worker count, frozen copies of the package's own kernels (Dijkstra,
 degree, PageRank, eigenvector, the correlations and the dispersion), the
-bitwise references for their faster inner loops.
+bitwise references for their faster inner loops, and a frozen copy of the
+heatmap's whole-document builder, the byte reference for the streamed
+heatmap text.
 """
 
 from __future__ import annotations
@@ -532,3 +534,41 @@ def reference_city_lines(cfg: SynthConfig) -> tuple[list[str], list[str]]:
         )
         interaction_lines.append(format_interaction_line(record))
     return activity_lines, interaction_lines
+
+
+def heatmap_document(cells, traffic, hotspot_members=None) -> dict:
+    """The heatmap FeatureCollection as one dict, encoded by ``json.dumps``
+    with ``sort_keys=True, indent=2`` plus a newline in the output file."""
+    by_id = {cell.cell_id: cell for cell in cells}
+    skipped = sum(1 for cell_id in traffic.intensities if cell_id not in by_id)
+    intensities = {cell_id: traffic.intensities.get(cell_id, 0.0) for cell_id in by_id}
+    low = min(intensities.values(), default=0.0)
+    high = max(intensities.values(), default=0.0)
+    span = high - low
+    features = []
+    for cell_id in sorted(by_id):
+        properties = {
+            "cell_id": cell_id,
+            "intensity": intensities[cell_id],
+            "intensity_norm": 0.0 if span == 0 else (intensities[cell_id] - low) / span,
+        }
+        if hotspot_members is not None:
+            properties["is_hotspot"] = cell_id in hotspot_members
+        features.append(
+            {
+                "type": "Feature",
+                "properties": properties,
+                "geometry": {
+                    "type": "Polygon",
+                    "coordinates": [[list(point) for point in by_id[cell_id].polygon]],
+                },
+            }
+        )
+    return {
+        "type": "FeatureCollection",
+        "properties": {
+            "normalization": "min-max over grid cells; all zero when max equals min",
+            "cells_without_geometry": skipped,
+        },
+        "features": features,
+    }

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,10 @@ import gridhot.centrality
 import gridhot.cli
 import gridhot.ingest
 import gridhot.synth
+import oracles
 from gridhot.cli import main
 from gridhot.fileio import sha256_file
+from gridhot.ingest import GridCell, TimeWindow, TrafficAggregate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_CONFIG = REPO_ROOT / "docs" / "synth-example.cfg"
@@ -437,6 +440,53 @@ class TestCentralityCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overflowing, named",
+        [([(4, 9)], "4 -> 9"), ([(5, 2), (4, 9)], "4 -> 9"), ([(7, 1), (3, 2)], "3 -> 2")],
+    )
+    def test_overflow_outside_hotspots_exits_one(self, tmp_path, capsys, overflowing, named):
+        # only pairs between hotspots 2, 3 and 5 are summed; every pair is checked
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "2\t3\t1384732800000\t1.0\n"
+            + "".join(
+                f"{src}\t{dst}\t{t}\t1e308\n"
+                for src, dst in overflowing for t in (1384732800000, 1384819200000)
+            ),
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n2,1.0\n3,1.0\n5,1.0\n")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"gridhot centrality: in-window strength of pair {named} sums past the largest float\n"
+        )
+        assert not out.exists()
+
+    def test_pairs_outside_hotspots_counted(self, tmp_path):
+        lines = [
+            (2, 3, 1.0), (2, 3, 2.0), (3, 2, 0.0),  # hotspot pairs: one positive
+            (2, 9, 1.0), (9, 8, 0.5), (9, 8, 0.5), (8, 9, 0.0), (8, 9, 0.0), (7, 1, 3.0),
+        ]
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "".join(f"{src}\t{dst}\t1384732800000\t{w}\n" for src, dst, w in lines)
+            + "6\t7\t1384300800000\t1.0\n",  # before the window
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n2,1.0\n3,1.0\n5,1.0\n")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--out", str(out)]) == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["ingest"] == {
+            "lines": 10, "parsed": 10, "skipped": 0, "in_window": 9, "pairs": 4
+        }
+        assert diagnostics["graph"] == {"nodes": 3, "edges": 1, "components": 2}
+
     def test_metric_sums_past_largest_float_are_statuses(self, tmp_path):
         # every edge is finite; node 2's degree and the path 1 -> 3 are not
         interactions = tmp_path / "interactions.tsv"
@@ -829,6 +879,59 @@ class TestHeatmapCommand:
         flagged = [f["properties"]["cell_id"] for f in doc["features"] if f["properties"]["is_hotspot"]]
         expected = [int(row["cell_id"]) for row in read_csv(hs_dir / "hotspots.csv")]
         assert sorted(flagged) == expected
+
+
+coordinates = st.floats(allow_nan=False, allow_infinity=False)
+cell_ids = st.integers(min_value=1, max_value=10**12)
+
+
+@st.composite
+def heatmap_inputs(draw):
+    """Grid cells with rings of 4-8 points, the traffic of some of them and
+    of cells without geometry, and no member set or one."""
+    ids = draw(st.lists(cell_ids, unique=True, max_size=6))
+    cells = []
+    for cell_id in ids:
+        points = draw(st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=7))
+        cells.append(GridCell(cell_id, tuple(points + points[:1])))
+    active = [cell_id for cell_id in ids if draw(st.booleans())]
+    active += draw(st.lists(cell_ids.filter(lambda c: c not in ids), unique=True, max_size=3))
+    values = st.floats(min_value=0.0, max_value=1e300)
+    intensities = {cell_id: draw(values) for cell_id in sorted(active)}
+    members = draw(st.none() | st.sets(st.sampled_from([*ids, 0])))
+    return cells, TrafficAggregate(TimeWindow(0, 1), intensities), members
+
+
+class TestStreamedHeatmap:
+    @given(heatmap_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_text_equals_encoded_document(self, inputs):
+        cells, traffic, members = inputs
+        chunks, skipped = gridhot.cli.heatmap_feature_collection(cells, traffic, members)
+        doc = oracles.heatmap_document(cells, traffic, members)
+        assert "".join(chunks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert skipped == doc["properties"]["cells_without_geometry"]
+
+    def test_written_in_a_quarter_of_the_file_size(self, tmp_path):
+        # 900 cells; the whole document and json's chunk list took several times the file
+        cells = [
+            GridCell(cell_id, ((x, y), (x + 1.5, y), (x + 1.5, y + 1.5), (x, y + 1.5), (x, y)))
+            for cell_id in range(1, 901)
+            for x, y in [(9.0 + cell_id % 30 / 7, 45.0 + cell_id // 30 / 7)]
+        ]
+        traffic = TrafficAggregate(TimeWindow(0, 1), {c: c / 3 for c in range(1, 905)})
+        members = set(range(1, 901, 45))
+        path = tmp_path / "heatmap.geojson"
+        tracemalloc.start()
+        try:
+            gridhot.cli._write_heatmap(path, cells, traffic, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text(encoding="utf-8")
+        doc = oracles.heatmap_document(cells, traffic, members)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert peak < len(text) / 4, (peak, len(text))
 
 
 MANIFEST_KEYS = {"command", "tool_version", "inputs", "config", "outputs", "status", "diagnostics"}

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,20 @@ class TestParseGrid:
         with pytest.raises(ParseError, match=message):
             parse_grid(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coordinates_rejected(self, tmp_path, literal):
+        # json.load reads these non-standard literals; a heatmap would write them back
+        text = grid_doc([square_feature(1), square_feature(2, origin=(9.0, 44.0))])
+        path = write(tmp_path, "g.geojson", text.replace("44.0", literal))
+        with pytest.raises(ParseError, match=r"^feature 1 has non-finite coordinates"):
+            parse_grid(path)
+
+    def test_infinite_cell_id_is_malformed(self, tmp_path):
+        text = grid_doc([square_feature(1)]).replace('"cellId": 1', '"cellId": Infinity')
+        path = write(tmp_path, "g.geojson", text)
+        with pytest.raises(ParseError, match=r"^feature 0 has malformed cell id inf"):
+            parse_grid(path)
+
     def test_id_fallback_keys(self, tmp_path):
         feature = square_feature(3)
         feature["properties"] = {}
@@ -430,7 +445,58 @@ class TestAggregation:
     def test_zero_sum_pairs_omitted(self):
         records = [InteractionRecord(1, 2, 1_100, 0.0)]
         agg = aggregate_interactions(records, WINDOW)
-        assert agg.strengths == {} and agg.in_window == 1
+        assert agg.strengths == {} and agg.in_window == 1 and agg.pairs == 0
+
+    def test_members_keep_their_pairs_and_every_pair_is_counted(self):
+        records = [
+            InteractionRecord(1, 2, 1_100, 1.0),
+            InteractionRecord(1, 2, 1_200, 2.0),
+            InteractionRecord(2, 1, 1_300, 0.0),
+            InteractionRecord(1, 9, 1_400, 4.0),
+            InteractionRecord(9, 8, 1_500, 0.5),
+            InteractionRecord(9, 8, 1_600, 0.5),
+            InteractionRecord(8, 9, 1_700, 0.0),
+            InteractionRecord(8, 9, 1_800, -0.0),
+            InteractionRecord(7, 9, 5_000, 1.0),
+        ]
+        everything = aggregate_interactions(records, WINDOW)
+        assert everything.strengths == {(1, 2): 3.0, (1, 9): 4.0, (9, 8): 1.0}
+        agg = aggregate_interactions(iter(records), WINDOW, members={1, 2, 3})
+        assert agg.strengths == {(1, 2): 3.0}
+        assert (agg.pairs, agg.in_window) == (3, 8) == (everything.pairs, everything.in_window)
+
+    @pytest.mark.parametrize(
+        "pairs, named",
+        [
+            ([(8, 9)], (8, 9)),
+            ([(1, 9)], (1, 9)),
+            ([(2, 1), (3, 9)], (2, 1)),
+            ([(9, 1), (3, 2)], (3, 2)),
+        ],
+    )
+    def test_first_overflowing_pair_named_kept_or_not(self, pairs, named):
+        records = [InteractionRecord(1, 2, 1_100, 1.0)] + [
+            InteractionRecord(src, dst, t, 1e308) for src, dst in pairs for t in (1_200, 1_300)
+        ]
+        message = rf"^in-window strength of pair {named[0]} -> {named[1]} sums past the largest float$"
+        for members in (None, {1, 2, 3}):
+            with pytest.raises(DomainError, match=message):
+                aggregate_interactions(records, WINDOW, members=members)
+
+    def test_traffic_values_held_at_eight_bytes(self):
+        # 100k fresh records in 4 cells: float objects in lists took 32 B a record
+        count = 100_000
+        records = (
+            ActivityRecord(1 + i % 4, 1_500, sms_in=float(i), internet=0.5) for i in range(count)
+        )
+        tracemalloc.start()
+        try:
+            traffic = aggregate_traffic(records, WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traffic.in_window == count
+        assert peak <= 12 * count, peak / count
 
 
 # dyadic quantities keep every float addition exact, so the set-level
