@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import operator
 import os
 import sys
@@ -253,7 +254,10 @@ def _read_scores_csv(path) -> dict[str, dict[int, float]]:
         scores: dict[str, dict[int, float]] = {}
         for row in reader:
             try:
-                scores.setdefault(row["metric"], {})[int(row["cell_id"])] = float(row["score"])
+                score = float(row["score"])
+                if not math.isfinite(score):
+                    raise ValueError
+                scores.setdefault(row["metric"], {})[int(row["cell_id"])] = score
             except (TypeError, ValueError):
                 raise GridhotError(f"malformed row {reader.line_num} in {path}") from None
     return scores
@@ -341,7 +345,6 @@ def _write_heatmap(
 def cmd_synth(args) -> int:
     cfg = load_synth_config(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     city = generate_city(cfg, out_dir)
 
     outputs = (city.activity_path, city.interactions_path, city.grid_path)

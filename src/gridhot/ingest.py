@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
-import io
 import itertools
 import json
 import math
@@ -164,40 +163,14 @@ def _is_gzip(path) -> bool:
         return probe.read(2) == _GZIP_MAGIC
 
 
-class _ByteRange(io.RawIOBase):
-    """The bytes ``[start, end)`` of a file, read as a stream of their own."""
-
-    def __init__(self, path, start: int, end: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = end - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        count = self._file.readinto(memoryview(buffer)[: self._left])
-        self._left -= count
-        return count
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
 @contextmanager
-def open_text(path, span: tuple[int, int] | None = None) -> Iterator[IO[str]]:
+def open_text(path) -> Iterator[IO[str]]:
     """Open a text file, transparently unpacking gzip (sniffed by magic bytes).
 
-    ``span`` reads only the bytes ``[start, end)`` of a plain file, with the
-    same decoding and universal newlines.  Bytes that are not UTF-8 or a
-    broken gzip stream raise :class:`UnreadableInputError` naming ``path``.
+    Bytes that are not UTF-8 or a broken gzip stream raise
+    :class:`UnreadableInputError` naming ``path``.
     """
-    if span is not None:
-        handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, *span)), encoding="utf-8")
-    else:
-        handle = (gzip.open if _is_gzip(path) else open)(path, "rt", encoding="utf-8")
-    with handle:
+    with (gzip.open if _is_gzip(path) else open)(path, "rt", encoding="utf-8") as handle:
         try:
             yield handle
         except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
@@ -343,19 +316,22 @@ def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> 
 
 def _parse_lines(
     path, record_fn, layout: ColumnLayout, on_malformed: str, stats: ParseStats | None,
-    span: tuple[int, int] | None = None,
+    share: tuple[int, int] = (0, 1),
 ) -> Iterator:
     """Yield ``record_fn(line, layout, path, line_no)`` for each line of ``path``.
 
     Owns the malformed-line policy and the :class:`ParseStats` counting
     shared by :func:`parse_activity` and :func:`parse_interactions`.  With
-    a ``span`` only its lines are read, numbered from 1 at its start.
+    ``share`` ``(k, count)`` only the lines k + 1, k + 1 + count, ... are
+    parsed, under the file's own line numbers; the others are read past.
     """
     _check_policy(on_malformed)
     if stats is None:
         stats = ParseStats()
-    with open_text(path, span) as handle:
-        for line_no, line in enumerate(handle, start=1):
+    k, count = share
+    with open_text(path) as handle:
+        lines = itertools.islice(handle, k, None, count)
+        for line_no, line in zip(itertools.count(k + 1, count), lines):
             stats.lines += 1
             try:
                 record = record_fn(line.rstrip("\r\n"), layout, path, line_no)
@@ -373,7 +349,7 @@ def parse_activity(
     layout: ColumnLayout = DEFAULT_LAYOUT,
     on_malformed: str = "abort",
     stats: ParseStats | None = None,
-    span: tuple[int, int] | None = None,
+    share: tuple[int, int] = (0, 1),
 ) -> Iterator[ActivityRecord]:
     """Yield one :class:`ActivityRecord` per line of an activity file.
 
@@ -383,10 +359,10 @@ def parse_activity(
         on_malformed: ``"abort"`` raises :class:`ParseError` on the first bad
             line; ``"skip"`` drops bad lines and counts them in ``stats``.
         stats: optional :class:`ParseStats` to fill with line counters.
-        span: optional byte range ``(start, end)`` of a plain file, both at
-            line starts; its lines are numbered from 1 in errors.
+        share: ``(k, count)`` parses only every count-th line from line
+            k + 1 on; errors give the file's own line numbers.
     """
-    return _parse_lines(path, _activity_record, layout, on_malformed, stats, span)
+    return _parse_lines(path, _activity_record, layout, on_malformed, stats, share)
 
 
 def parse_interactions(
@@ -658,78 +634,33 @@ PARALLEL_MIN_BYTES = 1 << 19
 _TERMS = {"activity": _activity_terms}
 
 
-def _line_start(path, offset: int) -> int:
-    """The first line start at or after ``offset``: just past a newline byte."""
-    if offset == 0:
-        return 0
-    with open(path, "rb") as handle:
-        handle.seek(offset - 1)
-        while chunk := handle.read(1 << 16):
-            at = chunk.find(b"\n")
-            if at >= 0:
-                return handle.tell() - len(chunk) + at + 1
-        return handle.tell()
-
-
-def _shares(paths, workers: int) -> list[list[tuple]]:
-    """Cut the inputs into at most ``workers`` shares of about equal bytes.
-
-    A share is a list of ``(path, span)`` segments in input order, and the
-    shares follow each other in input order too.  ``span`` None is a whole
-    file; a ``(start, end)`` span begins and ends at line starts.  A gzip
-    file is never cut.  Inputs under ``PARALLEL_MIN_BYTES`` in all, or that
-    cannot be sized, make one share of whole files, so that any error they
-    raise comes in file order.
-    """
-    whole = [[(path, None) for path in paths]]
+def _share_count(kind: str, paths) -> int:
+    """One share per CPU for activity inputs of ``PARALLEL_MIN_BYTES`` or
+    more in all, else one: for smaller inputs, for other kinds and for
+    inputs that cannot be sized, so that those raise their one-process error."""
+    workers = _worker_count() if kind in _TERMS else 1
     if workers < 2:
-        return whole
+        return 1
     try:
-        sizes = [os.path.getsize(path) for path in paths]
-        packed = [_is_gzip(path) for path in paths]
-        total = sum(sizes)
-        if total < PARALLEL_MIN_BYTES:
-            return whole
-        # cut points in the inputs laid end to end, each moved to a line start
-        cuts = set()
-        start = 0
-        for path, size, gz in zip(paths, sizes, packed):
-            for k in range(1, workers):
-                offset = total * k // workers - start
-                if 0 <= offset < size:
-                    cuts.add(start + (size if gz and offset else _line_start(path, offset)))
-            start += size
+        return workers if sum(map(os.path.getsize, paths)) >= PARALLEL_MIN_BYTES else 1
     except OSError:
-        return whole
-    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < total), total]
-    shares = []
-    for low, high in zip(bounds, bounds[1:]):
-        share = []
-        start = 0
-        for path, size in zip(paths, sizes):
-            lo, hi = max(low - start, 0), min(high - start, size)
-            if lo < hi:
-                share.append((path, None if hi - lo == size else (lo, hi)))
-            start += size
-        shares.append(share)
-    return shares
+        return 1
 
 
-def _segments(parse, share, cfg: IngestConfig, stats: ParseStats):
-    """The records of a share's segments, in input order."""
+def _records(parse, paths, cfg: IngestConfig, stats: ParseStats):
+    """The records ``parse`` reads from every file in ``paths``, in input order."""
     return itertools.chain.from_iterable(
-        parse(path, cfg.layout, cfg.on_malformed, stats, span=span) for path, span in share
+        parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
     )
 
 
-def _reduce_share(terms, parse, share, window: TimeWindow, cfg: IngestConfig):
-    """A worker's report on its share: its counters and exact per-key
-    partials, or None if it met an error."""
+def _reduce_share(terms, parse, paths, window: TimeWindow, cfg: IngestConfig):
+    """A worker's report on its share of ``paths``, read by ``parse``: its
+    counters and exact per-key partials, or None if it met an error."""
     stats = ParseStats()
+    records = _records(parse, paths, cfg, stats)
     try:
-        single, multiple, in_window = _window_values(
-            terms(_segments(parse, share, cfg, stats)), window
-        )
+        single, multiple, in_window = _window_values(terms(records), window)
     except (ParseError, UnreadableInputError):
         return None
     partials = {key: _exact_partials(values) for key, values in _keyed_values(single, multiple)}
@@ -740,11 +671,12 @@ class _ShareFailed(Exception):
     """A worker met an error in its share."""
 
 
-def _received(workers: Workers, shares, stats: ParseStats):
+def _received(workers: Workers, paths, stats: ParseStats):
     """The workers' ``(partials, in_window)`` in share order, their counters
     added to ``stats``."""
-    for k, share in enumerate(shares[1:]):
-        report = workers.receive(k, f"sending its sums of {share[0][0]}")
+    names = ", ".join(map(str, paths))
+    for j in range(workers.count):
+        report = workers.receive(j, f"sending its sums of {names}")
         if report is None:
             raise _ShareFailed
         (lines, parsed, skipped), partials, in_window = report
@@ -762,37 +694,34 @@ def load_aggregate(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: 
     :func:`aggregate_traffic` or :func:`parse_interactions` and
     :func:`aggregate_interactions`, or wrappers of them: they are taken
     from the caller so that its wrappers, such as the benchmark's tracing
-    spans, see the calls made in this process.  Activity inputs
-    of ``PARALLEL_MIN_BYTES`` or more are read on every CPU: they are cut at
-    line starts into one share per CPU (see :func:`_shares`), this process
-    reads the first share while forked workers reduce the others to exact
-    per-key partial sums, and ``aggregate`` merges those with one
-    ``math.fsum`` per key.  If any share meets an input error, the workers
-    are closed and every input is read again in this process, so the
-    aggregate, the :class:`ParseStats` returned with it and the error
-    raised, text included, are those of a one-process read for any number
-    of CPUs.
+    spans, see the calls made in this process.  Activity inputs of
+    ``PARALLEL_MIN_BYTES`` or more, gzip or plain, are read on every CPU:
+    with W CPUs, this process parses lines 1, 1 + W, 1 + 2W, ... of every
+    file (``parse(..., share=(0, W))``) while forked worker j parses share
+    ``(j + 1, W)`` and reduces it to exact per-key partial sums, and
+    ``aggregate`` merges those with one ``math.fsum`` per key.  If any
+    share meets an input error, the workers are closed and every input is
+    read again in this process, so the aggregate, the :class:`ParseStats`
+    returned with it and the error raised, text included, are those of a
+    one-process read for any number of CPUs.
     """
     _check_policy(cfg.on_malformed)
-    shares = _shares(paths, _worker_count() if kind in _TERMS else 1)
-    if len(shares) > 1:
+    count = _share_count(kind, paths)
+    if count > 1:
         terms = _TERMS[kind]
 
-        def reduce_share(k, send):
-            send(_reduce_share(terms, parse, shares[k + 1], window, cfg))
+        def reduce_share(j, send):
+            send(_reduce_share(terms, partial(parse, share=(j + 1, count)), paths, window, cfg))
 
         stats = ParseStats()
         try:
-            with Workers("ingest", len(shares) - 1, reduce_share) as workers:
-                own = _segments(parse, shares[0], cfg, stats)
-                return aggregate(own, window, _received(workers, shares, stats)), stats
+            with Workers("ingest", count - 1, reduce_share) as workers:
+                own = _records(partial(parse, share=(0, count)), paths, cfg, stats)
+                return aggregate(own, window, _received(workers, paths, stats)), stats
         except (ParseError, UnreadableInputError, _ShareFailed):
             pass  # what the one-process read below gives is what is reported
     stats = ParseStats()
-    records = itertools.chain.from_iterable(
-        parse(path, cfg.layout, cfg.on_malformed, stats) for path in paths
-    )
-    return aggregate(records, window), stats
+    return aggregate(_records(parse, paths, cfg, stats), window), stats
 
 
 _DELIMITER_NAMES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}

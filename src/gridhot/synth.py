@@ -95,12 +95,15 @@ class SynthConfig:
             raise DomainError(f"grid_side must be at least 1, got {self.grid_side}")
         if self.n_centers < 0:
             raise DomainError(f"n_centers must be nonnegative, got {self.n_centers}")
-        if self.concentration < 0:
-            raise DomainError(f"concentration must be nonnegative, got {self.concentration}")
+        # one chained comparison rejects negatives, infinities and NaN alike
+        if not 0 <= self.concentration < math.inf:
+            raise DomainError(
+                f"concentration must be finite and nonnegative, got {self.concentration}"
+            )
         if not self.decay_radius > 0:
             raise DomainError(f"decay_radius must be positive, got {self.decay_radius}")
-        if self.noise < 0:
-            raise DomainError(f"noise must be nonnegative, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise DomainError(f"noise must be finite and nonnegative, got {self.noise}")
         if self.records_per_cell < 1:
             raise DomainError(f"records_per_cell must be at least 1, got {self.records_per_cell}")
 
@@ -128,21 +131,31 @@ def cell_intensities(cfg: SynthConfig, rng: SplitMix64) -> dict[int, float]:
     multiplicatively jittered by ``noise`` (clamped at 0).
 
     Consumes 2 draws per center, then 1 draw per cell, in cell-id order.
+    Raises :class:`DomainError` when a cell's bumps sum past the largest
+    float, or when the largest intensity squared, which bounds every
+    interaction strength, is not finite.
     """
     side = cfg.grid_side
     centers = [(rng.next_float() * side, rng.next_float() * side) for _ in range(cfg.n_centers)]
+    spread = cfg.decay_radius**2
     intensities: dict[int, float] = {}
     for row in range(side):
         for col in range(side):
             cell_id = row * side + col + 1
             cy, cx = row + 0.5, col + 0.5
-            bumps = math.fsum(
-                cfg.concentration * math.exp(-((cy - y) ** 2 + (cx - x) ** 2) / cfg.decay_radius**2)
-                for y, x in centers
-            )
+            try:
+                bumps = math.fsum(
+                    cfg.concentration * math.exp(-((cy - y) ** 2 + (cx - x) ** 2) / spread)
+                    for y, x in centers
+                )
+            except OverflowError:
+                raise DomainError(f"intensity of cell {cell_id} passes the largest float") from None
             base = BACKGROUND_INTENSITY + bumps
             jitter = 1.0 + cfg.noise * (2.0 * rng.next_float() - 1.0)
             intensities[cell_id] = max(base * jitter, 0.0)
+    largest = max(intensities.values())
+    if not largest * largest < math.inf:
+        raise DomainError(f"largest cell intensity {largest!r} squared is not finite")
     return intensities
 
 
@@ -285,10 +298,10 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     bytes, and the error raised when a write fails, are the same for any
     number of CPUs.
     """
+    intensities = cell_intensities(cfg, SplitMix64(cfg.seed))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in ("activity.tsv", "interactions.tsv", "grid.geojson")]
-    intensities = cell_intensities(cfg, SplitMix64(cfg.seed))
     cells = len(intensities)
     lines = cells * cfg.records_per_cell
     activity_draw = 2 * cfg.n_centers + cells

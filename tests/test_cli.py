@@ -83,6 +83,26 @@ class TestSynthCommand:
         assert code == 1
         assert "grid_side" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(noise="nan"), "noise must be finite and nonnegative, got nan"),
+            (dict(concentration="inf"), "concentration must be finite and nonnegative, got inf"),
+            # strengths reach the largest intensity squared, past the largest float
+            (dict(concentration="1e200"), "squared is not finite"),
+            (dict(concentration="1e308", n_centers=4, decay_radius=50),
+             "intensity of cell 1 passes the largest float"),
+        ],
+        ids=["nan-noise", "inf-concentration", "inf-strengths", "bumps-overflow"],
+    )
+    def test_non_finite_intensities_exit_one(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "city"
+        assert main(["synth", "--config", str(synth_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gridhot synth: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 def synth_workers(monkeypatch, workers):
     """Write the synth files with ``workers`` CPUs, however small the city."""
@@ -820,6 +840,19 @@ class TestCompareCommand:
         ]
         assert main(["compare", str(report), str(report), "--metrics", "degree",
                      "--out", str(tmp_path / "alone")]) == 1
+
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_malformed_row(self, tmp_path, capsys, score):
+        report = tmp_path / "week.csv"
+        report.write_text(
+            f"cell_id,metric,score\n1,degree,1.0\n2,degree,{score}\n3,degree,2.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", str(report), str(report), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"gridhot compare: malformed row 3 in {report}\n"
+        assert not out.exists()
 
 
 class TestHeatmapCommand:

@@ -676,7 +676,7 @@ class TestIngestConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parallel ingest: byte ranges reduced in forked workers, merged exactly
+# Parallel ingest: strided line shares reduced in forked workers, merged exactly
 
 LOADERS = {
     "activity": (parse_activity, aggregate_traffic),
@@ -772,8 +772,8 @@ def test_parallel_ingest_matches_one_process(tmp_path, name, policy):
 
 def test_bad_line_in_later_range_named_with_file_line(tmp_path):
     data = EDGE_FILES["bad-line-in-later-range"][0]
-    # past the first cut for 2 and for 3 workers
-    assert data.index(BAD.encode()) > len(data) // 2
+    # line 26, in the share of worker 1 for 2 and for 3 workers
+    assert data.split(b"\n").index(BAD.encode()) == 25
     path = _write_bytes(tmp_path, "a.tsv", data)
     kind, message = _loaded("activity", [path], 3)
     assert kind == "ParseError"
@@ -804,28 +804,19 @@ LONG = _activity_lines(random.Random(5), 400)
 
 
 def _faulty(tmp_path, workers, before, after):
-    """``LONG`` with the lines ``before`` and ``after`` on either side of
-    the last cut that ``workers`` make in it, and with the start of
-    ``before`` in the 8 KiB decode chunk of ``after``; the file's path and
-    bytes.  Leading zeros on the first cell id shift the bytes."""
-    for pad in range(300):
-        lines = [line + "\n" for line in ["0" * pad + LONG[0], *LONG[1:]]]
-        for at in range(1, len(lines)):
-            head = "".join(lines[:at]).encode() + before
-            data = head + after + "".join(lines[at:]).encode()
-            last_cut = len(data) * (workers - 1) // workers
-            if len(head) > last_cut + 100:
-                break
-            if data.index(b"\n", last_cut - 1) + 1 != len(head):
-                continue
-            if (len(head) - len(before)) // 8192 != len(head) // 8192:
-                continue
-            path = _write_bytes(tmp_path, f"{workers}.tsv", data)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
-                assert ingest._shares([path], workers)[-1][0][1][0] == len(head)
-            return path, data
-    raise AssertionError("no line start puts the faults at the cut")
+    """``LONG`` with the lines ``before`` and ``after`` put in past its first
+    8 KiB decode chunk, both starting in one chunk; the file's path and
+    bytes.  The line that starts where ``after`` does is in the last of
+    ``workers`` shares, and the line before it in the share ahead of that."""
+    lines = [line + "\n" for line in LONG]
+    for at in range(len(lines)):
+        head = "".join(lines[:at]).encode() + before
+        chunk = len(head) // 8192
+        if chunk and (len(head) - len(before)) // 8192 == chunk:
+            if (at + before.count(b"\n")) % workers == workers - 1:
+                data = head + after + "".join(lines[at:]).encode()
+                return _write_bytes(tmp_path, f"{workers}.tsv", data), data
+    raise AssertionError("no line puts the faults in one chunk and two shares")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -859,21 +850,6 @@ def test_first_error_same_text_for_any_workers(tmp_path, workers, before, after,
     assert _loaded("activity", [path], 5 - workers) == serial
 
 
-def test_shares_cut_at_line_starts(tmp_path):
-    data = "\r\n".join(LINES).encode() + b"\n\n" + "\n".join(LINES).encode()
-    path = _write_bytes(tmp_path, "a.tsv", data)
-    starts = {0} | {i + 1 for i, byte in enumerate(data) if byte == ord("\n")}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
-        for workers in range(1, 8):
-            shares = ingest._shares([path], workers)
-            assert len(shares) == workers
-            spans = [span or (0, len(data)) for share in shares for _, span in share]
-            assert spans[0][0] == 0 and spans[-1][1] == len(data)
-            for (_, end), (start, _) in zip(spans, spans[1:]):
-                assert end == start and start in starts
-
-
 def test_small_inputs_never_fork(tmp_path, monkeypatch):
     def refused_fork():
         raise AssertionError("ingest forked below its threshold")
@@ -899,15 +875,15 @@ def test_failed_share_read_again_in_one_process(tmp_path, monkeypatch):
         for workers in (2, 3):
             assert _loaded("activity", [path], workers) == serial
 
-    def faulty_spans(path, layout, on_malformed, stats, span=None):
-        if span is not None:
+    def faulty_shares(path, layout, on_malformed, stats, share=(0, 1)):
+        if share != (0, 1):
             raise UnreadableInputError(f"cannot read {path}: it changed")
         return parse_activity(path, layout, on_malformed, stats)
 
     monkeypatch.setattr(ingest, "_worker_count", lambda: 3)
     monkeypatch.setattr(ingest, "PARALLEL_MIN_BYTES", 1)
     result, stats = load_aggregate(
-        "activity", faulty_spans, aggregate_traffic, [path], WINDOW, IngestConfig()
+        "activity", faulty_shares, aggregate_traffic, [path], WINDOW, IngestConfig()
     )
     assert ([(key, value.hex()) for key, value in result.intensities.items()],
             result.in_window, stats) == serial
@@ -923,9 +899,30 @@ def test_dead_worker_named(tmp_path, monkeypatch):
     assert _loaded("activity", [path], 2) == (
         "WorkerError", f"ingest worker 1 of 1 exited with status 3 before sending its sums of {path}"
     )
+    # each worker reads a share of every input, so the message names them all
+    other = _write_bytes(tmp_path, "b.tsv", "\n".join(LINES).encode() + b"\n")
+    assert _loaded("activity", [path, other], 2) == (
+        "WorkerError",
+        f"ingest worker 1 of 1 exited with status 3 before sending its sums of {path}, {other}",
+    )
 
 
-# in-window values whose sums overflow; the two big lines fall in different ranges
+@pytest.mark.parametrize("name", ["gzip", "gzip-and-plain"])
+def test_gzip_inputs_fork(tmp_path, monkeypatch, name):
+    plain = EDGE_FILES["lf" if name == "gzip" else "two-files"]
+    files = [gzip.compress(plain[0], mtime=0), *plain[1:]]
+    paths = [_write_bytes(tmp_path, f"{i}.tsv", data) for i, data in enumerate(files)]
+    serial = _loaded("activity", paths, 1)
+    assert serial[2].lines == len(LINES)
+    real_fork = os.fork
+    forked = []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+    for workers in (2, 3):
+        assert _loaded("activity", paths, workers) == serial
+    assert len(forked) == 1 + 2
+
+
+# in-window values whose sums overflow; the two big lines fall in different shares
 OVERFLOWS = {
     "across-ranges": ["1\t1500\t0\t1e308"] + LINES + ["1\t1600\t0\t1e308"],
     "one-record": LINES + ["2\t1500\t0\t1e308\t1e308"],

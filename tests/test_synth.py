@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -331,6 +332,10 @@ class TestSynthConfig:
             {"decay_radius": 0.0},
             {"noise": -0.5},
             {"records_per_cell": 0},
+            {"concentration": math.inf},
+            {"concentration": math.nan},
+            {"noise": math.inf},
+            {"noise": math.nan},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
