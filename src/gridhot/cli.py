@@ -13,10 +13,8 @@ import csv
 import dataclasses
 import functools
 import json
-import logging
 import math
 import operator
-import os
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -43,6 +41,7 @@ from .ingest import (
     TrafficAggregate,
     aggregate_interactions,
     aggregate_traffic,
+    format_grid,
     load_aggregate,
     load_ingest_config,
     open_text,
@@ -52,8 +51,6 @@ from .ingest import (
     parse_interactions,
 )
 from .synth import generate_city, load_synth_config
-
-log = logging.getLogger("gridhot")
 
 
 def _write_json(path, obj) -> None:
@@ -93,12 +90,8 @@ def _write_manifest(
     _write_json(path, manifest)
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("HOTSPOT_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _warn(command: str, message: str) -> None:
+    print(f"gridhot {command}: warning: {message}", file=sys.stderr)
 
 
 def _metric_list(text: str) -> tuple[str, ...]:
@@ -213,7 +206,9 @@ def _window(args) -> TimeWindow:
     return TimeWindow(args.window_start, args.window_end)
 
 
-def _load_records(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: IngestConfig):
+def _load_records(
+    command: str, kind: str, parse, aggregate, paths, window: TimeWindow, cfg: IngestConfig
+):
     """Aggregate the records that ``parse`` reads from every file in ``paths``.
 
     Returns the aggregate and its ingest counts for the manifest's
@@ -221,7 +216,7 @@ def _load_records(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: I
     """
     result, stats = load_aggregate(kind, parse, aggregate, paths, window, cfg)
     if stats.skipped:
-        log.warning("skipped %d malformed %s line(s)", stats.skipped, kind)
+        _warn(command, f"skipped {stats.skipped} malformed {kind} line(s)")
     counts = dataclasses.asdict(stats)
     counts["in_window"] = result.in_window
     return result, counts
@@ -263,30 +258,6 @@ def _read_scores_csv(path) -> dict[str, dict[int, float]]:
     return scores
 
 
-_FEATURE_TEXT = """
-    {{
-      "geometry": {{
-        "coordinates": [
-          [
-{ring}
-          ]
-        ],
-        "type": "Polygon"
-      }},
-      "properties": {{
-        "cell_id": {cell_id!r},
-        "intensity": {intensity!r},
-        "intensity_norm": {norm!r}{hotspot}
-      }},
-      "type": "Feature"
-    }}"""
-_POINT_TEXT = """            [
-              {!r},
-              {!r}
-            ]"""
-_HOTSPOT_TEXT = {None: "", False: ',\n        "is_hotspot": false', True: ',\n        "is_hotspot": true'}
-
-
 def heatmap_feature_collection(
     cells: list[GridCell],
     traffic: TrafficAggregate,
@@ -298,10 +269,8 @@ def heatmap_feature_collection(
     ``intensity_norm`` is min-max over those cells and defined as 0 for all
     of them when max equals min.  Activity cells with no grid polygon are
     skipped and counted.  ``cells`` have distinct ids and finite
-    coordinates, as :func:`parse_grid` gives them.  The chunks, a header
-    and then one per feature in cell id order, join to
-    ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` of the whole
-    document, which is never built.
+    coordinates, as :func:`parse_grid` gives them.  The chunks are those of
+    :func:`format_grid`, with the features in cell id order.
     """
     intensities = traffic.intensities
     skipped = len(intensities) - sum(cell.cell_id in intensities for cell in cells)
@@ -309,37 +278,37 @@ def heatmap_feature_collection(
     high = max((intensities.get(cell.cell_id, 0.0) for cell in cells), default=0.0)
     span = high - low
 
-    def chunks():
-        yield '{\n  "features": ['
-        separator = ""
+    def features():
         for cell in sorted(cells, key=operator.attrgetter("cell_id")):
             intensity = intensities.get(cell.cell_id, 0.0)
-            member = None if hotspot_members is None else cell.cell_id in hotspot_members
-            yield separator + _FEATURE_TEXT.format(
-                ring=",\n".join(_POINT_TEXT.format(lon, lat) for lon, lat in cell.polygon),
-                cell_id=cell.cell_id,
-                intensity=intensity,
-                norm=0.0 if span == 0 else (intensity - low) / span,
-                hotspot=_HOTSPOT_TEXT[member],
-            )
-            separator = ","
-        yield (
-            ("\n  ]" if cells else "]")
-            + ',\n  "properties": {\n    "cells_without_geometry": ' + repr(skipped)
-            + ',\n    "normalization": "min-max over grid cells; all zero when max equals min"'
-            + '\n  },\n  "type": "FeatureCollection"\n}\n'
-        )
+            properties = [
+                ("cell_id", cell.cell_id),
+                ("intensity", intensity),
+                ("intensity_norm", 0.0 if span == 0 else (intensity - low) / span),
+            ]
+            if hotspot_members is not None:
+                properties.append(("is_hotspot", cell.cell_id in hotspot_members))
+            yield cell.polygon, properties
 
-    return chunks(), skipped
+    properties = (
+        ("cells_without_geometry", skipped),
+        ("normalization", "min-max over grid cells; all zero when max equals min"),
+    )
+    return format_grid(features(), properties), skipped
 
 
 def _write_heatmap(
     path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
-) -> None:
+) -> int:
+    """Stream the heatmap to ``path``; returns the active cells without geometry."""
     chunks, skipped = heatmap_feature_collection(cells, traffic, members)
-    if skipped:
-        log.warning("%d active cell(s) have no grid geometry and were skipped", skipped)
     atomic_write_text(path, SizedChunks(chunks))
+    return skipped
+
+
+def _warn_no_geometry(command: str, skipped: int) -> None:
+    if skipped:
+        _warn(command, f"{skipped} active cell(s) have no grid geometry and were skipped")
 
 
 def cmd_synth(args) -> int:
@@ -359,7 +328,7 @@ def cmd_hotspots(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
     traffic, counts = _load_records(
-        "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
+        args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
     )
     # a bad grid must fail the run before any output is written; parsed after
     # the records so that the grid and the per-cell sums never share the peak
@@ -389,7 +358,8 @@ def cmd_hotspots(args) -> int:
 
     if cells is not None:
         heatmap_path = out_dir / "heatmap.geojson"
-        _write_heatmap(heatmap_path, cells, traffic, set(hotspots.members))
+        skipped = _write_heatmap(heatmap_path, cells, traffic, set(hotspots.members))
+        _warn_no_geometry(args.command, skipped)
         outputs.append(heatmap_path)
 
     config = {
@@ -411,7 +381,7 @@ def cmd_centrality(args) -> int:
     # only the pairs between hotspots are summed; the others are checked and counted
     aggregate = functools.partial(aggregate_interactions, members=members)
     interactions, counts = _load_records(
-        "interaction", parse_interactions, aggregate, args.interactions, window, cfg
+        args.command, "interaction", parse_interactions, aggregate, args.interactions, window, cfg
     )
 
     graph = build_graph(interactions, sorted(members))
@@ -469,7 +439,7 @@ def cmd_centrality(args) -> int:
     )
 
     for name, error in failures.items():
-        log.warning("metric %s failed: %s", name, error)
+        _warn(args.command, f"metric {name} failed: {error}")
     return 0 if results else 1
 
 
@@ -504,7 +474,7 @@ def cmd_compare(args) -> int:
             report = compare_weeks(series1, series2)
         except GridhotError as exc:
             status[name] = f"error: {exc}"
-            log.warning("comparison for %s failed: %s", name, exc)
+            _warn(args.command, f"comparison for {name} failed: {exc}")
             continue
         status[name] = "ok"
 
@@ -533,7 +503,7 @@ def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
     traffic, counts = _load_records(
-        "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
+        args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
     )
     cells = parse_grid(args.grid)
     hotspot_members = None
@@ -542,7 +512,7 @@ def cmd_heatmap(args) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_heatmap(out_path, cells, traffic, hotspot_members)
+    _warn_no_geometry(args.command, _write_heatmap(out_path, cells, traffic, hotspot_members))
 
     inputs = {
         "activity": args.activity,
@@ -558,7 +528,6 @@ def cmd_heatmap(args) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -172,17 +172,6 @@ def auto_cross_diff_pct(auto: CorrelationSeries, cross: CorrelationSeries) -> Di
     return DiffSeries(shifts=tuple(shifts), values=tuple(values), omitted_shifts=tuple(omitted))
 
 
-def per_node_rel_diff(week1: MetricSeries, week2: MetricSeries) -> dict[int, float]:
-    """Per-node |v2 - v1| / v1 in percent, with week 1 as the baseline."""
-    _check_aligned(week1, week2)
-    diffs: dict[int, float] = {}
-    for cell, v1, v2 in zip(week1.ordering, week1.values, week2.values):
-        if v1 == 0.0:
-            raise DomainError(f"baseline value is 0 for node {cell}")
-        diffs[cell] = abs(v2 - v1) / v1 * 100.0
-    return diffs
-
-
 def dispersion_of(values: Sequence[float]) -> Dispersion:
     """Population variance and cv of a value collection."""
     values = list(values)
@@ -196,14 +185,6 @@ def dispersion_of(values: Sequence[float]) -> Dispersion:
     return Dispersion(variance=variance, cv=cv)
 
 
-def _subseries(series: MetricSeries, positions: Sequence[int]) -> MetricSeries:
-    return MetricSeries(
-        metric=series.metric,
-        ordering=tuple(series.ordering[i] for i in positions),
-        values=tuple(series.values[i] for i in positions),
-    )
-
-
 def compare_weeks(week1: MetricSeries, week2: MetricSeries) -> ComparisonReport:
     """Assemble the full comparison of one metric across two weeks.
 
@@ -215,10 +196,13 @@ def compare_weeks(week1: MetricSeries, week2: MetricSeries) -> ComparisonReport:
     _check_aligned(week1, week2)
     auto = autocorrelation(week1)
     cross = cross_correlation(week1, week2)
-    kept = [i for i, v1 in enumerate(week1.values) if v1 != 0.0]
+    nodes = zip(week1.ordering, week1.values, week2.values)
     return ComparisonReport(
         metric=week1.metric,
-        per_node_rel_diff_pct=per_node_rel_diff(_subseries(week1, kept), _subseries(week2, kept)),
+        # per node |v2 - v1| / v1 in percent, with week 1 as the baseline
+        per_node_rel_diff_pct={
+            cell: abs(v2 - v1) / v1 * 100.0 for cell, v1, v2 in nodes if v1 != 0.0
+        },
         per_node_rel_diff_omitted=tuple(
             cell for cell, v1 in zip(week1.ordering, week1.values) if v1 == 0.0
         ),

@@ -474,6 +474,62 @@ def parse_grid(path) -> list[GridCell]:
     return cells
 
 
+_FEATURE_TEXT = """
+    {
+      "geometry": {
+        "coordinates": [
+          [
+%s
+          ]
+        ],
+        "type": "Polygon"
+      },
+      "properties": %s,
+      "type": "Feature"
+    }"""
+_POINT_TEXT = """            [
+              %r,
+              %r
+            ]"""
+
+
+def _json_scalar(value) -> str:
+    # json.dumps(value) of a bool, an int, a finite float or a str; numbers skip its cost
+    if value is True or value is False or isinstance(value, str):
+        return json.dumps(value)
+    return repr(value)
+
+
+def _json_members(pairs, indent: str) -> str:
+    """A JSON object of one or more ``(key, value)`` pairs in key order, keys unescaped."""
+    body = ",\n".join([f'{indent}  "{key}": {_json_scalar(value)}' for key, value in pairs])
+    return "{\n" + body + "\n" + indent + "}"
+
+
+def format_grid(features, properties=()) -> Iterator[str]:
+    """A Polygon FeatureCollection as text chunks (inverse of :func:`parse_grid`).
+
+    ``features`` yields ``(ring, feature_properties)``: a ring of ``(lon, lat)``
+    float tuples and ``(key, value)`` pairs in key order, one or more of each,
+    the values bools, ints, finite floats or strs.  ``properties``, given the
+    same way, are the collection's own.  The chunks, a header, one per
+    feature and a tail, join to ``json.dumps(doc, sort_keys=True, indent=2)``
+    of the whole document plus a newline; the document is never built.
+    """
+    yield '{\n  "features": ['
+    separator = ""
+    for ring, feature_properties in features:
+        yield separator + _FEATURE_TEXT % (
+            ",\n".join([_POINT_TEXT % point for point in ring]),
+            _json_members(feature_properties, "      "),
+        )
+        separator = ","
+    tail = "\n  ]" if separator else "]"
+    if properties:
+        tail += ',\n  "properties": ' + _json_members(properties, "  ")
+    yield tail + ',\n  "type": "FeatureCollection"\n}\n'
+
+
 def _activity_terms(records: Iterable[ActivityRecord]):
     # added in the order of ActivityRecord.total(), so bit for bit equal
     return ((cell, t, a + b + c + d + e) for cell, t, a, b, c, d, e, _ in records)

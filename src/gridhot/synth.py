@@ -9,7 +9,6 @@ produce byte-identical files on any platform.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -22,6 +21,7 @@ from .ingest import (
     InteractionRecord,
     TimeWindow,
     format_activity_line,
+    format_grid,
     format_interaction_line,
     parse_epoch_ms,
     read_key_values,
@@ -100,8 +100,15 @@ class SynthConfig:
             raise DomainError(
                 f"concentration must be finite and nonnegative, got {self.concentration}"
             )
-        if not self.decay_radius > 0:
-            raise DomainError(f"decay_radius must be positive, got {self.decay_radius}")
+        # cell_intensities divides by the square, which must neither overflow nor reach 0
+        try:
+            spread = self.decay_radius**2 if self.decay_radius > 0 else 0.0
+        except OverflowError:
+            spread = math.inf
+        if not 0 < spread < math.inf:
+            raise DomainError(
+                f"decay_radius must be positive with a finite, nonzero square, got {self.decay_radius!r}"
+            )
         if not 0 <= self.noise < math.inf:
             raise DomainError(f"noise must be finite and nonnegative, got {self.noise}")
         if self.records_per_cell < 1:
@@ -192,34 +199,17 @@ def _activity_chunks(cfg: SynthConfig, intensities: dict[int, float], draw: int)
         )
 
 
-def _grid_geojson(cfg: SynthConfig):
-    """The grid FeatureCollection as text chunks, one per grid row.
-
-    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)`` of
-    the whole document, but only one row of features is held at a time.
-    """
-    yield '{\n  "features": [\n'
-    for row in range(cfg.grid_side):
-        features = []
-        for col in range(cfg.grid_side):
-            cell_id = row * cfg.grid_side + col + 1
+def _grid_features(side: int):
+    """The grid's cells for :func:`format_grid`: square rings of side
+    ``GRID_STEP_DEG`` from ``GRID_ORIGIN_*``, in cell id order."""
+    for row in range(side):
+        lat0 = GRID_ORIGIN_LAT + row * GRID_STEP_DEG
+        lat1 = lat0 + GRID_STEP_DEG
+        for col in range(side):
             lon0 = GRID_ORIGIN_LON + col * GRID_STEP_DEG
-            lat0 = GRID_ORIGIN_LAT + row * GRID_STEP_DEG
             lon1 = lon0 + GRID_STEP_DEG
-            lat1 = lat0 + GRID_STEP_DEG
-            ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
-            features.append(
-                {
-                    "type": "Feature",
-                    "properties": {"cellId": cell_id},
-                    "geometry": {"type": "Polygon", "coordinates": [ring]},
-                }
-            )
-        # the row's "[\n  {...},\n  {...}\n]" without brackets, indented
-        # to the depth of the document's feature list
-        text = json.dumps(features, sort_keys=True, indent=2)[2:-2].replace("\n", "\n  ")
-        yield ("  " if row == 0 else ",\n  ") + text
-    yield '\n  ],\n  "type": "FeatureCollection"\n}\n'
+            ring = ((lon0, lat0), (lon1, lat0), (lon1, lat1), (lon0, lat1), (lon0, lat0))
+            yield ring, (("cellId", row * side + col + 1),)
 
 
 def _select_pairs(intensities: list[float], side: int) -> tuple[list[tuple[float, int, int]], int]:
@@ -308,7 +298,7 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
 
     def write_activity_and_grid() -> None:
         atomic_write_text(paths[0], _activity_chunks(cfg, intensities, activity_draw))
-        atomic_write_text(paths[2], _grid_geojson(cfg))
+        atomic_write_text(paths[2], format_grid(_grid_features(cfg.grid_side)))
 
     def write_interactions() -> tuple[int, int]:
         kept, scored = _select_pairs([intensities[c] for c in sorted(intensities)], cfg.grid_side)

@@ -92,8 +92,13 @@ class TestSynthCommand:
             (dict(concentration="1e200"), "squared is not finite"),
             (dict(concentration="1e308", n_centers=4, decay_radius=50),
              "intensity of cell 1 passes the largest float"),
+            # the intensities divide by the radius squared, which overflows or is 0
+            *[(dict(grid_side=4, decay_radius=radius),
+               f"decay_radius must be positive with a finite, nonzero square, got {float(radius)!r}")
+              for radius in ("1e155", "1e200", "1e-200")],
         ],
-        ids=["nan-noise", "inf-concentration", "inf-strengths", "bumps-overflow"],
+        ids=["nan-noise", "inf-concentration", "inf-strengths", "bumps-overflow",
+             "radius-1e155", "radius-1e200", "radius-1e-200"],
     )
     def test_non_finite_intensities_exit_one(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "city"
@@ -666,6 +671,8 @@ class TestParallelIngest:
             assert_no_children()
         assert len(trees[1]) == 9 and "cen/manifest.json" in trees[1]
         assert trees[1] == trees[2] == trees[3]
+        # hotspots --grid and heatmap --hotspots write the same heatmap
+        assert trees[1]["hs/heatmap.geojson"] == trees[1]["heat.geojson"]
         # hotspots and heatmap fork one ingest worker per CPU after the first;
         # centrality reads its interactions in-process
         assert len(forked) == 2 * (1 + 2)
@@ -853,6 +860,69 @@ class TestCompareCommand:
         assert main(["compare", str(report), str(report), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"gridhot compare: malformed row 3 in {report}\n"
         assert not out.exists()
+
+
+class TestWarnings:
+    """Each warning is one ``gridhot <command>: warning:`` line on stderr."""
+
+    def test_skipped_malformed_lines(self, tmp_path, capsys):
+        activity = tmp_path / "a.tsv"
+        activity.write_text("1\t1384732800000\t0\t1.0\nbad line\n2\t1384732800000\t0\t2.0\n")
+        ingest_cfg = tmp_path / "ingest.cfg"
+        ingest_cfg.write_text("on_malformed = skip\n", encoding="utf-8")
+        out = tmp_path / "hs"
+        assert main(["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5",
+                     "--config", str(ingest_cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "gridhot hotspots: warning: skipped 1 malformed activity line(s)\n"
+        )
+        assert json.loads((out / "manifest.json").read_text())["diagnostics"]["ingest"]["skipped"] == 1
+
+    @pytest.mark.parametrize("command", ["hotspots", "heatmap"])
+    def test_active_cells_without_geometry(self, tmp_path, capsys, command):
+        city = run_synth(tmp_path, grid_side=2)
+        activity = tmp_path / "a.tsv"
+        activity.write_text(
+            (city / "activity.tsv").read_text() + "9\t1384732800000\t0\t1.0\n7\t1384732800000\t0\t1.0\n"
+        )
+        argv = {
+            "hotspots": ["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5",
+                         "--grid", str(city / "grid.geojson"), "--out", str(tmp_path / "hs")],
+            "heatmap": ["heatmap", "--activity", str(activity), "--grid", str(city / "grid.geojson"),
+                        *WEEK, "--out", str(tmp_path / "heat.geojson")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            f"gridhot {command}: warning: 2 active cell(s) have no grid geometry and were skipped\n"
+        )
+
+    def test_failed_metric(self, tmp_path, capsys):
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text("1\t2\t1384732800000\t1.0\n3\t4\t1384732800000\t1.0\n")
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n1,1.0\n2,1.0\n3,1.0\n4,1.0\n")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--metrics", "degree,eigenvector", "--out", str(out)]) == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status["degree"] == "ok" and status["eigenvector"].startswith("error: ")
+        assert capsys.readouterr().err == (
+            f"gridhot centrality: warning: metric eigenvector failed: {status['eigenvector'][7:]}\n"
+        )
+
+    def test_failed_comparison(self, tmp_path, capsys):
+        report = tmp_path / "week.csv"
+        report.write_text(
+            "cell_id,metric,score\n1,degree,1e200\n2,degree,1.0\n"
+            "1,pagerank,0.5\n2,pagerank,0.5\n",
+            encoding="utf-8",
+        )
+        assert main(["compare", str(report), str(report), "--out", str(tmp_path / "cmp")]) == 0
+        assert capsys.readouterr().err == (
+            "gridhot compare: warning: comparison for degree failed:"
+            " the dispersion of degree in week 1 passes the largest float\n"
+        )
 
 
 class TestHeatmapCommand:

@@ -10,7 +10,6 @@ from gridhot.compare import (
     compare_weeks,
     cross_correlation,
     dispersion_of,
-    per_node_rel_diff,
     report_json_obj,
     to_series,
 )
@@ -116,20 +115,6 @@ class TestAutoCrossDiff:
             auto_cross_diff_pct(auto, cross)
 
 
-class TestPerNodeRelDiff:
-    def test_ten_percent(self):
-        diffs = per_node_rel_diff(series([0.50]), series([0.55]))
-        assert diffs[1] == pytest.approx(10.0, rel=1e-12)
-
-    def test_identity(self):
-        f = series([0.4, 0.7, 0.1])
-        assert per_node_rel_diff(f, f) == {1: 0.0, 2: 0.0, 3: 0.0}
-
-    def test_zero_baseline_names_node(self):
-        with pytest.raises(DomainError, match="node 2"):
-            per_node_rel_diff(series([1.0, 0.0]), series([1.0, 1.0]))
-
-
 class TestDispersion:
     def test_constant_values(self):
         result = dispersion_of([2.0, 2.0, 2.0])
@@ -199,6 +184,10 @@ class TestCompareWeeks:
         assert set(report.per_node_rel_diff_pct.values()) == {0.0}
         assert set(report.auto_cross_diff.values) == {0.0}
         assert report.dispersion_week1 == report.dispersion_week2
+
+    def test_ten_percent(self):
+        report = compare_weeks(series([0.50]), series([0.55]))
+        assert report.per_node_rel_diff_pct[1] == pytest.approx(10.0, rel=1e-12)
 
     def test_metric_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -129,7 +129,7 @@ class TestGenerateCity:
 
     @pytest.mark.parametrize("side", [1, 2, 5])
     def test_grid_is_one_document_dump(self, tmp_path, side):
-        # the grid is written a row at a time; its bytes are still those of
+        # the grid is written a feature at a time; its bytes are still those of
         # one json.dumps of the whole FeatureCollection
         city = generate_city(config(grid_side=side), tmp_path)
         text = city.grid_path.read_text(encoding="utf-8")
