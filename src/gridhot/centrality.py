@@ -10,11 +10,10 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add, itemgetter, mul, sub, truediv
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, GridhotError
 from .graph import WeightedGraph, symmetrize
@@ -36,8 +35,7 @@ INF = math.inf
 PARALLEL_MIN_NODES = 64
 
 
-@dataclass(frozen=True)
-class CentralityParams:
+class CentralityParams(NamedTuple):
     """Solver settings shared by the iterative metrics."""
 
     damping: float = 0.85
@@ -46,13 +44,20 @@ class CentralityParams:
     pagerank_variant: str = "weighted"
 
 
-@dataclass(frozen=True)
-class CentralityScores:
-    """Per-node scores for one metric, plus the parameters that produced them."""
-
+class _CentralityScores(NamedTuple):
     metric: str
     scores: dict[int, float]
-    params: dict = field(default_factory=dict)
+    params: dict
+
+
+class CentralityScores(_CentralityScores):
+    """Per-node scores for one metric, plus the parameters that produced them."""
+
+    __slots__ = ()
+
+    def __new__(cls, metric: str, scores: dict[int, float], params: dict | None = None):
+        # a new dict for each result made without params, never one shared default
+        return super().__new__(cls, metric, scores, {} if params is None else params)
 
 
 def _require_undirected(g: WeightedGraph, metric: str) -> None:

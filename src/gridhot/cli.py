@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -217,9 +216,7 @@ def _load_records(
     result, stats = load_aggregate(kind, parse, aggregate, paths, window, cfg)
     if stats.skipped:
         _warn(command, f"skipped {stats.skipped} malformed {kind} line(s)")
-    counts = dataclasses.asdict(stats)
-    counts["in_window"] = result.in_window
-    return result, counts
+    return result, {**vars(stats), "in_window": result.in_window}
 
 
 def _csv_text(header: str, rows) -> str:
@@ -317,9 +314,10 @@ def cmd_synth(args) -> int:
     city = generate_city(cfg, out_dir)
 
     outputs = (city.activity_path, city.interactions_path, city.grid_path)
+    config = {**cfg._asdict(), "window": cfg.window._asdict()}
     _write_manifest(
-        out_dir / "manifest.json", "synth", {"config": args.config}, dataclasses.asdict(cfg),
-        outputs, diagnostics={"synth": dataclasses.asdict(city.stats)},
+        out_dir / "manifest.json", "synth", {"config": args.config}, config,
+        outputs, diagnostics={"synth": city.stats._asdict()},
     )
     return 0
 
@@ -347,11 +345,11 @@ def cmd_hotspots(args) -> int:
     atomic_write_text(out_dir / "hotspots.csv", _csv_text("cell_id,intensity", rows))
 
     threshold_doc = {
-        **dataclasses.asdict(hotspots.spec),
+        **hotspots.spec._asdict(),
         "k": args.k,
         "truncated": hotspots.truncated,
         "member_count": len(hotspots.members),
-        "window": dataclasses.asdict(window),
+        "window": window._asdict(),
     }
     _write_json(out_dir / "threshold.json", threshold_doc)
     outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
@@ -363,7 +361,7 @@ def cmd_hotspots(args) -> int:
         outputs.append(heatmap_path)
 
     config = {
-        "window": dataclasses.asdict(window), "p": p, "k": args.k, "on_malformed": cfg.on_malformed
+        "window": window._asdict(), "p": p, "k": args.k, "on_malformed": cfg.on_malformed
     }
     inputs = {"activity": args.activity, "config": args.config, "grid": args.grid}
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
@@ -412,8 +410,8 @@ def cmd_centrality(args) -> int:
     )
 
     config = {
-        **dataclasses.asdict(params),
-        "window": dataclasses.asdict(window),
+        **params._asdict(),
+        "window": window._asdict(),
         "metrics": list(args.metrics),
     }
     status = {
@@ -520,7 +518,7 @@ def cmd_heatmap(args) -> int:
         "hotspots": args.hotspots,
         "config": args.config,
     }
-    config = {"window": dataclasses.asdict(window), "on_malformed": cfg.on_malformed}
+    config = {"window": window._asdict(), "on_malformed": cfg.on_malformed}
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
     manifest_path = Path(str(out_path) + ".manifest.json")
     _write_manifest(manifest_path, "heatmap", inputs, config, [out_path], diagnostics=diagnostics)

@@ -9,24 +9,26 @@ dispersion statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .centrality import CentralityScores
-from .errors import DomainError, EmptyInputError
+from .errors import Checked, DomainError, EmptyInputError
 
 
-@dataclass(frozen=True)
-class MetricSeries:
-    """Metric values aligned to an ascending cell-id ordering."""
-
+class _MetricSeries(NamedTuple):
     metric: str
     ordering: tuple[int, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self):
+
+class MetricSeries(Checked, _MetricSeries):
+    """Metric values aligned to an ascending cell-id ordering."""
+
+    __slots__ = ()
+
+    def _check(self):
         if len(self.ordering) != len(self.values):
             raise DomainError(
                 f"series has {len(self.ordering)} ids but {len(self.values)} values"
@@ -35,8 +37,7 @@ class MetricSeries:
             raise DomainError("series ordering must be strictly ascending")
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
+class CorrelationSeries(NamedTuple):
     """Sliding dot products indexed by shift, from -(L-1) to L-1."""
 
     shifts: tuple[int, ...]
@@ -46,8 +47,7 @@ class CorrelationSeries:
         return self.values[self.shifts.index(shift)]
 
 
-@dataclass(frozen=True)
-class DiffSeries:
+class DiffSeries(NamedTuple):
     """Relative differences in percent per shift.
 
     ``omitted_shifts`` lists shifts dropped because the reference value
@@ -59,16 +59,14 @@ class DiffSeries:
     omitted_shifts: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Dispersion:
+class Dispersion(NamedTuple):
     """Population variance and coefficient of variation (None if mean is 0)."""
 
     variance: float
     cv: float | None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Everything measured between a reference week and a second week.
 
     ``per_node_rel_diff_omitted`` lists nodes left out of the per-node

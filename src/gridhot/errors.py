@@ -1,6 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check run by validated records."""
 
 from __future__ import annotations
+
+
+class Checked:
+    """Mixin that runs ``_check()`` on every new instance of a named tuple.
+
+    List it ahead of the NamedTuple base that holds the fields.
+    ``_make``, and so ``_replace``, go through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class GridhotError(Exception):

@@ -3,27 +3,30 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 from .hotspot import HotspotSet
 from .ingest import InteractionAggregate
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class _WeightedGraph(NamedTuple):
+    nodes: tuple[int, ...]
+    edges: dict[tuple[int, int], float]
+    directed: bool
+
+
+class WeightedGraph(Checked, _WeightedGraph):
     """A graph with positive edge weights and ascending node order.
 
     Undirected graphs store each edge under both ordered keys with equal
     weight, so adjacency iteration needs no special-casing.
     """
 
-    nodes: tuple[int, ...]
-    edges: dict[tuple[int, int], float]
-    directed: bool
+    # no __slots__: the instance __dict__ holds the cached components
 
-    def __post_init__(self):
+    def _check(self):
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(node_set):
             raise DomainError("nodes must be strictly ascending and unique")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import CalibrationError, DomainError, EmptyInputError
 from .ingest import TimeWindow, TrafficAggregate
@@ -19,8 +19,7 @@ from .ingest import TimeWindow, TrafficAggregate
 P_GRID_STEPS = 1000  # calibration searches p in {0, 1/1000, ..., 1}
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
+class ThresholdSpec(NamedTuple):
     """The cutoff derived from a traffic aggregate and the parameter p."""
 
     p: float
@@ -31,8 +30,7 @@ class ThresholdSpec:
     n_areas: int
 
 
-@dataclass(frozen=True)
-class HotspotSet:
+class HotspotSet(NamedTuple):
     """Cells selected by one cutoff, with the metadata that produced them.
 
     ``members`` is sorted ascending by cell id.  When ``truncated`` is set
@@ -129,8 +127,7 @@ def calibrate_p(traffic: TrafficAggregate, k: int) -> tuple[float, HotspotSet]:
     if len(hotspots.members) > k:
         top = sorted(hotspots.intensities.items(), key=lambda item: (-item[1], item[0]))[:k]
         members = tuple(sorted(cell for cell, _ in top))
-        hotspots = replace(
-            hotspots,
+        hotspots = hotspots._replace(
             members=members,
             intensities={cell: traffic.intensities[cell] for cell in members},
             truncated=True,

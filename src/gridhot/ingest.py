@@ -10,7 +10,6 @@ per-cell traffic intensities and directed pairwise interaction strengths.
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import itertools
 import json
@@ -21,20 +20,19 @@ import zlib
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
+from .errors import Checked, DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
 from .workers import Workers
 from .workers import worker_count as _worker_count
 
 MALFORMED_POLICIES = ("abort", "skip")
 
 
-@dataclass(frozen=True)
-class ColumnLayout:
+class ColumnLayout(NamedTuple):
     """Column positions within the delimited input files.
 
     Defaults match the published layout: activity files carry square id,
@@ -62,20 +60,22 @@ class ColumnLayout:
 DEFAULT_LAYOUT = ColumnLayout()
 
 
-@dataclass(frozen=True)
-class IngestConfig:
+class IngestConfig(NamedTuple):
     layout: ColumnLayout = DEFAULT_LAYOUT
     on_malformed: str = "abort"
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Half-open interval [start, end) in epoch milliseconds (UTC)."""
-
+class _TimeWindow(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
+
+class TimeWindow(Checked, _TimeWindow):
+    """Half-open interval [start, end) in epoch milliseconds (UTC)."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.start >= self.end:
             raise DomainError(
                 f"window start must precede end, got [{self.start}, {self.end})"
@@ -111,16 +111,14 @@ class InteractionRecord(NamedTuple):
     strength: float
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """A grid cell with its WGS84 polygon ring (closed, first == last)."""
 
     cell_id: int
     polygon: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class TrafficAggregate:
+class TrafficAggregate(NamedTuple):
     """Per-cell summed communication intensity over one window."""
 
     window: TimeWindow
@@ -129,8 +127,7 @@ class TrafficAggregate:
     in_window: int = 0
 
 
-@dataclass(frozen=True)
-class InteractionAggregate:
+class InteractionAggregate(NamedTuple):
     """Summed directional strength per ordered cell pair over one window.
 
     ``strengths`` holds every pair whose sum is above 0, or only those
@@ -146,16 +143,16 @@ class InteractionAggregate:
     pairs: int = 0
 
 
-@dataclass
-class ParseStats:
+class ParseStats(SimpleNamespace):
     """Mutable line counters, filled in by the parsers when supplied."""
 
-    lines: int = 0
-    parsed: int = 0
-    skipped: int = 0
+    def __init__(self, lines: int = 0, parsed: int = 0, skipped: int = 0):
+        super().__init__(lines=lines, parsed=parsed, skipped=skipped)
 
 
 _GZIP_MAGIC = b"\x1f\x8b"
+# what reading a text input can raise, each reported as UnreadableInputError
+_READ_ERRORS = (OSError, UnicodeDecodeError, EOFError, zlib.error)
 
 
 def _is_gzip(path) -> bool:
@@ -173,7 +170,7 @@ def open_text(path) -> Iterator[IO[str]]:
     with (gzip.open if _is_gzip(path) else open)(path, "rt", encoding="utf-8") as handle:
         try:
             yield handle
-        except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
+        except _READ_ERRORS as exc:
             raise UnreadableInputError(f"cannot read {path}: {exc}") from None
 
 
@@ -314,34 +311,127 @@ def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> 
     return _checked_record(InteractionRecord, INTERACTION_COLUMNS, fields, layout, path, line_no)
 
 
+# Lines converted in one pass by _block_records; a module constant, not a knob.
+_BLOCK_LINES = 1024
+
+# maps an empty field to "0", which converts to its _EMPTY_VALUES value, and
+# any other field to itself
+_EMPTY_AS_ZERO = {"": "0"}.get
+
+
+def _converted_column(raw: list[str], kind: str) -> list | None:
+    """A column of fields of ``kind`` converted as :func:`_activity_record`
+    converts one field, or None when one does not convert or a value fails
+    the range check of its kind."""
+    convert = float if kind == "quantity" else int
+    try:
+        column = list(map(convert, raw))
+    except ValueError:
+        if kind not in _EMPTY_VALUES:
+            return None
+        try:
+            column = list(map(convert, map(_EMPTY_AS_ZERO, raw, raw)))
+        except ValueError:
+            return None
+    if kind == "id":
+        return column if min(column) > 0 else None
+    if kind == "quantity":
+        # min can pass over a nan, but a sum holding nan or inf is not below inf
+        return column if min(column) >= 0.0 and sum(column) < math.inf else None
+    return column
+
+
+def _block_records(record_type, columns, layout: ColumnLayout):
+    """A converter of a block of lines into an iterator of ``record_type``
+    records, built a column at a time at C speed; it gives None for a block
+    it refuses.
+
+    Every record equals the one the line's own ``_*_record`` builder gives.
+    A block is refused unless its lines all end in a newline and have the
+    same number of fields, enough for ``layout``, and unless every column
+    converts and passes the range check of its kind.
+    """
+    delimiter = layout.delimiter
+    where = {field: (getattr(layout, attr), kind) for field, attr, _, kind in columns}
+    plan = [where[field] for field in record_type._fields]
+    width = max(index for index, _ in plan) + 1
+    record_types = itertools.repeat(record_type)
+
+    def convert(lines: list[str]):
+        counts = set(map(str.count, lines, itertools.repeat(delimiter)))
+        if len(counts) != 1 or delimiter == "\n" or not lines[-1].endswith("\n"):
+            return None
+        step = counts.pop() + 1
+        if step < width:
+            return None
+        stop = len(lines) * step
+        # the fields of line i are flat[i * step:(i + 1) * step]
+        flat = "".join(lines).replace("\n", delimiter).split(delimiter)
+        values = []
+        for index, kind in plan:
+            column = _converted_column(flat[index:stop:step], kind)
+            if column is None:
+                return None
+            values.append(column)
+        return map(_new_record, record_types, zip(*values))
+
+    return convert
+
+
 def _parse_lines(
-    path, record_fn, layout: ColumnLayout, on_malformed: str, stats: ParseStats | None,
-    share: tuple[int, int] = (0, 1),
+    path, record_type, columns, record_fn, layout: ColumnLayout, on_malformed: str,
+    stats: ParseStats | None, share: tuple[int, int] = (0, 1),
 ) -> Iterator:
-    """Yield ``record_fn(line, layout, path, line_no)`` for each line of ``path``.
+    """Yield a ``record_type`` record for each line of ``path``.
 
     Owns the malformed-line policy and the :class:`ParseStats` counting
     shared by :func:`parse_activity` and :func:`parse_interactions`.  With
     ``share`` ``(k, count)`` only the lines k + 1, k + 1 + count, ... are
     parsed, under the file's own line numbers; the others are read past.
+    The lines are read ``_BLOCK_LINES`` at a time and each block is
+    converted by :func:`_block_records`.  A block it refuses is parsed a
+    line at a time by ``record_fn(line, layout, path, line_no)``, which
+    names the first bad line.  When reading a block fails, the lines read
+    before the failure are parsed before the error is raised, so the first
+    error is the one a line-by-line read meets.
     """
     _check_policy(on_malformed)
     if stats is None:
         stats = ParseStats()
+    convert = _block_records(record_type, columns, layout)
     k, count = share
+    first = k + 1  # the line number of the block's first line
     with open_text(path) as handle:
         lines = itertools.islice(handle, k, None, count)
-        for line_no, line in zip(itertools.count(k + 1, count), lines):
-            stats.lines += 1
+        while True:
+            block: list[str] = []
+            error = None
             try:
-                record = record_fn(line.rstrip("\r\n"), layout, path, line_no)
-            except ParseError:
-                if on_malformed == "abort":
-                    raise
-                stats.skipped += 1
-                continue
-            stats.parsed += 1
-            yield record
+                block.extend(itertools.islice(lines, _BLOCK_LINES))
+            except _READ_ERRORS as exc:
+                error = exc
+            records = convert(block) if block else None
+            if records is not None:
+                stats.lines += len(block)
+                stats.parsed += len(block)
+                yield from records
+            else:
+                for line_no, line in zip(itertools.count(first, count), block):
+                    stats.lines += 1
+                    try:
+                        record = record_fn(line.rstrip("\r\n"), layout, path, line_no)
+                    except ParseError:
+                        if on_malformed == "abort":
+                            raise
+                        stats.skipped += 1
+                        continue
+                    stats.parsed += 1
+                    yield record
+            if error is not None:
+                raise error
+            if len(block) < _BLOCK_LINES:
+                return
+            first += _BLOCK_LINES * count
 
 
 def parse_activity(
@@ -362,7 +452,9 @@ def parse_activity(
         share: ``(k, count)`` parses only every count-th line from line
             k + 1 on; errors give the file's own line numbers.
     """
-    return _parse_lines(path, _activity_record, layout, on_malformed, stats, share)
+    return _parse_lines(
+        path, ActivityRecord, ACTIVITY_COLUMNS, _activity_record, layout, on_malformed, stats, share
+    )
 
 
 def parse_interactions(
@@ -375,7 +467,10 @@ def parse_interactions(
 
     Same arguments and malformed-line policy as :func:`parse_activity`.
     """
-    return _parse_lines(path, _interaction_record, layout, on_malformed, stats)
+    return _parse_lines(
+        path, InteractionRecord, INTERACTION_COLUMNS, _interaction_record, layout, on_malformed,
+        stats,
+    )
 
 
 def _fmt(value: float) -> str:
@@ -679,8 +774,9 @@ def aggregate_interactions(
 
 
 # Smaller activity inputs are read in this process.  On a 2-core host a
-# forked read of an activity file (hundreds of records per cell) broke even
-# near 256 KB and took three quarters of the one-process time at 512 KB.
+# forked read of an activity file (hundreds of records per cell) breaks even
+# near 384 KiB with block conversion (near 256 KiB with per-line parsing)
+# and takes 0.86-0.97 of the one-process time at 512 KiB.
 # Interaction files are always read in this process: with one record per
 # pair, as in every file measured, the merge costs as much as the parse
 # saves.  The tables are in CHANGES.md.
@@ -720,7 +816,7 @@ def _reduce_share(terms, parse, paths, window: TimeWindow, cfg: IngestConfig):
     except (ParseError, UnreadableInputError):
         return None
     partials = {key: _exact_partials(values) for key, values in _keyed_values(single, multiple)}
-    return dataclasses.astuple(stats), partials, in_window
+    return (stats.lines, stats.parsed, stats.skipped), partials, in_window
 
 
 class _ShareFailed(Exception):
@@ -782,7 +878,7 @@ def load_aggregate(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: 
 
 _DELIMITER_NAMES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}
 
-_LAYOUT_KEYS = {f.name for f in dataclasses.fields(ColumnLayout)} - {"delimiter"}
+_LAYOUT_KEYS = set(ColumnLayout._fields) - {"delimiter"}
 
 
 def read_key_values(path) -> list[tuple[int, str, str]]:
@@ -837,4 +933,4 @@ def load_ingest_config(path) -> IngestConfig:
             overrides[key] = index
         else:
             raise ParseError(f"unknown config key {key!r}", path, line_no)
-    return IngestConfig(layout=dataclasses.replace(DEFAULT_LAYOUT, **overrides), on_malformed=on_malformed)
+    return IngestConfig(layout=DEFAULT_LAYOUT._replace(**overrides), on_malformed=on_malformed)

@@ -10,11 +10,11 @@ produce byte-identical files on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import Checked, DomainError
 from .fileio import atomic_write_text
 from .ingest import (
     ActivityRecord,
@@ -77,10 +77,7 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs of the generator; identical configs give identical bytes."""
-
+class _SynthConfig(NamedTuple):
     grid_side: int
     window: TimeWindow
     n_centers: int = 3
@@ -90,7 +87,13 @@ class SynthConfig:
     seed: int = 0
     records_per_cell: int = 4
 
-    def __post_init__(self):
+
+class SynthConfig(Checked, _SynthConfig):
+    """Knobs of the generator; identical configs give identical bytes."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.grid_side < 1:
             raise DomainError(f"grid_side must be at least 1, got {self.grid_side}")
         if self.n_centers < 0:
@@ -115,8 +118,7 @@ class SynthConfig:
             raise DomainError(f"records_per_cell must be at least 1, got {self.records_per_cell}")
 
 
-@dataclass(frozen=True)
-class SynthStats:
+class SynthStats(NamedTuple):
     """Deterministic counts of one run, for the manifest's ``diagnostics``."""
 
     cells: int
@@ -125,8 +127,7 @@ class SynthStats:
     pairs_scored: int
 
 
-@dataclass(frozen=True)
-class GeneratedCity:
+class GeneratedCity(NamedTuple):
     activity_path: Path
     interactions_path: Path
     grid_path: Path

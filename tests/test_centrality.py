@@ -615,6 +615,14 @@ class TestRank:
         assert [cell for cell, _ in rank(scores)] == [1, 2, 3]
 
 
+def test_scores_without_params_share_no_dict():
+    first, second = CentralityScores("degree", {1: 1.0}), CentralityScores("degree", {2: 1.0})
+    assert first.params == second.params == {}
+    first.params["iterations"] = 3
+    assert second.params == {} and CentralityScores("degree", {}).params == {}
+    assert CentralityScores("degree", {}, {"tol": 1e-9}).params == {"tol": 1e-9}
+
+
 class TestProperties:
     def test_permutation_equivariance(self):
         rng = random.Random(31)

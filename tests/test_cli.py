@@ -6,6 +6,9 @@ import inspect
 import json
 import os
 import shutil
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -722,6 +725,28 @@ class TestParallelIngest:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bad_line_before_undecodable_chunk_exits_one(self, tmp_path, monkeypatch, capsys,
+                                                          workers):
+        """A bad line in an earlier 8 KiB decode chunk than an undecodable byte
+        is the error a line-by-line read meets first, though one block holds both."""
+        city = run_synth(tmp_path, grid_side=8, records_per_cell=6)
+        lines = (city / "activity.tsv").read_bytes().splitlines(keepends=True)
+        lines[2] = b"7\t1384732800000\t39\tbad\n"
+        lines.insert(-1, b"\xff\n")
+        activity = tmp_path / "faulty.tsv"
+        activity.write_bytes(b"".join(lines))
+        assert sum(map(len, lines[:-2])) > 8192 and len(lines) < gridhot.ingest._BLOCK_LINES
+        ingest_workers(monkeypatch, workers)
+        capsys.readouterr()
+        argv = ["hotspots", "--activity", str(activity), *WEEK, "--p", "0.5",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"gridhot hotspots: malformed sms_in 'bad' ({activity}:3)\n"
+        assert not (tmp_path / "o").exists()
+        assert_no_children()
+
     def test_undecodable_later_range_exits_two(self, tmp_path, monkeypatch, capsys):
         city = run_synth(tmp_path)
         activity = city / "activity.tsv"
@@ -1182,3 +1207,75 @@ def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
         records = getattr(gridhot.cli, name)(path)
         assert inspect.isgenerator(records), name
         records.close()
+
+
+def test_import_generates_no_classes_at_start_up():
+    """Every command pays for its imports; records are named tuples, so
+    neither dataclasses nor the inspect module it needs is loaded."""
+    src = Path(gridhot.cli.__file__).resolve().parents[1]
+    probe = "import sys, gridhot.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+# Tiny synth configs for the chain fuzz; a second window that holds no records.
+TINY_CITIES = st.fixed_dictionaries({
+    "grid_side": st.integers(min_value=1, max_value=5),
+    "n_centers": st.integers(min_value=0, max_value=3),
+    "concentration": st.sampled_from([0.0, 1.0, 8.0, 1e6]),
+    "decay_radius": st.sampled_from([0.3, 1.0, 2.5, 40.0]),
+    "noise": st.sampled_from([0.0, 0.3, 1.0, 2.0]),
+    "seed": st.integers(min_value=0, max_value=2**32),
+    "records_per_cell": st.integers(min_value=1, max_value=3),
+})
+EMPTY_WEEK = ("--window-start", "2013-12-02", "--window-end", "2013-12-09")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    city=TINY_CITIES,
+    window=st.sampled_from([WEEK, WEEK, EMPTY_WEEK]),
+    cutoff=st.one_of(
+        st.integers(min_value=1, max_value=8).map(lambda k: ("--k", str(k))),
+        st.sampled_from(["0", "0.5", "1"]).map(lambda p: ("--p", p)),
+    ),
+    max_iter=st.sampled_from(["1", "10000"]),
+    variant=st.sampled_from(["weighted", "literal"]),
+)
+def test_chain_fuzz_exits_cleanly(capsys, city, window, cutoff, max_iter, variant):
+    """synth -> hotspots -> centrality -> compare -> heatmap on tiny cities:
+    each command exits 0, 1 or 2 without a traceback, and a centrality
+    manifest gives every metric a status."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        city_dir = root / "city"
+        hotspots = str(root / "hs" / "hotspots.csv")
+        steps = [
+            ["synth", "--config", str(synth_config(root, **city)), "--out", str(city_dir)],
+            ["hotspots", "--activity", str(city_dir / "activity.tsv"), *window, *cutoff,
+             "--grid", str(city_dir / "grid.geojson"), "--out", str(root / "hs")],
+            ["centrality", "--interactions", str(city_dir / "interactions.tsv"),
+             "--hotspots", hotspots, *window, "--max-iter", max_iter,
+             "--pagerank-variant", variant, "--out", str(root / "cen")],
+            ["compare", str(root / "cen" / "centrality.csv"), str(root / "cen" / "centrality.csv"),
+             "--out", str(root / "cmp")],
+            ["heatmap", "--activity", str(city_dir / "activity.tsv"),
+             "--grid", str(city_dir / "grid.geojson"), *window, "--hotspots", hotspots,
+             "--out", str(root / "heat.geojson")],
+        ]
+        for argv in steps:
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err, err
+        manifest = root / "cen" / "manifest.json"
+        if manifest.exists():
+            doc = json.loads(manifest.read_text())
+            metrics = set(gridhot.centrality.METRICS)
+            assert set(doc["status"]) == set(doc["config"]["metrics"]) == metrics
+            assert all(s == "ok" or s.startswith("error: ") for s in doc["status"].values())

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gzip
 import json
@@ -316,7 +315,7 @@ def test_malformed_row_message(kind, line, message):
 def test_column_tables_cover_layout_and_records():
     """A new layout column cannot land without a validation rule."""
     attrs = [attr for _, attr, _, _ in ACTIVITY_COLUMNS + INTERACTION_COLUMNS]
-    layout_fields = [f.name for f in dataclasses.fields(ColumnLayout) if f.name != "delimiter"]
+    layout_fields = [name for name in ColumnLayout._fields if name != "delimiter"]
     assert sorted(attrs) == sorted(layout_fields)
     assert {field for field, *_ in ACTIVITY_COLUMNS} == set(ActivityRecord._fields)
     assert {field for field, *_ in INTERACTION_COLUMNS} == set(InteractionRecord._fields)
@@ -622,6 +621,11 @@ class TestWindow:
     def test_degenerate_window_rejected(self):
         with pytest.raises(DomainError):
             TimeWindow(5, 5)
+        # every construction is checked, _replace and keyword arguments included
+        with pytest.raises(DomainError, match=r"^window start must precede end, got \[5, 4\)$"):
+            TimeWindow(1, 4)._replace(start=5)
+        with pytest.raises(DomainError):
+            TimeWindow(end=1, start=2)
 
     def test_parse_epoch_ms_forms(self):
         assert parse_epoch_ms("1383260400000") == 1383260400000
@@ -980,3 +984,151 @@ def test_random_files_any_range_count(kinds, newline, trailing, workers, policy,
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_bytes(Path(tmp), "r.tsv", data)
         assert _loaded("activity", [path], workers, policy) == _loaded("activity", [path], 1, policy)
+
+
+# Block conversion against the per-line loop it stands in for.  The reference
+# read refuses every block, so each line goes through its record builder.
+def _line_at_a_time(patch):
+    patch.setattr(ingest, "_block_records", lambda *args: lambda lines: None)
+
+
+def _parsed(parse, path, layout, policy):
+    """Records as float.hex with their type, and the counters; or the error."""
+    stats = ParseStats()
+    try:
+        records = [
+            (type(r).__name__, *(v.hex() if isinstance(v, float) else v for v in r))
+            for r in parse(path, layout, policy, stats)
+        ]
+    except GridhotError as exc:
+        return type(exc).__name__, str(exc)
+    return records, stats
+
+
+def _column_kinds(columns, layout, width=8):
+    kinds = ["any"] * width
+    for _, attr, _, kind in columns:
+        kinds[getattr(layout, attr)] = kind
+    return kinds
+
+
+# well-formed text per column kind; "any" is a column no record field reads
+WELL_FORMED = {
+    "id": st.integers(min_value=1, max_value=10**7).map(str),
+    "time": st.integers(min_value=-(10**13), max_value=10**13).map(str),
+    "code": st.one_of(st.just(""), st.integers(min_value=-5, max_value=999).map(str)),
+    "quantity": st.one_of(
+        st.just(""), st.just("-0.0"), st.floats(min_value=0, max_value=1e300).map(repr)
+    ),
+    "any": st.sampled_from(["", "x", "1.5"]),
+}
+# a field put in place of a well-formed one: values each kind rejects or
+# reads only through the checked path, among them empty and padded fields,
+# nan, inf, negatives and ids of 0 and below; -0.0 is a valid quantity
+ODD_FIELDS = {
+    "id": ["0", "-0", "-7", " 0", "", " ", "1.0"],
+    "time": ["", " ", "1.5", "x"],
+    "code": [" ", "\xa0", "IT", "1.0"],
+    "quantity": ["nan", "-nan", "inf", "-inf", "-1e-300", "-2", " ", "\xa0", "1e309", " 3 "],
+}
+ODD_FIELD = st.one_of(EDGE_TEXT, st.tuples(PADDING, NUMBER_TEXT, PADDING).map("".join))
+
+
+@st.composite
+def block_lines(draw, kinds):
+    """Rows of fields: mostly well formed, some with an odd field, a column
+    too few or too many, or blank."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        row = [draw(WELL_FORMED[kind]) for kind in kinds]
+        shape = draw(st.sampled_from(["good"] * 6 + ["odd", "short", "long", "blank"]))
+        if shape == "odd":
+            index = draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind != "any"]))
+            row[index] = draw(st.sampled_from(ODD_FIELDS[kinds[index]]) | ODD_FIELD)
+        elif shape == "short":
+            row = row[: draw(st.integers(min_value=0, max_value=len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(FIELD_TEXT, min_size=1, max_size=2))
+        elif shape == "blank":
+            row = []
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "comma"])
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), trailing=st.booleans(), policy=st.sampled_from(["abort", "skip"]))
+def test_blocks_match_line_at_a_time(kind, layout, data, trailing, policy):
+    parse = PARSERS[kind][0]
+    columns = ACTIVITY_COLUMNS if kind == "activity" else INTERACTION_COLUMNS
+    rows = data.draw(block_lines(_column_kinds(columns, layout)), label="rows")
+    lines = [layout.delimiter.join(row) for row in rows]
+    text = "\n".join(lines) + ("\n" if trailing and lines else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp), "b.tsv", text)
+        with pytest.MonkeyPatch.context() as patch:
+            _line_at_a_time(patch)
+            expected = _parsed(parse, path, layout, policy)
+        for size in (1, 2, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_BLOCK_LINES", size)
+                assert _parsed(parse, path, layout, policy) == expected, size
+
+
+# a full row of each kind, with an empty quantity field, as a record
+FULL_ROWS = {
+    "activity": (
+        ActivityRecord, ACTIVITY_COLUMNS, "5\t1000\t39\t1.5\t\t0.25\t\t2",
+        ActivityRecord(5, 1000, 1.5, 0.0, 0.25, 0.0, 2.0, 39),
+    ),
+    "interactions": (
+        InteractionRecord, INTERACTION_COLUMNS, "5\t7\t1000\t", InteractionRecord(5, 7, 1000, 0.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_ROWS))
+def test_well_formed_blocks_are_converted(kind):
+    """The property above compares converted blocks, not only refused ones."""
+    record_type, columns, row, record = FULL_ROWS[kind]
+    convert = ingest._block_records(record_type, columns, DEFAULT_LAYOUT)
+    converted = list(convert([row + "\n", row + "\n"]))
+    assert converted == [record, record] and type(converted[0]) is record_type
+    # a bad value, a line without its newline, uneven field counts, too few fields
+    for lines in (["-" + row + "\n"], [row], [row + "\n", row + "\t\n"], ["5\t1000\n"]):
+        assert convert([row + "\n", *lines]) is None, lines
+
+
+@pytest.mark.parametrize("policy", ["abort", "skip"])
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_edge_files_in_small_blocks(tmp_path, name, policy):
+    """Blocks smaller than the files, at 1, 2 and 3 workers, read as one
+    process does a line at a time."""
+    paths = [_write_bytes(tmp_path, f"{i}.tsv", data) for i, data in enumerate(EDGE_FILES[name])]
+    with pytest.MonkeyPatch.context() as patch:
+        _line_at_a_time(patch)
+        expected = _loaded("activity", paths, 1, policy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK_LINES", 3)
+        for workers in (1, 2, 3):
+            assert _loaded("activity", paths, workers, policy) == expected, workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bad_line_in_earlier_chunk_than_undecodable_byte(tmp_path, workers):
+    """Both in one block, but a line-by-line read parses the bad line before it
+    decodes the chunk holding the byte, so the bad line is the error."""
+    lines = [line + "\n" for line in LONG]
+    lines[5] = BAD + "\n"
+    data = "".join(lines).encode()
+    at = len(data) - len(lines[-1])
+    data = data[:at] + b"\xff\n" + data[at:]
+    assert data.index(BAD.encode()) < 8192 < at and data.count(b"\n") < ingest._BLOCK_LINES
+    path = _write_bytes(tmp_path, "a.tsv", data)
+    assert _loaded("activity", [path], workers) == (
+        "ParseError", f"malformed sms_in 'not-a-number' ({path}:6)"
+    )
+    # with the bad line skipped, the undecodable byte is the error
+    kind, message = _loaded("activity", [path], workers, "skip")
+    assert kind == "UnreadableInputError" and message.startswith(f"cannot read {path}: ")

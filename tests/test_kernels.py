@@ -39,7 +39,7 @@ def _outcome(run, *args, **kwargs):
         result = run(*args, **kwargs)
     except (ArithmeticError, ValueError, DomainError, ConvergenceError) as exc:
         return type(exc), str(exc), _hex(getattr(exc, "residual", None))
-    return _hex(vars(result))
+    return _hex(result._asdict())
 
 
 def _assert_same_passes(g: WeightedGraph):
