@@ -253,62 +253,8 @@ def _checked_record(
 
 
 # Building a record with tuple.__new__ skips the argument binding of the
-# named tuple's generated constructor, about a fifth of a well-formed line's cost.
+# named tuple's generated constructor, about a fifth of a converted line's cost.
 _new_record = tuple.__new__
-
-
-def _activity_record(line: str, layout: ColumnLayout, path, line_no: int) -> ActivityRecord:
-    fields = line.split(layout.delimiter)
-    # Fast path: int() and float() strip surrounding whitespace themselves,
-    # and an empty quantity column reads 0.  A line they raise on, or that
-    # fails the range check, is re-read by _checked_record, which owns every
-    # validation rule and error message.
-    try:
-        cell_id = int(fields[layout.square_id])
-        timestamp = int(fields[layout.time])
-        country = fields[layout.country_code]
-        country = int(country) if country else 0
-        sms_in = fields[layout.sms_in]
-        sms_in = float(sms_in) if sms_in else 0.0
-        sms_out = fields[layout.sms_out]
-        sms_out = float(sms_out) if sms_out else 0.0
-        call_in = fields[layout.call_in]
-        call_in = float(call_in) if call_in else 0.0
-        call_out = fields[layout.call_out]
-        call_out = float(call_out) if call_out else 0.0
-        internet = fields[layout.internet]
-        internet = float(internet) if internet else 0.0
-    except (ValueError, IndexError):
-        return _checked_record(ActivityRecord, ACTIVITY_COLUMNS, fields, layout, path, line_no)
-    if (
-        cell_id > 0
-        and 0.0 <= sms_in < math.inf
-        and 0.0 <= sms_out < math.inf
-        and 0.0 <= call_in < math.inf
-        and 0.0 <= call_out < math.inf
-        and 0.0 <= internet < math.inf
-    ):
-        return _new_record(
-            ActivityRecord,
-            (cell_id, timestamp, sms_in, sms_out, call_in, call_out, internet, country),
-        )
-    return _checked_record(ActivityRecord, ACTIVITY_COLUMNS, fields, layout, path, line_no)
-
-
-def _interaction_record(line: str, layout: ColumnLayout, path, line_no: int) -> InteractionRecord:
-    fields = line.split(layout.delimiter)
-    # the same fast path as _activity_record
-    try:
-        src = int(fields[layout.src_id])
-        dst = int(fields[layout.dst_id])
-        timestamp = int(fields[layout.interaction_time])
-        strength = fields[layout.strength]
-        strength = float(strength) if strength else 0.0
-    except (ValueError, IndexError):
-        return _checked_record(InteractionRecord, INTERACTION_COLUMNS, fields, layout, path, line_no)
-    if src > 0 and dst > 0 and 0.0 <= strength < math.inf:
-        return _new_record(InteractionRecord, (src, dst, timestamp, strength))
-    return _checked_record(InteractionRecord, INTERACTION_COLUMNS, fields, layout, path, line_no)
 
 
 # Lines converted in one pass by _block_records; a module constant, not a knob.
@@ -320,7 +266,7 @@ _EMPTY_AS_ZERO = {"": "0"}.get
 
 
 def _converted_column(raw: list[str], kind: str) -> list | None:
-    """A column of fields of ``kind`` converted as :func:`_activity_record`
+    """A column of fields of ``kind`` converted as :func:`_checked_record`
     converts one field, or None when one does not convert or a value fails
     the range check of its kind."""
     convert = float if kind == "quantity" else int
@@ -346,7 +292,7 @@ def _block_records(record_type, columns, layout: ColumnLayout):
     records, built a column at a time at C speed; it gives None for a block
     it refuses.
 
-    Every record equals the one the line's own ``_*_record`` builder gives.
+    Every record equals the one :func:`_checked_record` gives for its line.
     A block is refused unless its lines all end in a newline and have the
     same number of fields, enough for ``layout``, and unless every column
     converts and passes the range check of its kind.
@@ -379,7 +325,7 @@ def _block_records(record_type, columns, layout: ColumnLayout):
 
 
 def _parse_lines(
-    path, record_type, columns, record_fn, layout: ColumnLayout, on_malformed: str,
+    path, record_type, columns, layout: ColumnLayout, on_malformed: str,
     stats: ParseStats | None, share: tuple[int, int] = (0, 1),
 ) -> Iterator:
     """Yield a ``record_type`` record for each line of ``path``.
@@ -390,15 +336,16 @@ def _parse_lines(
     parsed, under the file's own line numbers; the others are read past.
     The lines are read ``_BLOCK_LINES`` at a time and each block is
     converted by :func:`_block_records`.  A block it refuses is parsed a
-    line at a time by ``record_fn(line, layout, path, line_no)``, which
-    names the first bad line.  When reading a block fails, the lines read
-    before the failure are parsed before the error is raised, so the first
-    error is the one a line-by-line read meets.
+    line at a time by :func:`_checked_record`, which names the first bad
+    line.  When reading a block fails, the lines read before the failure
+    are parsed before the error is raised, so the first error is the one a
+    line-by-line read meets.
     """
     _check_policy(on_malformed)
     if stats is None:
         stats = ParseStats()
     convert = _block_records(record_type, columns, layout)
+    delimiter = layout.delimiter
     k, count = share
     first = k + 1  # the line number of the block's first line
     with open_text(path) as handle:
@@ -418,8 +365,11 @@ def _parse_lines(
             else:
                 for line_no, line in zip(itertools.count(first, count), block):
                     stats.lines += 1
+                    fields = line.rstrip("\r\n").split(delimiter)
                     try:
-                        record = record_fn(line.rstrip("\r\n"), layout, path, line_no)
+                        record = _checked_record(
+                            record_type, columns, fields, layout, path, line_no
+                        )
                     except ParseError:
                         if on_malformed == "abort":
                             raise
@@ -453,7 +403,7 @@ def parse_activity(
             k + 1 on; errors give the file's own line numbers.
     """
     return _parse_lines(
-        path, ActivityRecord, ACTIVITY_COLUMNS, _activity_record, layout, on_malformed, stats, share
+        path, ActivityRecord, ACTIVITY_COLUMNS, layout, on_malformed, stats, share
     )
 
 
@@ -467,10 +417,7 @@ def parse_interactions(
 
     Same arguments and malformed-line policy as :func:`parse_activity`.
     """
-    return _parse_lines(
-        path, InteractionRecord, INTERACTION_COLUMNS, _interaction_record, layout, on_malformed,
-        stats,
-    )
+    return _parse_lines(path, InteractionRecord, INTERACTION_COLUMNS, layout, on_malformed, stats)
 
 
 def _fmt(value: float) -> str:

@@ -39,10 +39,8 @@ from gridhot.ingest import (
     parse_epoch_ms,
     parse_grid,
     parse_interactions,
-    _activity_record,
     _checked_record,
     _exact_partials,
-    _interaction_record,
 )
 
 WINDOW = TimeWindow(1_000, 2_000)
@@ -187,7 +185,7 @@ class TestParseLoop:
         assert (stats.lines, stats.parsed, stats.skipped) == (2, 1, 1)
 
 
-# Differential check of the record builders' fast path against the checked,
+# Differential check of the fast path, block conversion, against the checked,
 # field-by-field path that owns the validation rules.
 PADDING = st.sampled_from(["", " ", "  ", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\u3000"])
 EDGE_VALUES = [
@@ -213,7 +211,7 @@ CLEAN_TEXT = st.one_of(
     st.floats(min_value=0, max_value=1e6).map(repr),
     st.just(""),
 )
-# Eight columns fill either builder's layout: mostly well formed, sometimes
+# Eight columns fill either record's layout: mostly well formed, sometimes
 # cut short, sometimes with extra columns.
 ROWS = st.tuples(
     st.lists(st.one_of(CLEAN_TEXT, CLEAN_TEXT, CLEAN_TEXT, FIELD_TEXT), min_size=8, max_size=8),
@@ -228,15 +226,9 @@ LAYOUTS = [
         call_in=4, call_out=5, internet=6, src_id=2, dst_id=0, interaction_time=3, strength=1,
     ),
 ]
-BUILDERS = {
-    "activity": (
-        _activity_record,
-        functools.partial(_checked_record, ActivityRecord, ACTIVITY_COLUMNS),
-    ),
-    "interactions": (
-        _interaction_record,
-        functools.partial(_checked_record, InteractionRecord, INTERACTION_COLUMNS),
-    ),
+SCHEMAS = {
+    "activity": (ActivityRecord, ACTIVITY_COLUMNS),
+    "interactions": (InteractionRecord, INTERACTION_COLUMNS),
 }
 
 
@@ -249,28 +241,33 @@ def _outcome(build, *args):
     return (type(record).__name__, repr(record))
 
 
+def _fast_agrees(kind, layout, line, line_no):
+    """A one-line block is refused, or converts to the record the checked
+    path gives; a line the checked path rejects is always refused."""
+    record_type, columns = SCHEMAS[kind]
+    checked = functools.partial(_checked_record, record_type, columns)
+    expected = _outcome(checked, line.split(layout.delimiter), layout, "x.tsv", line_no)
+    records = ingest._block_records(record_type, columns, layout)([line + "\n"])
+    return records is None or _outcome(next, records) == expected
+
+
 @pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "comma"])
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
 @settings(max_examples=200)
 @given(columns=ROWS, line_no=st.integers(min_value=1, max_value=10**6))
 def test_fast_path_matches_checked_path(kind, layout, columns, line_no):
-    fast, checked = BUILDERS[kind]
-    line = layout.delimiter.join(columns)
-    expected = _outcome(checked, line.split(layout.delimiter), layout, "x.tsv", line_no)
-    assert _outcome(fast, line, layout, "x.tsv", line_no) == expected
+    assert _fast_agrees(kind, layout, layout.delimiter.join(columns), line_no)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS, ids=["default", "comma"])
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
 def test_fast_path_matches_checked_path_each_column(kind, layout):
     """Every edge value in every column of an otherwise clean row."""
-    fast, checked = BUILDERS[kind]
     clean = ["5", "1000", "39", "1.5", "", "0.25", "", "2"]
     for index in range(len(clean)):
         for value in EDGE_VALUES:
             line = layout.delimiter.join(clean[:index] + [value] + clean[index + 1 :])
-            expected = _outcome(checked, line.split(layout.delimiter), layout, "x.tsv", 7)
-            assert _outcome(fast, line, layout, "x.tsv", 7) == expected, line
+            assert _fast_agrees(kind, layout, line, 7), line
 
 
 # One malformed row per column kind (id, time, code, quantity) for each record
@@ -304,11 +301,12 @@ MESSAGE_CASES = [
 
 
 @pytest.mark.parametrize("kind, line, message", MESSAGE_CASES)
-def test_malformed_row_message(kind, line, message):
-    fast, _ = BUILDERS[kind]
+def test_malformed_row_message(tmp_path, kind, line, message):
+    parse, good, _ = PARSERS[kind]
+    path = write(tmp_path, "x.tsv", f"{good}\n" * 6 + f"{line}\n")
     with pytest.raises(ParseError) as info:
-        fast(line, DEFAULT_LAYOUT, "x.tsv", 7)
-    assert str(info.value) == f"{message} (x.tsv:7)"
+        list(parse(path))
+    assert str(info.value) == f"{message} ({path}:7)"
     assert info.value.line_no == 7
 
 
@@ -987,7 +985,7 @@ def test_random_files_any_range_count(kinds, newline, trailing, workers, policy,
 
 
 # Block conversion against the per-line loop it stands in for.  The reference
-# read refuses every block, so each line goes through its record builder.
+# read refuses every block, so each line goes through _checked_record.
 def _line_at_a_time(patch):
     patch.setattr(ingest, "_block_records", lambda *args: lambda lines: None)
 
