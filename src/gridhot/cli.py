@@ -376,7 +376,7 @@ def cmd_centrality(args) -> int:
     window = _window(args)
     members = _read_hotspots_csv(args.hotspots)
 
-    # only the pairs between hotspots are summed; the others are checked and counted
+    # only the pairs between hotspots are summed; the others' records are counted
     aggregate = functools.partial(aggregate_interactions, members=members)
     interactions, counts = _load_records(
         args.command, "interaction", parse_interactions, aggregate, args.interactions, window, cfg
@@ -426,7 +426,7 @@ def cmd_centrality(args) -> int:
         [out_dir / "centrality.csv", out_dir / "rankings.csv"],
         status=status,
         diagnostics={
-            "ingest": {**counts, "pairs": interactions.pairs},
+            "ingest": counts,
             "graph": {
                 "nodes": graph.n,
                 "edges": len(undirected.edges) // 2,

@@ -132,15 +132,13 @@ class InteractionAggregate(NamedTuple):
 
     ``strengths`` holds every pair whose sum is above 0, or only those
     between members when :func:`aggregate_interactions` was given a member
-    set; ``pairs`` counts them all, kept or not.
+    set.
     """
 
     window: TimeWindow
     strengths: dict[tuple[int, int], float]
     # in-window records, zero-sum and unkept pairs included; 0 when built by hand
     in_window: int = 0
-    # pairs whose in-window strengths sum above 0, kept or not; 0 when built by hand
-    pairs: int = 0
 
 
 class ParseStats(SimpleNamespace):
@@ -584,34 +582,25 @@ def _interaction_terms(records: Iterable[InteractionRecord]):
 _float_array = partial(array, "d")
 
 
-def _window_values(terms, window: TimeWindow) -> tuple[dict, defaultdict, int]:
+def _window_values(terms, window: TimeWindow, keep=None) -> tuple[defaultdict, int]:
     """The values of in-window ``(key, timestamp, value)`` terms, per key.
 
     The one reducer behind both aggregates, in this process and in the
-    workers of :func:`load_aggregate`.  A key's first value is kept as a
-    float; from its second on, all its values go to an ``array('d')``, at
-    8 bytes a value.  Returns the keys seen once with their value, the keys
-    seen more often with their arrays, and the number of values.
+    workers of :func:`load_aggregate`.  Each key's values go to one
+    ``array('d')``, at 8 bytes a value.  With ``keep``, a predicate on
+    keys, only the keys it accepts have their values stored.  Returns the
+    arrays and the number of in-window terms, stored or not.
     """
     start, end = window.start, window.end
-    single: dict = {}
-    multiple: defaultdict = defaultdict(_float_array)
+    values: defaultdict = defaultdict(_float_array)
+    dropped = 0
     for key, timestamp, value in terms:
         if start <= timestamp < end:
-            if key in single:
-                multiple[key].append(value)
+            if keep is None or keep(key):
+                values[key].append(value)
             else:
-                single[key] = value
-    # a key seen again has its first value still in single
-    for key, values in multiple.items():
-        values.append(single.pop(key))
-    return single, multiple, len(single) + sum(map(len, multiple.values()))
-
-
-def _keyed_values(single: dict, multiple: dict):
-    """``(key, values)`` for every key of :func:`_window_values`' two maps,
-    a single value in a 1-tuple."""
-    return itertools.chain(zip(single, zip(single.values())), multiple.items())
+                dropped += 1
+    return values, dropped + sum(map(len, values.values()))
 
 
 def _exact_partials(values: Sequence[float]) -> list[float]:
@@ -636,43 +625,31 @@ def _exact_partials(values: Sequence[float]) -> list[float]:
     return partials
 
 
-def _window_sums(terms, window: TimeWindow, ranges, name, summed=None) -> tuple[dict, int, int]:
+def _window_sums(terms, window: TimeWindow, ranges, name, keep=None) -> tuple[dict, int]:
     """``math.fsum`` per key of the in-window terms and of ``ranges``, in key order.
 
     ``ranges`` holds ``(partials, in_window)`` pairs from other parts of the
-    same inputs, with per-key :func:`_exact_partials`.  ``name(key)`` names
-    the first key, in key order, whose sum is not finite in the
-    :class:`DomainError` raised for it.  With ``summed``, a predicate on
-    keys, only the keys it accepts are in the sums; the others are checked
-    and counted all the same.  Returns the sums, the number of keys whose
-    sum is above 0 and the number of in-window terms.
+    same inputs, with per-key :func:`_exact_partials`.  ``keep`` is that of
+    :func:`_window_values`: the keys it rejects are counted, never summed.
+    ``name(key)`` names the first summed key, in key order, whose sum is
+    not finite in the :class:`DomainError` raised for it.  Returns the sums
+    and the number of in-window terms.
     """
-    single, multiple, in_window = _window_values(terms, window)
+    values, in_window = _window_values(terms, window, keep)
     for partials, count in ranges:
         in_window += count
-        for key, values in partials.items():
-            merged = multiple[key]
-            if key in single:
-                merged.append(single.pop(key))
-            merged.extend(values)
+        for key, more in partials.items():
+            values[key].extend(more)
     sums = {}
-    positive = 0
-    past = None
-    for key, values in _keyed_values(single, multiple):
+    for key in sorted(values):
         try:
-            total = math.fsum(values)
+            total = math.fsum(values[key])
         except OverflowError:
             total = math.inf
         if not total < math.inf:
-            if past is None or key < past:
-                past = key
-        elif total > 0.0:
-            positive += 1
-        if summed is None or summed(key):
-            sums[key] = total
-    if past is not None:
-        raise DomainError(f"in-window {name(past)} sums past the largest float")
-    return dict(sorted(sums.items())), positive, in_window
+            raise DomainError(f"in-window {name(key)} sums past the largest float")
+        sums[key] = total
+    return sums, in_window
 
 
 def aggregate_traffic(
@@ -688,7 +665,7 @@ def aggregate_traffic(
     A cell whose sum overflows raises :class:`DomainError`.  Each cell's
     values are held as 8-byte doubles until they are summed.
     """
-    intensities, _, in_window = _window_sums(
+    intensities, in_window = _window_sums(
         _activity_terms(records), window, ranges, lambda cell: f"activity of cell {cell}"
     )
     return TrafficAggregate(window=window, intensities=intensities, in_window=in_window)
@@ -703,21 +680,17 @@ def aggregate_interactions(
 
     Pairs whose strengths sum to zero are omitted.  Order-independent and
     overflow-checked like :func:`aggregate_traffic`.  With ``members``, a
-    set of cell ids, only the pairs whose two ends are members are kept in
-    ``strengths``.  Every other in-window pair is still checked, so the
-    first pair in (src, dst) order whose sum overflows raises whether it
-    is kept or not, and counted in ``pairs`` when its sum is above 0; a
-    pair seen once costs one float until then.
+    set of cell ids, only the pairs whose two ends are members are summed,
+    checked and kept, so memory grows with those pairs alone; the records
+    of every other pair are counted in ``in_window`` and dropped.
     """
-    summed = None if members is None else frozenset(members).issuperset
-    sums, positive, in_window = _window_sums(
+    keep = None if members is None else frozenset(members).issuperset
+    sums, in_window = _window_sums(
         _interaction_terms(records), window, (),
-        lambda pair: f"strength of pair {pair[0]} -> {pair[1]}", summed,
+        lambda pair: f"strength of pair {pair[0]} -> {pair[1]}", keep,
     )
     strengths = {pair: total for pair, total in sums.items() if total > 0.0}
-    return InteractionAggregate(
-        window=window, strengths=strengths, in_window=in_window, pairs=positive
-    )
+    return InteractionAggregate(window=window, strengths=strengths, in_window=in_window)
 
 
 # Smaller activity inputs are read in this process.  On a 2-core host a
@@ -759,10 +732,10 @@ def _reduce_share(terms, parse, paths, window: TimeWindow, cfg: IngestConfig):
     stats = ParseStats()
     records = _records(parse, paths, cfg, stats)
     try:
-        single, multiple, in_window = _window_values(terms(records), window)
+        values, in_window = _window_values(terms(records), window)
     except (ParseError, UnreadableInputError):
         return None
-    partials = {key: _exact_partials(values) for key, values in _keyed_values(single, multiple)}
+    partials = {key: _exact_partials(key_values) for key, key_values in values.items()}
     return (stats.lines, stats.parsed, stats.skipped), partials, in_window
 
 

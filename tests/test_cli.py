@@ -401,7 +401,7 @@ class TestCentralityCommand:
         assert all(status == "ok" for status in manifest["status"].values())
         diagnostics = manifest["diagnostics"]
         assert sorted(diagnostics) == sorted([*manifest["status"], "ingest", "graph"])
-        assert set(diagnostics["ingest"]) == {"lines", "parsed", "skipped", "in_window", "pairs"}
+        assert set(diagnostics["ingest"]) == {"lines", "parsed", "skipped", "in_window"}
         assert diagnostics["closeness"]["on_component"] is False
         assert diagnostics["pagerank"]["iterations"] >= 1
         assert diagnostics["eigenvector"]["iterations"] >= 1
@@ -470,28 +470,51 @@ class TestCentralityCommand:
 
     @pytest.mark.parametrize(
         "overflowing, named",
-        [([(4, 9)], "4 -> 9"), ([(5, 2), (4, 9)], "4 -> 9"), ([(7, 1), (3, 2)], "3 -> 2")],
+        [([(4, 9)], None), ([(5, 2), (4, 9)], "5 -> 2"), ([(7, 1), (3, 2)], "3 -> 2")],
     )
-    def test_overflow_outside_hotspots_exits_one(self, tmp_path, capsys, overflowing, named):
-        # only pairs between hotspots 2, 3 and 5 are summed; every pair is checked
-        interactions = tmp_path / "interactions.tsv"
-        interactions.write_text(
-            "2\t3\t1384732800000\t1.0\n"
-            + "".join(
-                f"{src}\t{dst}\t{t}\t1e308\n"
-                for src, dst in overflowing for t in (1384732800000, 1384819200000)
-            ),
-            encoding="utf-8",
-        )
+    def test_overflow_between_hotspots_only_exits_one(
+        self, tmp_path, capsys, overflowing, named
+    ):
+        # only pairs between hotspots 2, 3 and 5 are summed and checked
+        base = "2\t3\t1384732800000\t1.0\n5\t3\t1384732800000\t2.0\n"
         hotspots = tmp_path / "hotspots.csv"
         hotspots.write_text("cell_id,intensity\n2,1.0\n3,1.0\n5,1.0\n")
-        out = tmp_path / "cen"
-        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
-                     str(hotspots), *WEEK, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"gridhot centrality: in-window strength of pair {named} sums past the largest float\n"
-        )
-        assert not out.exists()
+
+        def centrality(name, text):
+            interactions = tmp_path / f"{name}.tsv"
+            interactions.write_text(text, encoding="utf-8")
+            out = tmp_path / name
+            code = main(["centrality", "--interactions", str(interactions), "--hotspots",
+                         str(hotspots), *WEEK, "--out", str(out)])
+            return code, out
+
+        code, out = centrality("cen", base + "".join(
+            f"{src}\t{dst}\t{t}\t1e308\n"
+            for src, dst in overflowing for t in (1384732800000, 1384819200000)
+        ))
+        if named is not None:
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"gridhot centrality: in-window strength of pair {named} sums past the largest float\n"
+            )
+            assert not out.exists()
+            return
+        # a non-member pair's sum is never formed: the outputs are those of a
+        # run without it, and only the manifest's input digest and counts differ
+        assert code == 0
+        code, without = centrality("without", base)
+        assert code == 0
+        for name in ("centrality.csv", "rankings.csv"):
+            assert (out / name).read_bytes() == (without / name).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (out, without)]
+        assert [m["diagnostics"]["ingest"] for m in manifests] == [
+            {"lines": 4, "parsed": 4, "skipped": 0, "in_window": 4},
+            {"lines": 2, "parsed": 2, "skipped": 0, "in_window": 2},
+        ]
+        assert manifests[0]["status"] == manifests[1]["status"]
+        assert {**manifests[0]["diagnostics"], "ingest": None} == {
+            **manifests[1]["diagnostics"], "ingest": None
+        }
 
     def test_pairs_outside_hotspots_counted(self, tmp_path):
         lines = [
@@ -510,9 +533,8 @@ class TestCentralityCommand:
         assert main(["centrality", "--interactions", str(interactions), "--hotspots",
                      str(hotspots), *WEEK, "--out", str(out)]) == 0
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diagnostics["ingest"] == {
-            "lines": 10, "parsed": 10, "skipped": 0, "in_window": 9, "pairs": 4
-        }
+        # every in-window record is counted, its pair summed or not
+        assert diagnostics["ingest"] == {"lines": 10, "parsed": 10, "skipped": 0, "in_window": 9}
         assert diagnostics["graph"] == {"nodes": 3, "edges": 1, "components": 2}
 
     def test_metric_sums_past_largest_float_are_statuses(self, tmp_path):
@@ -1108,7 +1130,7 @@ DIAGNOSTICS = {
         "synth": {"cells": 36, "activity_lines": 72, "interaction_pairs": 720, "pairs_scored": 1062}
     },
     "cen/manifest.json": {
-        "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720, "pairs": 720},
+        "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720},
         "graph": {"nodes": 6, "edges": 15, "components": 1},
     },
     "heat.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},

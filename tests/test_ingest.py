@@ -442,7 +442,7 @@ class TestAggregation:
     def test_zero_sum_pairs_omitted(self):
         records = [InteractionRecord(1, 2, 1_100, 0.0)]
         agg = aggregate_interactions(records, WINDOW)
-        assert agg.strengths == {} and agg.in_window == 1 and agg.pairs == 0
+        assert agg.strengths == {} and agg.in_window == 1
 
     def test_members_keep_their_pairs_and_every_pair_is_counted(self):
         records = [
@@ -460,7 +460,8 @@ class TestAggregation:
         assert everything.strengths == {(1, 2): 3.0, (1, 9): 4.0, (9, 8): 1.0}
         agg = aggregate_interactions(iter(records), WINDOW, members={1, 2, 3})
         assert agg.strengths == {(1, 2): 3.0}
-        assert (agg.pairs, agg.in_window) == (3, 8) == (everything.pairs, everything.in_window)
+        # every in-window record is counted, its pair kept or not
+        assert agg.in_window == everything.in_window == 8
 
     @pytest.mark.parametrize(
         "pairs, named",
@@ -472,13 +473,23 @@ class TestAggregation:
         ],
     )
     def test_first_overflowing_pair_named_kept_or_not(self, pairs, named):
-        records = [InteractionRecord(1, 2, 1_100, 1.0)] + [
+        """Every pair is summed and checked without members; with them, only
+        the member pairs are, and a non-member pair's sum is never formed."""
+        base = [InteractionRecord(1, 2, 1_100, 1.0), InteractionRecord(9, 1, 1_150, 2.0)]
+        records = base + [
             InteractionRecord(src, dst, t, 1e308) for src, dst in pairs for t in (1_200, 1_300)
         ]
         message = rf"^in-window strength of pair {named[0]} -> {named[1]} sums past the largest float$"
-        for members in (None, {1, 2, 3}):
+        with pytest.raises(DomainError, match=message):
+            aggregate_interactions(records, WINDOW)
+        members = {1, 2, 3}
+        if members.issuperset(named):
             with pytest.raises(DomainError, match=message):
                 aggregate_interactions(records, WINDOW, members=members)
+        else:
+            agg = aggregate_interactions(records, WINDOW, members=members)
+            assert agg.strengths == aggregate_interactions(base, WINDOW, members=members).strengths
+            assert agg.in_window == len(records)
 
     def test_traffic_values_held_at_eight_bytes(self):
         # 100k fresh records in 4 cells: float objects in lists took 32 B a record
@@ -568,6 +579,30 @@ def test_window_partition_sums(records):
         for cell, value in part.items():
             recombined[cell] = recombined.get(cell, 0.0) + value
     assert recombined == whole
+
+
+# finite strengths whose sums over a few dozen records stay below the largest float
+interaction_records = st.builds(
+    InteractionRecord,
+    src_id=st.integers(min_value=1, max_value=6),
+    dst_id=st.integers(min_value=1, max_value=6),
+    timestamp=st.integers(min_value=0, max_value=3_000),
+    strength=st.floats(min_value=0, max_value=1e306) | st.just(-0.0),
+)
+
+
+@given(
+    st.lists(interaction_records, max_size=60),
+    st.frozensets(st.integers(min_value=1, max_value=6)),
+)
+def test_member_aggregate_is_the_restriction_of_the_whole(records, members):
+    whole = aggregate_interactions(records, WINDOW)
+    kept = aggregate_interactions(records, WINDOW, members=members)
+    assert [(pair, total.hex()) for pair, total in kept.strengths.items()] == [
+        (pair, total.hex()) for pair, total in whole.strengths.items()
+        if members.issuperset(pair)
+    ]
+    assert kept.in_window == whole.in_window
 
 
 def test_activity_round_trip_random(tmp_path):
@@ -799,6 +834,38 @@ def test_interactions_read_in_one_process(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", refused_fork)
     assert _loaded("interaction", [path], 3, "skip") == serial
     assert serial[2].skipped == 1
+
+
+def _member_only_peak(tmp_path, outside: int) -> int:
+    """The tracemalloc peak of ``load_aggregate`` as ``centrality`` calls it,
+    on a file of the 380 ordered pairs of members 1..20 and ``outside``
+    pairs with a non-member end, 3 records each, a pair's records far
+    apart."""
+    members = range(1, 21)
+    pairs = [(src, dst) for src in members for dst in members if src != dst]
+    pairs += [(1 + i % 150, 151 + i // 150) for i in range(outside)]
+    path = tmp_path / f"outside-{outside}.tsv"
+    with path.open("w", encoding="utf-8") as handle:
+        for t in (1_100, 1_200, 1_300):
+            handle.writelines(f"{src}\t{dst}\t{t}\t0.5\n" for src, dst in pairs)
+    aggregate = functools.partial(aggregate_interactions, members=dict.fromkeys(members, 1.0))
+    tracemalloc.start()
+    try:
+        agg, stats = load_aggregate(
+            "interaction", parse_interactions, aggregate, [path], WINDOW, IngestConfig()
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert agg.in_window == stats.lines == 3 * len(pairs)
+    assert agg.strengths == dict.fromkeys(pairs[:380], 1.5)
+    return peak
+
+
+def test_member_only_ingest_peak_flat_in_non_member_pairs(tmp_path):
+    small = _member_only_peak(tmp_path, 2_000)
+    large = _member_only_peak(tmp_path, 20_000)
+    assert abs(large - small) < 256 * 1024, (small, large)
 
 
 # a file of several 8 KiB decode chunks
