@@ -76,11 +76,26 @@ def _require_path_metric(g: WeightedGraph, metric: str) -> None:
         raise DomainError(f"{metric} needs at least {minimum} nodes")
 
 
-def _indexed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
-    """Adjacency over node indices; index i is the i-th smallest node id."""
+def _out_rows(g: WeightedGraph) -> list[tuple[list[int], list[float]]]:
+    """Per node index, the indices of its out-neighbours and the weights of
+    those edges, in the order of ``g.edges``; index i is the i-th smallest
+    node id.  Unsorted: every sum over a row is one ``math.fsum``, whose
+    correctly rounded value does not depend on the order of its terms."""
     index = {v: i for i, v in enumerate(g.nodes)}
-    adj = g.adjacency()
-    return [[(index[v], weight) for v, weight in adj[u]] for u in g.nodes]
+    rows: list[tuple[list[int], list[float]]] = [([], []) for _ in g.nodes]
+    for (u, v), weight in g.edges.items():
+        nbrs, weights = rows[index[u]]
+        nbrs.append(index[v])
+        weights.append(weight)
+    return rows
+
+
+def _gather(indices: list[int]):
+    """One C call that takes ``x[i]`` for every i in ``indices``, in order."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    # itemgetter of one index gives the bare item; a slice keeps a sequence
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 def _source_pass(
@@ -88,15 +103,19 @@ def _source_pass(
 ) -> tuple[list[float], list[int], list[list[int]], list[int]]:
     """Dijkstra with shortest-path counting from one source index.
 
+    ``adj`` holds, per node index, ``(neighbour index, weight)`` pairs in
+    ascending neighbour order, as ``WeightedGraph.path_adjacency`` does.
     Returns (dist, sigma, predecessors, settle order), indexed like ``adj``.
     Lengths within ``PATH_TIE_REL_TOL`` relative tolerance are treated as
     equal; heap ties fall to the smaller index, i.e. the smaller node id.
     """
     n = len(adj)
     dist = [INF] * n
+    # dist[v] * 1.000001 while v is unsettled, -1.0 once it is settled: a
+    # candidate above it is neither a tie at PATH_TIE_REL_TOL nor shorter
+    limit = [INF] * n
     sigma = [0] * n
     preds: list[list[int]] = [[] for _ in range(n)]
-    settled = [False] * n
     dist[source] = 0.0
     sigma[source] = 1
     order: list[int] = []
@@ -104,23 +123,21 @@ def _source_pass(
     isclose = math.isclose
     while heap:
         d, u = heappop(heap)
-        if settled[u]:
+        if limit[u] < 0.0:
             continue
-        settled[u] = True
+        limit[u] = -1.0
         order.append(u)
         sigma_u = sigma[u]
         for v, weight in adj[u]:
-            if settled[v]:
-                continue
             candidate = d + weight
-            # far above dist[v]: neither a tie at PATH_TIE_REL_TOL nor shorter
-            if candidate > dist[v] * 1.000001:
+            if candidate > limit[v]:
                 continue
             if isclose(candidate, dist[v], rel_tol=PATH_TIE_REL_TOL):
                 sigma[v] += sigma_u
                 preds[v].append(u)
             elif candidate < dist[v]:
                 dist[v] = candidate
+                limit[v] = candidate * 1.000001
                 sigma[v] = sigma_u
                 preds[v] = [u]
                 heappush(heap, (candidate, v))
@@ -171,6 +188,16 @@ def _source_record(adj, s: int, closeness: bool, betweenness: bool):
 class _PathPass:
     """Closeness and/or betweenness from one shortest-path pass per source.
 
+    The pass runs on the graph's ``path_adjacency``, which leaves out edges
+    that a two-edge detour beats by at least ``DETOUR_REL_MARGIN`` (1e-6) of
+    any path length through them.  Its distances, path counts, predecessor
+    lists and settle orders, and so every score bit, are those of the full
+    adjacency: a candidate length through a left-out edge exceeds its
+    target's final distance by at least about 1e-6, relative, a thousand
+    times the ``PATH_TIE_REL_TOL`` tie band.  Such a candidate can only make
+    an interim leader or tie, which the final distance replaces, and no
+    leader or tie near the final distance ever meets it.
+
     With at least ``PARALLEL_MIN_NODES`` nodes and two or more CPUs, the
     sources are split over forked :class:`Workers`, one per CPU: worker k
     runs the sources ``s ≡ k (mod W)`` and sends one record per source,
@@ -190,8 +217,8 @@ class _PathPass:
         if workers > 1:
             # a record of dependencies is about 9 bytes per node
             per_child = -(-g.n // workers) * (9 * g.n + 64)
-            # built for the children only: this process drops it once they run
-            adj = _indexed_adjacency(g)
+            # built before the fork, so that every child shares this one copy
+            adj = g.path_adjacency
 
             def send_terms(k, send):
                 for s in range(k, g.n, workers):
@@ -219,7 +246,7 @@ class _PathPass:
         if self._workers is not None:
             records = self._received()
         else:
-            adj = _indexed_adjacency(g)
+            adj = g.path_adjacency
             records = (
                 _source_record(adj, s, self._closeness, self._betweenness) for s in range(g.n)
             )
@@ -282,11 +309,10 @@ def betweenness(g: WeightedGraph) -> CentralityScores:
 def degree(g: WeightedGraph) -> CentralityScores:
     """Weighted degree: the sum of incident edge weights (node strength)."""
     _require_undirected(g, "degree")
-    adj = g.adjacency()
     scores = {}
-    for v in g.nodes:
+    for v, (_, weights) in zip(g.nodes, _out_rows(g)):
         try:
-            scores[v] = math.fsum([weight for _, weight in adj[v]])
+            scores[v] = math.fsum(weights)
         except OverflowError:
             raise DomainError(
                 f"the edge weights of node {v} sum past the largest float"
@@ -295,8 +321,10 @@ def degree(g: WeightedGraph) -> CentralityScores:
 
 
 def _pagerank_structure(g: WeightedGraph, variant: str):
-    """Per node index, the indices of its in-neighbours and the share of their
-    mass each sends, in ascending source order; and the dangling indices.
+    """Per node index, a :func:`_gather` of its in-neighbours' entries and
+    the share of their mass each sends, in the order of ``g.edges`` (each
+    row is summed by one ``math.fsum``, so no order is needed); and a
+    :func:`_gather` of the dangling entries.
 
     A node whose out-edge weights sum past the largest float raises
     :class:`DomainError` in the ``weighted`` variant, whose shares it would
@@ -314,14 +342,14 @@ def _pagerank_structure(g: WeightedGraph, variant: str):
                 raise DomainError(f"the out-edge weights of node {v} sum past the largest float")
     sources: list[list[int]] = [[] for _ in g.nodes]
     shares: list[list[float]] = [[] for _ in g.nodes]
-    for (u, v), weight in sorted(g.edges.items()):
+    for (u, v), weight in g.edges.items():
         i = index[u]
         sources[index[v]].append(i)
         shares[index[v]].append(
             weight / out_weight[i] if variant == "weighted" else 1.0 / out_count[i]
         )
     dangling = [i for i, count in enumerate(out_count) if count == 0]
-    return list(zip(sources, shares)), dangling
+    return list(zip(map(_gather, sources), shares)), _gather(dangling)
 
 
 def pagerank(
@@ -354,11 +382,10 @@ def pagerank(
     in_shares, dangling = _pagerank_structure(g, variant)
     ranks = [1.0 / n] * n
     for iterations in range(1, max_iter + 1):
-        rank_of = ranks.__getitem__
-        dangling_mass = math.fsum(map(rank_of, dangling))
+        dangling_mass = math.fsum(dangling(ranks))
         base = (1.0 - damping) / n + damping * dangling_mass / n
         previous, ranks = ranks, [
-            base + damping * math.fsum(map(mul, map(rank_of, sources), shares))
+            base + damping * math.fsum(map(mul, sources(ranks), shares))
             for sources, shares in in_shares
         ]
         residual = math.fsum(map(abs, map(sub, ranks, previous)))
@@ -402,14 +429,10 @@ def eigenvector(
         raise DomainError(
             f"eigenvector centrality needs a connected graph; got {g.components} components"
         )
-    adj = [
-        (list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges)))
-        for edges in _indexed_adjacency(g)
-    ]
+    adj = [(_gather(nbrs), weights) for nbrs, weights in _out_rows(g)]
 
     def times_adjacency(x: list[float]) -> list[float]:
-        at = x.__getitem__
-        return [math.fsum(map(mul, weights, map(at, nbrs))) for nbrs, weights in adj]
+        return [math.fsum(map(mul, weights, nbrs(x))) for nbrs, weights in adj]
 
     x = [1.0 / math.sqrt(g.n)] * g.n
     iterations = 0

@@ -393,6 +393,15 @@ def cmd_centrality(args) -> int:
     # the diagnostics below
     undirected = symmetrize(graph)
     results, failures = compute_all(graph, params, metrics=args.metrics, undirected=undirected)
+    graph_facts = {
+        "nodes": graph.n,
+        "edges": len(undirected.edges) // 2,
+        # the undirected edges the shortest-path pass ran on
+        "path_edges": sum(map(len, undirected.path_adjacency)) // 2,
+        "components": undirected.components,
+    }
+    # free its cached path adjacency before the outputs are formatted
+    del undirected
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -427,11 +436,7 @@ def cmd_centrality(args) -> int:
         status=status,
         diagnostics={
             "ingest": counts,
-            "graph": {
-                "nodes": graph.n,
-                "edges": len(undirected.edges) // 2,
-                "components": undirected.components,
-            },
+            "graph": graph_facts,
             **{name: result.params for name, result in results.items()},
         },
     )

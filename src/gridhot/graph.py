@@ -10,6 +10,10 @@ from .errors import Checked, DomainError
 from .hotspot import HotspotSet
 from .ingest import InteractionAggregate
 
+# an edge leaves the path adjacency when a two-edge detour is shorter by this
+# share of the longest length a path through it can have
+DETOUR_REL_MARGIN = 1e-6
+
 
 class _WeightedGraph(NamedTuple):
     nodes: tuple[int, ...]
@@ -66,12 +70,62 @@ class WeightedGraph(Checked, _WeightedGraph):
                             stack.append(v)
         return components
 
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        """Out-adjacency lists with neighbours in ascending order."""
-        adj: dict[int, list[tuple[int, float]]] = {u: [] for u in self.nodes}
-        for (u, v), weight in sorted(self.edges.items()):
-            adj[u].append((v, weight))
-        return adj
+    @cached_property
+    def path_adjacency(self) -> list[list[tuple[int, float]]]:
+        """Per node index, ``(neighbour index, weight)`` pairs in ascending
+        neighbour order, without the edges that no shortest path uses;
+        index i is the i-th smallest node id.  Built once per graph.
+
+        An undirected edge {u, v} of weight w is left out when a common
+        neighbour x has ``w(u, x) + w(x, v) < w - DETOUR_REL_MARGIN * (n * W + w)``,
+        W being the largest weight.  A path through the edge is at most
+        ``n * W + w`` long, so the detour is shorter by at least
+        ``DETOUR_REL_MARGIN`` of that path's length.  Where the detour's
+        lighter edges are left out too, their own detours are shorter
+        still, so distances are unchanged.  Nothing is left out of a
+        directed graph, nor where ``2 * n * W`` is not finite and path
+        lengths may overflow.  Only the kept pairs outlive the call.
+        """
+        index = {v: i for i, v in enumerate(self.nodes)}
+        # neighbours and weights as two flat lists per node: no object per
+        # edge until the kept edges are paired up at the end
+        rows: list[tuple[list[int], list[float]]] = [([], []) for _ in self.nodes]
+        edges = self.edges
+        for key in sorted(edges):
+            u, v = key
+            nbrs, weights = rows[index[u]]
+            nbrs.append(index[v])
+            weights.append(edges[key])
+        n = len(rows)
+        top = max(edges.values(), default=0.0)
+        left_out: list[set[int]] = [set() for _ in rows]
+        if not self.directed and math.isfinite(2.0 * n * top):
+            # each node's (weight, neighbour) pairs, lightest first
+            lightest_first = [sorted(zip(weights, nbrs)) for nbrs, weights in rows]
+            # the weights from u by neighbour index, while u's edges are tested
+            from_u = [math.inf] * n
+            for u, (nbrs, weights) in enumerate(rows):
+                for x, weight in zip(nbrs, weights):
+                    from_u[x] = weight
+                for v, weight in zip(nbrs, weights):
+                    if v < u:
+                        continue
+                    bound = weight - DETOUR_REL_MARGIN * (n * top + weight)
+                    for onward, x in lightest_first[v]:
+                        if onward >= bound:
+                            break
+                        if from_u[x] + onward < bound:
+                            left_out[u].add(v)
+                            left_out[v].add(u)
+                            break
+                for x in nbrs:
+                    from_u[x] = math.inf
+            # freed before the kept pairs are made, which can reuse its memory
+            del lightest_first
+        return [
+            [edge for edge in zip(nbrs, weights) if edge[0] not in gone]
+            for (nbrs, weights), gone in zip(rows, left_out)
+        ]
 
 
 def build_graph(interactions: InteractionAggregate, hotspots) -> WeightedGraph:

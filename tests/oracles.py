@@ -45,6 +45,14 @@ INF = math.inf
 TIE_REL_TOL = 1e-9
 
 
+def adjacency(g: WeightedGraph) -> dict[int, list[tuple[int, float]]]:
+    """Out-adjacency lists with neighbours in ascending order."""
+    adj: dict[int, list[tuple[int, float]]] = {u: [] for u in g.nodes}
+    for (u, v), weight in sorted(g.edges.items()):
+        adj[u].append((v, weight))
+    return adj
+
+
 def undirected_graph(nodes, weighted_pairs) -> WeightedGraph:
     edges = {}
     for u, v, w in weighted_pairs:
@@ -107,7 +115,7 @@ def all_shortest_paths(g: WeightedGraph, s: int, t: int,
     if best == INF:
         return []
     slack = best * TIE_REL_TOL
-    adj = g.adjacency()
+    adj = adjacency(g)
     paths = []
 
     def walk(node, length, path, visited):
@@ -220,7 +228,7 @@ PATH_TIE_REL_TOL = TIE_REL_TOL
 def _indexed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
     """Adjacency over node indices; index i is the i-th smallest node id."""
     index = {v: i for i, v in enumerate(g.nodes)}
-    adj = g.adjacency()
+    adj = adjacency(g)
     return [[(index[v], weight) for v, weight in adj[u]] for u in g.nodes]
 
 
@@ -268,7 +276,7 @@ def _source_pass(
 def degree(g: WeightedGraph) -> CentralityScores:
     """Weighted degree: the sum of incident edge weights (node strength)."""
     _require_undirected(g, "degree")
-    adj = g.adjacency()
+    adj = adjacency(g)
     scores = {v: math.fsum(weight for _, weight in adj[v]) for v in g.nodes}
     return CentralityScores(metric="degree", scores=scores, params={})
 
@@ -381,7 +389,7 @@ def eigenvector(
         raise DomainError(
             f"eigenvector centrality needs a connected graph; got {g.components} components"
         )
-    adj = g.adjacency()
+    adj = adjacency(g)
     x = {u: 1.0 / math.sqrt(g.n) for u in g.nodes}
     iterations = 0
     delta = INF

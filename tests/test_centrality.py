@@ -21,7 +21,6 @@ from gridhot.centrality import (
     pagerank,
     rank,
     scores_csv_rows,
-    _indexed_adjacency,
     _source_pass,
 )
 
@@ -39,7 +38,7 @@ TRIANGLE_AND_PAIR = WeightedGraph(
 
 def path_table(g):
     """(dist, sigma) keyed by (u, v), each pair taken from the pass rooted at u."""
-    adj = _indexed_adjacency(g)
+    adj = g.path_adjacency
     dist, sigma = {}, {}
     for i, u in enumerate(g.nodes):
         d, s, _, _ = _source_pass(adj, i)
@@ -143,7 +142,7 @@ class TestBetweenness:
         rng = random.Random(9)
         for _ in range(20):
             g = oracles.random_connected_graph(rng, rng.randint(3, 8), extra_edge_prob=0.2)
-            adj = g.adjacency()
+            adj = oracles.adjacency(g)
             scores = betweenness(g).scores
             for node in g.nodes:
                 if len(adj[node]) == 1:
@@ -341,6 +340,25 @@ class TestComputeAll:
         assert {v: s.hex() for v, s in results["betweenness"].scores.items()} == {
             v: s.hex() for v, s in betweenness(und_g).scores.items()
         }
+
+    def test_solvers_called_through_module_attributes(self, monkeypatch):
+        """The benchmark's tracer times degree, PageRank and eigenvector by
+        replacing these attributes of ``gridhot.centrality``; compute_all
+        must reach each solver through them, once, with the shared graphs."""
+        g = oracles.random_directed_graph(random.Random(31), 12, edge_prob=0.3)
+        calls = []
+        for name in ("degree", "pagerank", "eigenvector"):
+            solver = getattr(centrality, name)
+
+            def counted(graph, *args, _name=name, _solver=solver, **kwargs):
+                calls.append((_name, graph.directed))
+                return _solver(graph, *args, **kwargs)
+
+            monkeypatch.setattr(centrality, name, counted)
+        results, failures = compute_all(g)
+        assert failures == {}
+        assert sorted(calls) == [("degree", False), ("eigenvector", False), ("pagerank", True)]
+        assert set(results) == set(centrality.METRICS)
 
     def test_unknown_metric_rejected(self):
         g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0}, directed=True)

@@ -447,7 +447,9 @@ class TestCentralityCommand:
         assert main(["centrality", "--interactions", str(interactions), "--hotspots",
                      str(hotspots), *WEEK, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"]["graph"] == {"nodes": 6, "edges": 4, "components": 3}
+        assert manifest["diagnostics"]["graph"] == {
+            "nodes": 6, "edges": 4, "path_edges": 4, "components": 3
+        }
         assert "got 3 components" in manifest["status"]["eigenvector"]
 
     def test_overflowing_undirected_edge_exits_one(self, tmp_path, capsys):
@@ -535,7 +537,7 @@ class TestCentralityCommand:
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
         # every in-window record is counted, its pair summed or not
         assert diagnostics["ingest"] == {"lines": 10, "parsed": 10, "skipped": 0, "in_window": 9}
-        assert diagnostics["graph"] == {"nodes": 3, "edges": 1, "components": 2}
+        assert diagnostics["graph"] == {"nodes": 3, "edges": 1, "path_edges": 1, "components": 2}
 
     def test_metric_sums_past_largest_float_are_statuses(self, tmp_path):
         # every edge is finite; node 2's degree and the path 1 -> 3 are not
@@ -1131,7 +1133,7 @@ DIAGNOSTICS = {
     },
     "cen/manifest.json": {
         "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720},
-        "graph": {"nodes": 6, "edges": 15, "components": 1},
+        "graph": {"nodes": 6, "edges": 15, "path_edges": 8, "components": 1},
     },
     "heat.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},
 }

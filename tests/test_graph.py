@@ -120,5 +120,5 @@ class TestValidation:
 
     def test_adjacency_deterministic_order(self):
         g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 3): 1.0, (1, 2): 2.0}, directed=True)
-        assert g.adjacency()[1] == [(2, 2.0), (3, 1.0)]
+        assert g.path_adjacency == [[(1, 2.0), (2, 1.0)], [], []]
 

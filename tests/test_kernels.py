@@ -9,11 +9,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gridhot.centrality import (
-    _indexed_adjacency,
     _source_pass,
+    _source_terms,
     degree,
     eigenvector,
     pagerank,
@@ -43,13 +45,15 @@ def _outcome(run, *args, **kwargs):
 
 
 def _assert_same_passes(g: WeightedGraph):
-    adj = _indexed_adjacency(g)
-    assert adj == oracles._indexed_adjacency(g)
-    for s in range(g.n):
-        got = _source_pass(adj, s)
-        want = oracles._source_pass(adj, s)
-        assert _hex(got[0]) == _hex(want[0]), s
-        assert got[1:] == want[1:], s
+    """The pass on the full and on the path adjacency against the oracle's
+    pass on the full adjacency."""
+    full = oracles._indexed_adjacency(g)
+    for adj in (full, g.path_adjacency):
+        for s in range(g.n):
+            got = _source_pass(adj, s)
+            want = oracles._source_pass(full, s)
+            assert _hex(got[0]) == _hex(want[0]), s
+            assert got[1:] == want[1:], s
 
 
 def _diamond(gap: float, long_first: bool) -> WeightedGraph:
@@ -84,7 +88,7 @@ class TestPathPassOracle:
     def test_near_ties(self, gap, ties, long_first):
         g = _diamond(gap, long_first)
         _assert_same_passes(g)
-        dist, sigma, preds, _ = _source_pass(_indexed_adjacency(g), 0)
+        dist, sigma, preds, _ = _source_pass(g.path_adjacency, 0)
         assert sigma[3] == (2 if ties else 1)
         if not ties:
             # the shorter way wins whichever way arrives first
@@ -108,6 +112,109 @@ class TestPathPassOracle:
         rng = random.Random(200 + seed)
         g = symmetrize(oracles.random_directed_graph(rng, rng.randint(5, 40), edge_prob=0.05))
         _assert_same_passes(g)
+
+    @pytest.mark.parametrize("n", [64, 150, 300])
+    def test_hotspot_sized_graphs(self, n):
+        """About 15% density, weights over a 60x range, as on the benchmark's
+        250-node hotspot graphs, where the path adjacency drops over a third."""
+        g = oracles.random_connected_graph(
+            random.Random(250 + n), n, extra_edge_prob=0.15, w_lo=1.0, w_hi=60.0
+        )
+        assert _kept_share(g) < 0.9
+        _assert_same_passes(g)
+
+    @pytest.mark.parametrize("n", [64, 120])
+    def test_large_integer_tie_heavy_graphs(self, n):
+        rng = random.Random(260 + n)
+        g = oracles.random_connected_graph(rng, n, extra_edge_prob=0.15)
+        pairs = [(u, v, float(rng.randint(1, 3))) for (u, v) in g.edges if u < v]
+        g = oracles.undirected_graph(g.nodes, pairs)
+        assert _kept_share(g) < 1.0
+        _assert_same_passes(g)
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_large_near_tie_graphs(self, n):
+        g = _perturbed(random.Random(270 + n), n)
+        assert _kept_share(g) < 1.0
+        _assert_same_passes(g)
+
+    def test_large_disconnected_graph(self):
+        g = symmetrize(oracles.random_directed_graph(random.Random(280), 120, edge_prob=0.012))
+        assert g.components > 1
+        _assert_same_passes(g)
+
+    def test_rule_off_where_path_lengths_may_overflow(self):
+        """With 2 * n * W past the largest float nothing is left out, even an
+        edge that a detour beats by far, and the passes still match."""
+        rng = random.Random(290)
+        g = oracles.random_connected_graph(rng, 70, extra_edge_prob=0.15, w_lo=1.0, w_hi=60.0)
+        # n * W is 1.5e308: the margin is finite, twice it is not
+        scale = 1.5e308 / (g.n * max(g.edges.values()))
+        pairs = [(u, v, w * scale) for (u, v), w in g.edges.items() if u < v]
+        big = oracles.undirected_graph(g.nodes, pairs)
+        top = max(big.edges.values())
+        assert math.isfinite(big.n * top) and math.isinf(2.0 * big.n * top)
+        assert big.path_adjacency == oracles._indexed_adjacency(big)
+        assert _kept_share(g) < 1.0
+        _assert_same_passes(big)
+
+    def test_rule_drops_only_edges_a_detour_beats_by_the_margin(self):
+        # 1-2-3 is a detour of 2.0 around the edge 1-3; the margin is
+        # 1e-6 * (n * W + w), about 1.8e-5 here
+        margin = 1e-6 * (4 * 4.0 + 2.0)
+        for w13, dropped in [(4.0, True), (2.0 + 2 * margin, True), (2.0 + margin / 2, False),
+                             (2.0, False)]:
+            g = oracles.undirected_graph(
+                [1, 2, 3, 4], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, w13), (3, 4, 4.0)]
+            )
+            full = {(u, v) for u, row in enumerate(oracles._indexed_adjacency(g)) for v, _ in row}
+            kept = {(u, v) for u, row in enumerate(g.path_adjacency) for v, _ in row}
+            assert kept == (full - {(0, 2), (2, 0)} if dropped else full), w13
+            _assert_same_passes(g)
+
+    def test_directed_graphs_keep_every_edge(self):
+        g = WeightedGraph(
+            nodes=(1, 2, 3), edges={(1, 2): 1.0, (2, 3): 1.0, (1, 3): 9.0}, directed=True
+        )
+        assert g.path_adjacency == oracles._indexed_adjacency(g)
+
+
+def _kept_share(g: WeightedGraph) -> float:
+    """The share of adjacency entries the path adjacency keeps."""
+    return sum(map(len, g.path_adjacency)) / sum(map(len, oracles._indexed_adjacency(g)))
+
+
+# weights with exact integer ties, ties within and just outside the path
+# tolerance, and spreads of a few decades
+_WEIGHTS = st.one_of(
+    st.integers(min_value=1, max_value=4).map(float),
+    st.sampled_from([1.0, 2.0, 3.0]).flatmap(
+        lambda w: st.sampled_from([5e-10, -5e-10, 5e-7, -5e-7, 2e-6, -2e-6]).map(
+            lambda gap: w * (1.0 + gap)
+        )
+    ),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+
+
+@st.composite
+def _undirected_graphs(draw):
+    n = draw(st.integers(min_value=3, max_value=14))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return oracles.undirected_graph(
+        range(1, n + 1), [(u, v, draw(_WEIGHTS)) for u, v in chosen]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_undirected_graphs())
+def test_source_terms_same_on_path_and_full_adjacency(g):
+    """Closeness, partial flag and dependencies of every source, to the bit."""
+    for s in range(g.n):
+        assert _hex(_source_terms(g.path_adjacency, s, True, True)) == _hex(
+            _source_terms(oracles._indexed_adjacency(g), s, True, True)
+        ), s
 
 
 def _directed_with_dangling(rng: random.Random, n: int) -> WeightedGraph:
