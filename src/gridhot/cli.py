@@ -56,33 +56,46 @@ def _write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _digest(path, digests: dict) -> str:
+    """The SHA-256 of ``path``, taken once per command: ``digests`` keeps it by path."""
+    if path not in digests:
+        digests[path] = sha256_file(path)
+    return digests[path]
+
+
 def _write_manifest(
-    path, command: str, inputs: dict, config: dict, outputs, *, status=None, diagnostics=None
+    path, command: str, inputs: dict, config: dict, outputs, *,
+    status=None, diagnostics=None, digests=None,
 ) -> None:
     """Write the reproducibility record that accompanies a command's outputs.
 
     ``inputs`` maps names to paths: a list expands to ``name[i]`` and an
     optional input given as ``None`` is left out.  Inputs and outputs are
     recorded with their SHA-256 digests, outputs under their file names.
-    ``diagnostics`` holds deterministic facts about how a result was
-    reached, such as each centrality solver's params.
+    ``digests`` maps input paths to the digests the command has already
+    taken, so that no input is hashed twice.  ``diagnostics`` holds
+    deterministic facts about how a result was reached, such as each
+    centrality solver's params.
     """
+    digests = {} if digests is None else digests
 
-    def digest(file_path) -> dict:
-        return {"path": str(file_path), "sha256": sha256_file(file_path)}
+    def entry(file_path, sha256) -> dict:
+        return {"path": str(file_path), "sha256": sha256}
 
     recorded = {}
     for name, value in inputs.items():
         if isinstance(value, list):
-            recorded.update((f"{name}[{i}]", digest(item)) for i, item in enumerate(value))
+            recorded.update(
+                (f"{name}[{i}]", entry(item, _digest(item, digests))) for i, item in enumerate(value)
+            )
         elif value is not None:
-            recorded[name] = digest(value)
+            recorded[name] = entry(value, _digest(value, digests))
     manifest = {
         "command": command,
         "tool_version": __version__,
         "inputs": recorded,
         "config": config,
-        "outputs": {Path(out).name: digest(out) for out in outputs},
+        "outputs": {Path(out).name: entry(out, sha256_file(out)) for out in outputs},
         "status": status or {},
         "diagnostics": diagnostics or {},
     }
@@ -214,9 +227,13 @@ def _load_records(
     ``diagnostics``: lines read, parsed and skipped, and records in the window.
     """
     result, stats = load_aggregate(kind, parse, aggregate, paths, window, cfg)
-    if stats.skipped:
-        _warn(command, f"skipped {stats.skipped} malformed {kind} line(s)")
+    _warn_skipped(command, kind, stats.skipped)
     return result, {**vars(stats), "in_window": result.in_window}
+
+
+def _warn_skipped(command: str, kind: str, skipped: int) -> None:
+    if skipped:
+        _warn(command, f"skipped {skipped} malformed {kind} line(s)")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -343,6 +360,10 @@ def cmd_hotspots(args) -> int:
 
     rows = [(cell, repr(hotspots.intensities[cell])) for cell in hotspots.members]
     atomic_write_text(out_dir / "hotspots.csv", _csv_text("cell_id,intensity", rows))
+    # every cell's sum, for a heatmap of the same activity to reuse
+    sums = traffic.intensities
+    rows = [(cell, repr(sums[cell])) for cell in sorted(sums)]
+    atomic_write_text(out_dir / "intensities.csv", _csv_text("cell_id,intensity", rows))
 
     threshold_doc = {
         **hotspots.spec._asdict(),
@@ -352,7 +373,7 @@ def cmd_hotspots(args) -> int:
         "window": window._asdict(),
     }
     _write_json(out_dir / "threshold.json", threshold_doc)
-    outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
+    outputs = [out_dir / "hotspots.csv", out_dir / "intensities.csv", out_dir / "threshold.json"]
 
     if cells is not None:
         heatmap_path = out_dir / "heatmap.geojson"
@@ -502,12 +523,68 @@ def cmd_compare(args) -> int:
     return 0 if outputs else 1
 
 
+def _reused_traffic(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
+    """The per-cell sums and ingest counts of the ``hotspots`` run that wrote
+    ``args.hotspots``, or None when they must be read from the activity files.
+
+    They are reused when that run's ``manifest.json`` names the command
+    ``hotspots`` and this ``__version__``; records this window and
+    ``on_malformed`` policy; records the digests of these ``--activity``
+    files, as many and in the same order, and of this ``--config``, or
+    neither run has one; and lists ``args.hotspots`` and the
+    ``intensities.csv`` beside it by their digests.  Digests are compared,
+    never paths, and the ones taken are kept in ``digests``.
+    ``__version__`` does not change with every change to the code, so a
+    change to how intensities are summed must also change what this check
+    accepts.  A mismatch, a missing or unreadable file, malformed JSON or a
+    missing key returns None: the check raises no error.
+    """
+    run_dir = Path(args.hotspots).parent
+    intensities_path = str(run_dir / "intensities.csv")
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        inputs, config, outputs = manifest["inputs"], manifest["config"], manifest["outputs"]
+        if not (
+            manifest["command"] == "hotspots"
+            and manifest["tool_version"] == __version__
+            and config["window"] == window._asdict()
+            and config["on_malformed"] == cfg.on_malformed
+            and sum(name.startswith("activity[") for name in inputs) == len(args.activity)
+            and ("config" in inputs) == (args.config is not None)
+        ):
+            return None
+        # the small files first: a mismatch there hashes no activity file
+        recorded = [
+            (args.hotspots, outputs["hotspots.csv"]),
+            (intensities_path, outputs["intensities.csv"]),
+            *([(args.config, inputs["config"])] if args.config is not None else []),
+            *((path, inputs[f"activity[{i}]"]) for i, path in enumerate(args.activity)),
+        ]
+        if any(_digest(path, digests) != entry["sha256"] for path, entry in recorded):
+            return None
+        ingest = manifest["diagnostics"]["ingest"]
+        counts = {key: ingest[key] for key in ("lines", "parsed", "skipped", "in_window")}
+        if not all(type(count) is int for count in counts.values()):
+            return None
+        intensities = _read_hotspots_csv(intensities_path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError,
+            GridhotError):
+        return None
+    return TrafficAggregate(window, intensities, counts["in_window"]), counts
+
+
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
-    traffic, counts = _load_records(
-        args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
-    )
+    digests = {}
+    reused = _reused_traffic(args, window, cfg, digests) if args.hotspots else None
+    if reused is None:
+        traffic, counts = _load_records(
+            args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
+        )
+    else:
+        traffic, counts = reused
+        _warn_skipped(args.command, "activity", counts["skipped"])
     cells = parse_grid(args.grid)
     hotspot_members = None
     if args.hotspots:
@@ -526,7 +603,10 @@ def cmd_heatmap(args) -> int:
     config = {"window": window._asdict(), "on_malformed": cfg.on_malformed}
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
     manifest_path = Path(str(out_path) + ".manifest.json")
-    _write_manifest(manifest_path, "heatmap", inputs, config, [out_path], diagnostics=diagnostics)
+    _write_manifest(
+        manifest_path, "heatmap", inputs, config, [out_path],
+        diagnostics=diagnostics, digests=digests,
+    )
     return 0
 
 

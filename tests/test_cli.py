@@ -268,7 +268,8 @@ class TestHotspotsCommand:
         )
         assert code == 1
         assert "Point" in capsys.readouterr().err
-        for name in ("hotspots.csv", "threshold.json", "heatmap.geojson", "manifest.json"):
+        for name in ("hotspots.csv", "intensities.csv", "threshold.json", "heatmap.geojson",
+                     "manifest.json"):
             assert not (out / name).exists(), name
 
     def test_grid_of_wrong_shape_exits_one(self, tmp_path, capsys):
@@ -675,11 +676,17 @@ class TestParallelIngest:
         parts[1].write_bytes(b"".join(lines[len(lines) // 3:]))
         activity = [arg for part in parts for arg in ("--activity", str(part))]
         out = tmp_path / "out"
+        # a copy of hotspots.csv with no manifest beside it: that heatmap reads the files
+        bare = tmp_path / "bare" / "hotspots.csv"
+        bare.parent.mkdir()
+        read_heatmap = tmp_path / "read.geojson"
         steps = [
             ["hotspots", *activity, *WEEK, "--k", "6", "--grid", str(city / "grid.geojson"),
              "--out", str(out / "hs")],
             ["heatmap", *activity, "--grid", str(city / "grid.geojson"), *WEEK,
              "--hotspots", str(out / "hs" / "hotspots.csv"), "--out", str(out / "heat.geojson")],
+            ["heatmap", *activity, "--grid", str(city / "grid.geojson"), *WEEK,
+             "--hotspots", str(bare), "--out", str(read_heatmap)],
             ["centrality", "--interactions", str(city / "interactions.tsv"),
              "--hotspots", str(out / "hs" / "hotspots.csv"), *WEEK, "--out", str(out / "cen")],
         ]
@@ -690,17 +697,22 @@ class TestParallelIngest:
         for workers in (1, 2, 3):
             ingest_workers(monkeypatch, workers)
             for argv in steps:
+                if str(bare) in argv:
+                    shutil.copyfile(out / "hs" / "hotspots.csv", bare)
                 assert main(argv) == 0, argv
             trees[workers] = {
                 str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
             }
+            # hotspots --grid and a heatmap that reads the files write the same heatmap
+            assert read_heatmap.read_bytes() == trees[workers]["hs/heatmap.geojson"]
             shutil.rmtree(out)
             assert_no_children()
-        assert len(trees[1]) == 9 and "cen/manifest.json" in trees[1]
+        assert len(trees[1]) == 10 and "cen/manifest.json" in trees[1]
         assert trees[1] == trees[2] == trees[3]
         # hotspots --grid and heatmap --hotspots write the same heatmap
         assert trees[1]["hs/heatmap.geojson"] == trees[1]["heat.geojson"]
-        # hotspots and heatmap fork one ingest worker per CPU after the first;
+        # hotspots and the heatmap that reads fork one ingest worker per CPU
+        # after the first; the heatmap that reuses the sums reads nothing, and
         # centrality reads its interactions in-process
         assert len(forked) == 2 * (1 + 2)
 
@@ -1033,7 +1045,179 @@ class TestHeatmapCommand:
         assert sorted(flagged) == expected
 
 
-coordinates = st.floats(allow_nan=False, allow_infinity=False)
+def reuse_city(tmp_path):
+    """A hotspots run under ``on_malformed = skip`` on an activity file with one
+    malformed line and one active cell (99) that the grid has no polygon for.
+
+    Returns the city, the activity file, the ingest config and the run's directory.
+    """
+    city = run_synth(tmp_path)
+    activity = tmp_path / "a.tsv"
+    activity.write_text(
+        (city / "activity.tsv").read_text() + "bad line\n"
+        "99\t1384732800000\t0\t0.1\n7\t1384732800000\t0\t0.25\n",
+        encoding="utf-8",
+    )
+    cfg = tmp_path / "skip.cfg"
+    cfg.write_text("on_malformed = skip\n", encoding="utf-8")
+    hs = tmp_path / "hs"
+    assert main(["hotspots", "--activity", str(activity), *WEEK, "--k", "6",
+                 "--grid", str(city / "grid.geojson"), "--config", str(cfg), "--out", str(hs)]) == 0
+    return city, activity, cfg, hs
+
+
+def heatmap_argv(city, activity, cfg, hotspots, out, window=WEEK):
+    return ["heatmap", "--activity", str(activity), "--grid", str(city / "grid.geojson"), *window,
+            "--hotspots", str(hotspots), "--config", str(cfg), "--out", str(out)]
+
+
+def heatmap_outcome(argv, out, capsys):
+    """Exit code, stderr, GeoJSON bytes and the manifest without its paths."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    manifest = Path(str(out) + ".manifest.json")
+    if not manifest.exists():
+        return code, err, None, None
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    for entry in [*doc["inputs"].values(), *doc["outputs"].values()]:
+        del entry["path"]
+    return code, err, out.read_bytes(), doc
+
+
+def break_window(tmp_path, hs):
+    return ("--window-start", "2013-11-18", "--window-end", "2013-11-24")
+
+
+def break_policy(tmp_path, hs):
+    (tmp_path / "skip.cfg").write_text("on_malformed = abort\n", encoding="utf-8")
+
+
+def break_activity_byte(tmp_path, hs):
+    data = (tmp_path / "a.tsv").read_bytes()
+    assert data.count(b"\t0.25\n") == 1
+    (tmp_path / "a.tsv").write_bytes(data.replace(b"\t0.25\n", b"\t0.26\n"))
+
+
+def break_other_k(tmp_path, hs):
+    other = tmp_path / "hs_other"
+    assert main(["hotspots", "--activity", str(tmp_path / "a.tsv"), *WEEK, "--k", "9",
+                 "--config", str(tmp_path / "skip.cfg"), "--out", str(other)]) == 0
+    shutil.copyfile(other / "hotspots.csv", hs / "hotspots.csv")
+
+
+def break_intensities(tmp_path, hs):
+    path = hs / "intensities.csv"
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cell, value = rows[1].rstrip("\n").split(",")
+    rows[1] = f"{cell},{float(value) * 2!r}\n"
+    path.write_text("".join(rows), encoding="utf-8")
+
+
+def edit_manifest(edit):
+    def spoil(tmp_path, hs):
+        doc = json.loads((hs / "manifest.json").read_text(encoding="utf-8"))
+        edit(doc)
+        (hs / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    return spoil
+
+
+def write_manifest_text(text):
+    def spoil(tmp_path, hs):
+        (hs / "manifest.json").write_text(text, encoding="utf-8")
+
+    return spoil
+
+
+# each case breaks one condition of heatmap's reuse rule
+BROKEN_REUSE = {
+    "window-end": break_window,
+    "on-malformed": break_policy,
+    "activity-byte": break_activity_byte,
+    "hotspots-of-other-k": break_other_k,
+    "edited-intensities": break_intensities,
+    "manifest-deleted": lambda tmp_path, hs: (hs / "manifest.json").unlink(),
+    "manifest-truncated": write_manifest_text("{"),
+    "manifest-list": write_manifest_text("[]"),
+    "manifest-nested-past-recursion-limit": write_manifest_text("[" * 100_000),
+    "other-tool-version": edit_manifest(lambda doc: doc.update(tool_version="0.0.0")),
+    "no-diagnostics": edit_manifest(lambda doc: doc.pop("diagnostics")),
+    # conditions that no change to the heatmap's own inputs breaks alone
+    "recorded-policy": edit_manifest(lambda doc: doc["config"].update(on_malformed="abort")),
+    "no-recorded-config": edit_manifest(lambda doc: doc["inputs"].pop("config")),
+    "extra-recorded-activity": edit_manifest(
+        lambda doc: doc["inputs"].update({"activity[1]": doc["inputs"]["activity[0]"]})
+    ),
+}
+
+
+def significant_digits(value: float) -> int:
+    mantissa = repr(value).split("e")[0].replace(".", "").lstrip("0")
+    return len(mantissa)
+
+
+class TestHeatmapReuse:
+    @pytest.mark.parametrize("broken", [None, *BROKEN_REUSE], ids=["reuse", *BROKEN_REUSE])
+    def test_reuses_exactly_when_the_run_matches(self, tmp_path, monkeypatch, capsys, broken):
+        """Reused sums write what a read writes; any broken condition forces a read."""
+        city, activity, cfg, hs = reuse_city(tmp_path)
+        window = (BROKEN_REUSE[broken](tmp_path, hs) if broken else None) or WEEK
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copyfile(hs / "hotspots.csv", bare / "hotspots.csv")
+
+        real_parse = gridhot.cli.parse_activity
+        parsed = []
+        monkeypatch.setattr(
+            gridhot.cli, "parse_activity", lambda *a, **kw: parsed.append(a) or real_parse(*a, **kw)
+        )
+        out = tmp_path / "x" / "heat.geojson"
+        outcome = heatmap_outcome(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out, window),
+                                  out, capsys)
+        assert bool(parsed) == (broken is not None)
+        fresh_out = tmp_path / "y" / "heat.geojson"
+        fresh = heatmap_outcome(heatmap_argv(city, activity, cfg, bare / "hotspots.csv", fresh_out,
+                                             window), fresh_out, capsys)
+        assert outcome == fresh
+        if broken == "on-malformed":
+            message = f"gridhot heatmap: malformed cell id 'bad line' ({activity}:73)\n"
+            assert outcome[:3] == (1, message, None)
+            return
+        code, err, geojson, _ = outcome
+        assert code == 0
+        assert err == (
+            "gridhot heatmap: warning: skipped 1 malformed activity line(s)\n"
+            "gridhot heatmap: warning: 1 active cell(s) have no grid geometry and were skipped\n"
+        )
+        if broken is None:
+            assert geojson == (hs / "heatmap.geojson").read_bytes()
+            features = json.loads(geojson)["features"]
+            values = [f["properties"]["intensity"] for f in features]
+            assert any(significant_digits(v) == 17 for v in values)
+            fresh_values = [f["properties"]["intensity"] for f in json.loads(fresh[2])["features"]]
+            assert list(map(float.hex, values)) == list(map(float.hex, fresh_values))
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "read"])
+    def test_hashes_each_input_once(self, tmp_path, monkeypatch, reuse):
+        city, activity, cfg, hs = reuse_city(tmp_path)
+        if not reuse:
+            # the check hashes every input before it finds the mismatch
+            break_activity_byte(tmp_path, hs)
+        real_sha256 = gridhot.cli.sha256_file
+        hashed = []
+        monkeypatch.setattr(gridhot.cli, "sha256_file", lambda p: hashed.append(str(p)) or real_sha256(p))
+        out = tmp_path / "heat.geojson"
+        assert main(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out)) == 0
+        inputs = [str(activity), str(city / "grid.geojson"), str(hs / "hotspots.csv"), str(cfg)]
+        assert sorted(hashed) == sorted(
+            {*inputs, str(out), str(hs / "intensities.csv")}
+        )
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
+        assert sorted(entry["path"] for entry in manifest["inputs"].values()) == sorted(inputs)
+
+
+coordinates =st.floats(allow_nan=False, allow_infinity=False)
 cell_ids = st.integers(min_value=1, max_value=10**12)
 
 
@@ -1157,13 +1341,13 @@ MANIFEST_CASES = [
         "hs/manifest.json",
         "hotspots",
         {"activity[0]", "config", "grid"},
-        {"hotspots.csv", "threshold.json", "heatmap.geojson"},
+        {"hotspots.csv", "intensities.csv", "threshold.json", "heatmap.geojson"},
     ),
     (
         "hs_plain/manifest.json",
         "hotspots",
         {"activity[0]", "activity[1]"},
-        {"hotspots.csv", "threshold.json"},
+        {"hotspots.csv", "intensities.csv", "threshold.json"},
     ),
     (
         "cen/manifest.json",
