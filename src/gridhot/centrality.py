@@ -10,10 +10,11 @@ one.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add, itemgetter, mul, sub, truediv
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, GridhotError
 from .graph import WeightedGraph, symmetrize
@@ -79,8 +80,9 @@ def _require_path_metric(g: WeightedGraph, metric: str) -> None:
 def _out_rows(g: WeightedGraph) -> list[tuple[list[int], list[float]]]:
     """Per node index, the indices of its out-neighbours and the weights of
     those edges, in the order of ``g.edges``; index i is the i-th smallest
-    node id.  Unsorted: every sum over a row is one ``math.fsum``, whose
-    correctly rounded value does not depend on the order of its terms."""
+    node id.  Unsorted: one ``math.fsum`` over a row needs no order, since
+    its correctly rounded value does not depend on the order of its terms;
+    a sum that does, sorts the row."""
     index = {v: i for i, v in enumerate(g.nodes)}
     rows: list[tuple[list[int], list[float]]] = [([], []) for _ in g.nodes]
     for (u, v), weight in g.edges.items():
@@ -146,25 +148,28 @@ def _source_pass(
 
 def _source_terms(
     adj: list[list[tuple[int, float]]], s: int, closeness: bool, betweenness: bool
-) -> tuple[float | None, bool | None, list[float] | None]:
+) -> tuple[float | None, bool | None, list[float] | None] | None:
     """One source's share of the path metrics, from one :func:`_source_pass`.
 
     Returns the closeness of ``s``, whether some node is unreachable from
     it, and the Brandes dependency of every node on ``s`` with the entry of
-    ``s`` itself 0.0; parts that were not asked for are None.  Raises
-    ``OverflowError`` when a path length or the closeness sum passes the
-    largest float.
+    ``s`` itself 0.0; parts that were not asked for are None.  Returns None
+    instead when a path length or the closeness sum passes the largest
+    float.
     """
     dist, sigma, preds, order = _source_pass(adj, s)
     # a node reached only by lengths that overflowed keeps dist inf, has
     # predecessors and is never settled
     if len(order) < len(adj) and any(preds[v] for v, d in enumerate(dist) if d == INF):
-        raise OverflowError("a path length passes the largest float")
+        return None
     close = partial = delta = None
     if closeness:
         reachable = [d for v, d in enumerate(dist) if v != s and d < INF]
         partial = len(reachable) < len(adj) - 1
-        close = 0.0 if not reachable else 1.0 / math.fsum(reachable)
+        try:
+            close = 0.0 if not reachable else 1.0 / math.fsum(reachable)
+        except OverflowError:
+            return None
     if betweenness:
         delta = [0.0] * len(adj)
         for w in reversed(order):
@@ -175,14 +180,6 @@ def _source_terms(
         # a source is no interior vertex of its own paths
         delta[s] = 0.0
     return close, partial, delta
-
-
-def _source_record(adj, s: int, closeness: bool, betweenness: bool):
-    """:func:`_source_terms`, or None where it overflows."""
-    try:
-        return _source_terms(adj, s, closeness, betweenness)
-    except OverflowError:
-        return None
 
 
 class _PathPass:
@@ -222,7 +219,7 @@ class _PathPass:
 
             def send_terms(k, send):
                 for s in range(k, g.n, workers):
-                    send(_source_record(adj, s, self._closeness, self._betweenness))
+                    send(_source_terms(adj, s, self._closeness, self._betweenness))
 
             self._workers = Workers("shortest-path", workers, send_terms, pipe_bytes=per_child)
 
@@ -248,7 +245,7 @@ class _PathPass:
         else:
             adj = g.path_adjacency
             records = (
-                _source_record(adj, s, self._closeness, self._betweenness) for s in range(g.n)
+                _source_terms(adj, s, self._closeness, self._betweenness) for s in range(g.n)
             )
         close = [0.0] * g.n
         between = [0.0] * g.n
@@ -320,35 +317,54 @@ def degree(g: WeightedGraph) -> CentralityScores:
     return CentralityScores(metric="degree", scores=scores, params={})
 
 
+def _check_budget(tol: float, max_iter: int) -> None:
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+
+
+def _iterate(step, change, x, tol: float, max_iter: int, solver: str, measure: str):
+    """Apply ``x = step(x)`` until ``change(x, previous) <= tol``; returns the
+    last ``x`` and the steps taken.  After ``max_iter`` steps, raises
+    :class:`ConvergenceError` naming ``solver`` and the last change as ``measure``.
+    """
+    for iterations in range(1, max_iter + 1):
+        previous, x = x, step(x)
+        residual = change(x, previous)
+        if residual <= tol:
+            return x, iterations
+    raise ConvergenceError(
+        f"{solver} did not converge within {max_iter} iterations ({measure} {residual:.3e})",
+        residual=residual,
+        iterations=iterations,
+    )
+
+
 def _pagerank_structure(g: WeightedGraph, variant: str):
     """Per node index, a :func:`_gather` of its in-neighbours' entries and
-    the share of their mass each sends, in the order of ``g.edges`` (each
-    row is summed by one ``math.fsum``, so no order is needed); and a
-    :func:`_gather` of the dangling entries.
+    the share of their mass each sends, and a :func:`_gather` of the
+    dangling entries.
 
-    A node whose out-edge weights sum past the largest float raises
-    :class:`DomainError` in the ``weighted`` variant, whose shares it would
-    make 0.
+    Each node's out-weights are added one by one in ascending neighbour
+    order, so the shares depend only on the graph, not on the order of
+    ``g.edges``.  A node whose out-edge weights sum past the largest float
+    raises :class:`DomainError` in the ``weighted`` variant, whose shares
+    it would make 0.
     """
-    index = {v: i for i, v in enumerate(g.nodes)}
-    out_weight = [0.0] * g.n
-    out_count = [0] * g.n
-    for (u, _), weight in g.edges.items():
-        out_weight[index[u]] += weight
-        out_count[index[u]] += 1
-    if variant == "weighted":
-        for v, total in zip(g.nodes, out_weight):
-            if total == INF:
-                raise DomainError(f"the out-edge weights of node {v} sum past the largest float")
-    sources: list[list[int]] = [[] for _ in g.nodes]
-    shares: list[list[float]] = [[] for _ in g.nodes]
-    for (u, v), weight in g.edges.items():
-        i = index[u]
-        sources[index[v]].append(i)
-        shares[index[v]].append(
-            weight / out_weight[i] if variant == "weighted" else 1.0 / out_count[i]
-        )
-    dangling = [i for i, count in enumerate(out_count) if count == 0]
+    rows = _out_rows(g)
+    sources: list[list[int]] = [[] for _ in rows]
+    shares: list[list[float]] = [[] for _ in rows]
+    for i, (nbrs, weights) in enumerate(rows):
+        total = reduce(add, map(itemgetter(1), sorted(zip(nbrs, weights))), 0.0)
+        if variant == "weighted" and total == INF:
+            raise DomainError(
+                f"the out-edge weights of node {g.nodes[i]} sum past the largest float"
+            )
+        for j, weight in zip(nbrs, weights):
+            sources[j].append(i)
+            shares[j].append(weight / total if variant == "weighted" else 1.0 / len(nbrs))
+    dangling = [i for i, (nbrs, _) in enumerate(rows) if not nbrs]
     return list(zip(map(_gather, sources), shares)), _gather(dangling)
 
 
@@ -368,10 +384,7 @@ def pagerank(
     their mass uniformly.  Stops when the L1 change drops to ``tol``;
     raises :class:`ConvergenceError` after ``max_iter`` iterations.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    _check_budget(tol, max_iter)
     if not 0.0 < damping < 1.0:
         raise DomainError(f"damping must lie strictly in (0, 1), got {damping}")
     if variant not in PAGERANK_VARIANTS:
@@ -380,31 +393,28 @@ def pagerank(
     if n == 0:
         raise DomainError("pagerank needs a nonempty graph")
     in_shares, dangling = _pagerank_structure(g, variant)
-    ranks = [1.0 / n] * n
-    for iterations in range(1, max_iter + 1):
-        dangling_mass = math.fsum(dangling(ranks))
-        base = (1.0 - damping) / n + damping * dangling_mass / n
-        previous, ranks = ranks, [
+
+    def step(ranks: list[float]) -> list[float]:
+        base = (1.0 - damping) / n + damping * math.fsum(dangling(ranks)) / n
+        return [
             base + damping * math.fsum(map(mul, sources(ranks), shares))
             for sources, shares in in_shares
         ]
-        residual = math.fsum(map(abs, map(sub, ranks, previous)))
-        if residual <= tol:
-            return CentralityScores(
-                metric="pagerank",
-                scores=dict(zip(g.nodes, ranks)),
-                params={
-                    "damping": damping,
-                    "tol": tol,
-                    "max_iter": max_iter,
-                    "variant": variant,
-                    "iterations": iterations,
-                },
-            )
-    raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations (residual {residual:.3e})",
-        residual=residual,
-        iterations=iterations,
+
+    ranks, iterations = _iterate(
+        step, lambda new, old: math.fsum(map(abs, map(sub, new, old))),
+        [1.0 / n] * n, tol, max_iter, "pagerank", "residual",
+    )
+    return CentralityScores(
+        metric="pagerank",
+        scores=dict(zip(g.nodes, ranks)),
+        params={
+            "damping": damping,
+            "tol": tol,
+            "max_iter": max_iter,
+            "variant": variant,
+            "iterations": iterations,
+        },
     )
 
 
@@ -419,10 +429,7 @@ def eigenvector(
     reported ``lambda`` is the Rayleigh quotient of ``A`` at the result.
     """
     _require_undirected(g, "eigenvector")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    _check_budget(tol, max_iter)
     if g.n == 0:
         raise DomainError("eigenvector needs a nonempty graph")
     if g.components > 1:
@@ -434,28 +441,22 @@ def eigenvector(
     def times_adjacency(x: list[float]) -> list[float]:
         return [math.fsum(map(mul, weights, nbrs(x))) for nbrs, weights in adj]
 
-    x = [1.0 / math.sqrt(g.n)] * g.n
-    iterations = 0
-    delta = INF
-    while iterations < max_iter:
-        iterations += 1
+    def step(x: list[float]) -> list[float]:
         y = list(map(add, x, times_adjacency(x)))
         norm = math.sqrt(math.fsum(map(mul, y, y)))
-        new_x = list(map(truediv, y, repeat(norm)))
+        return list(map(truediv, y, repeat(norm)))
+
+    x, iterations = _iterate(
+        step,
         # ** 2, not d * d: libm's pow and a product differ by an ulp on some values
-        delta = math.sqrt(math.fsum(map(pow, map(sub, new_x, x), repeat(2))))
-        x = new_x
-        if delta <= tol:
-            lam = math.fsum(map(mul, x, times_adjacency(x)))
-            return CentralityScores(
-                metric="eigenvector",
-                scores=dict(zip(g.nodes, x)),
-                params={"lambda": lam, "tol": tol, "max_iter": max_iter, "iterations": iterations},
-            )
-    raise ConvergenceError(
-        f"eigenvector iteration did not converge within {max_iter} iterations (delta {delta:.3e})",
-        residual=delta,
-        iterations=iterations,
+        lambda new, old: math.sqrt(math.fsum(map(pow, map(sub, new, old), repeat(2)))),
+        [1.0 / math.sqrt(g.n)] * g.n, tol, max_iter, "eigenvector iteration", "delta",
+    )
+    lam = math.fsum(map(mul, x, times_adjacency(x)))
+    return CentralityScores(
+        metric="eigenvector",
+        scores=dict(zip(g.nodes, x)),
+        params={"lambda": lam, "tol": tol, "max_iter": max_iter, "iterations": iterations},
     )
 
 
@@ -528,13 +529,3 @@ def compute_all(
 def rank(scores: CentralityScores) -> list[tuple[int, float]]:
     """Order nodes by descending score, ties broken by ascending cell id."""
     return sorted(scores.scores.items(), key=lambda item: (-item[1], item[0]))
-
-
-def scores_csv_rows(all_scores: Iterable[CentralityScores]) -> list[tuple[int, str, float]]:
-    """Flatten score maps into (cell_id, metric, score) rows."""
-    rows = []
-    for result in all_scores:
-        for cell in sorted(result.scores):
-            rows.append((cell, result.metric, result.scores[cell]))
-    return rows
-

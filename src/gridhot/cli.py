@@ -26,7 +26,6 @@ from .centrality import (
     CentralityScores,
     compute_all,
     rank,
-    scores_csv_rows,
 )
 from .compare import compare_weeks, report_json_obj, to_series
 from .errors import GridhotError, UnreadableInputError
@@ -108,11 +107,13 @@ def _warn(command: str, message: str) -> None:
 
 def _metric_list(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METRICS:
             raise argparse.ArgumentTypeError(
                 f"unknown metric {name!r}; choose from {', '.join(METRICS)}"
             )
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"metric {name!r} is given more than once")
     if not names:
         raise argparse.ArgumentTypeError("metric list is empty")
     return names
@@ -312,15 +313,11 @@ def heatmap_feature_collection(
 
 
 def _write_heatmap(
-    path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
-) -> int:
-    """Stream the heatmap to ``path``; returns the active cells without geometry."""
+    command: str, path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
+) -> None:
+    """Stream the heatmap to ``path``, warning of active cells without geometry."""
     chunks, skipped = heatmap_feature_collection(cells, traffic, members)
     atomic_write_text(path, SizedChunks(chunks))
-    return skipped
-
-
-def _warn_no_geometry(command: str, skipped: int) -> None:
     if skipped:
         _warn(command, f"{skipped} active cell(s) have no grid geometry and were skipped")
 
@@ -377,8 +374,7 @@ def cmd_hotspots(args) -> int:
 
     if cells is not None:
         heatmap_path = out_dir / "heatmap.geojson"
-        skipped = _write_heatmap(heatmap_path, cells, traffic, set(hotspots.members))
-        _warn_no_geometry(args.command, skipped)
+        _write_heatmap(args.command, heatmap_path, cells, traffic, set(hotspots.members))
         outputs.append(heatmap_path)
 
     config = {
@@ -428,7 +424,10 @@ def cmd_centrality(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ordered = [results[name] for name in METRICS if name in results]
-    score_rows = [(cell, metric, repr(score)) for cell, metric, score in scores_csv_rows(ordered)]
+    score_rows = [
+        (cell, result.metric, repr(score))
+        for result in ordered for cell, score in sorted(result.scores.items())
+    ]
     atomic_write_text(out_dir / "centrality.csv", _csv_text("cell_id,metric,score", score_rows))
 
     ranking_rows = []
@@ -592,7 +591,7 @@ def cmd_heatmap(args) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    _warn_no_geometry(args.command, _write_heatmap(out_path, cells, traffic, hotspot_members))
+    _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
 
     inputs = {
         "activity": args.activity,

@@ -20,7 +20,6 @@ from gridhot.centrality import (
     eigenvector,
     pagerank,
     rank,
-    scores_csv_rows,
     _source_pass,
 )
 
@@ -685,7 +684,42 @@ class TestProperties:
             assert base_order == scaled_order
 
 
-class TestExport:
-    def test_csv_rows_sorted(self):
-        rows = scores_csv_rows([CentralityScores("degree", {2: 1.0, 1: 3.0})])
-        assert rows == [(1, "degree", 3.0), (2, "degree", 1.0)]
+def _random_ascending_graph(rng: random.Random) -> WeightedGraph:
+    """A directed graph of 3-20 nodes whose edges were inserted in ascending
+    key order; every other one has integer weights with many ties."""
+    n = rng.randint(3, 20)
+    tied = rng.random() < 0.5
+    edges = {}
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u != v and rng.random() < 0.3:
+                edges[(u, v)] = float(rng.randint(1, 3)) if tied else rng.uniform(0.1, 10.0)
+    return WeightedGraph(nodes=tuple(range(1, n + 1)), edges=edges, directed=True)
+
+
+def _all_outcomes(g: WeightedGraph):
+    results, failures = compute_all(g)
+    return (
+        {name: ({v: s.hex() for v, s in r.scores.items()}, r.params) for name, r in results.items()},
+        {name: str(exc) for name, exc in failures.items()},
+    )
+
+
+class TestEdgeInsertionOrder:
+    def test_scores_depend_only_on_the_graph(self):
+        """Every metric gives the same bits, params and failure texts whatever
+        the order in which a graph's edges were inserted."""
+        rng = random.Random(41)
+        for _ in range(120):
+            g = _random_ascending_graph(rng)
+            items = list(g.edges.items())
+            rng.shuffle(items)
+            shuffled = WeightedGraph(nodes=g.nodes, edges=dict(items), directed=True)
+            assert _all_outcomes(shuffled) == _all_outcomes(g)
+            # the oracle adds out-weights in g.edges order: ascending here
+            for variant in centrality.PAGERANK_VARIANTS:
+                got, want = pagerank(g, variant=variant), oracles.pagerank(g, variant=variant)
+                assert {v: s.hex() for v, s in got.scores.items()} == {
+                    v: s.hex() for v, s in want.scores.items()
+                }
+                assert got.params == want.params

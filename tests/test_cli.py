@@ -600,6 +600,33 @@ class TestCentralityCommand:
             )
         assert info.value.code == 2
 
+    def test_csv_rows_sorted(self, tmp_path):
+        """Rows run metric by metric in METRICS order, cell ids ascending as numbers."""
+        _, _, cen_dir = run_pipeline(tmp_path)
+        rows = [(row["metric"], int(row["cell_id"])) for row in read_csv(cen_dir / "centrality.csv")]
+        cells = sorted({cell for _, cell in rows})
+        assert cells[0] < 10 <= cells[-1]
+        assert rows == [(metric, cell) for metric in gridhot.centrality.METRICS for cell in cells]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centrality", "--interactions", "x", "--hotspots", "y", *WEEK,
+         "--metrics", "degree,pagerank,degree", "--out", "z"],
+        ["compare", "a.csv", "b.csv", "--metrics", "closeness,closeness", "--out", "z"],
+    ],
+    ids=["centrality", "compare"],
+)
+def test_repeated_metric_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    metric = argv[argv.index("--metrics") + 1].split(",")[0]
+    assert f"metric {metric!r} is given more than once" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 def centrality_above_fork_threshold(tmp_path, out):
     """Run ``centrality`` on a graph large enough for the path pass to fork."""
@@ -1260,7 +1287,7 @@ class TestStreamedHeatmap:
         path = tmp_path / "heatmap.geojson"
         tracemalloc.start()
         try:
-            gridhot.cli._write_heatmap(path, cells, traffic, members)
+            gridhot.cli._write_heatmap("heatmap", path, cells, traffic, members)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1388,6 +1415,56 @@ def test_manifest_contract(chain_dir, name, command, inputs, outputs):
     assert set(manifest["config"]) == CONFIG_KEYS[name]
     if "window" in manifest["config"]:
         assert manifest["config"]["window"] == WINDOW_BLOCK
+
+
+@pytest.fixture(scope="module")
+def output_dirs(tmp_path_factory):
+    """Each command run into a directory of its own."""
+    root = tmp_path_factory.mktemp("outputs")
+    city = run_synth(root)
+    activity, grid = str(city / "activity.tsv"), str(city / "grid.geojson")
+    # the degree comparison fails, the pagerank one succeeds
+    report = root / "week.csv"
+    report.write_text(
+        "cell_id,metric,score\n1,degree,1e200\n2,degree,1.0\n1,pagerank,0.5\n2,pagerank,0.5\n",
+        encoding="utf-8",
+    )
+    steps = [
+        ["hotspots", "--activity", activity, *WEEK, "--k", "6", "--grid", grid,
+         "--out", str(root / "hs_grid")],
+        ["hotspots", "--activity", activity, *WEEK, "--k", "6", "--out", str(root / "hs")],
+        ["centrality", "--interactions", str(city / "interactions.tsv"),
+         "--hotspots", str(root / "hs" / "hotspots.csv"), *WEEK, "--out", str(root / "cen")],
+        ["compare", str(report), str(report), "--out", str(root / "cmp")],
+        ["heatmap", "--activity", activity, "--grid", grid, *WEEK,
+         "--out", str(root / "heat" / "heat.geojson")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    return root
+
+
+# output directory and manifest name of each command in output_dirs
+OUTPUT_DIRS = {
+    "synth": ("city", "manifest.json"),
+    "hotspots-grid": ("hs_grid", "manifest.json"),
+    "hotspots": ("hs", "manifest.json"),
+    "centrality": ("cen", "manifest.json"),
+    "compare-one-failing": ("cmp", "manifest.json"),
+    "heatmap": ("heat", "heat.geojson.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_DIRS)
+def test_output_directory_holds_manifest_and_its_outputs(output_dirs, case):
+    directory, manifest_name = OUTPUT_DIRS[case]
+    out_dir = output_dirs / directory
+    manifest = json.loads((out_dir / manifest_name).read_text())
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([manifest_name, *manifest["outputs"]])
+    assert {Path(entry["path"]).parent for entry in manifest["outputs"].values()} == {out_dir}
+    if manifest["command"] == "compare":
+        assert manifest["status"]["degree"].startswith("error: ")
+        assert all(name.startswith("pagerank_") for name in manifest["outputs"])
 
 
 @pytest.mark.parametrize("name", ["hs", "hs_plain"])
