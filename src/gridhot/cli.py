@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -249,7 +250,10 @@ def _read_hotspots_csv(path) -> dict[int, float]:
         members = {}
         for row in reader:
             try:
-                members[int(row["cell_id"])] = float(row.get("intensity", 0) or 0)
+                cell = int(row["cell_id"])
+                if cell <= 0 or cell in members:
+                    raise ValueError
+                members[cell] = float(row.get("intensity", 0) or 0)
             except (TypeError, ValueError):
                 raise GridhotError(f"malformed row {reader.line_num} in {path}") from None
     return members
@@ -265,9 +269,11 @@ def _read_scores_csv(path) -> dict[str, dict[int, float]]:
         for row in reader:
             try:
                 score = float(row["score"])
-                if not math.isfinite(score):
+                cell = int(row["cell_id"])
+                metric_scores = scores.setdefault(row["metric"], {})
+                if not math.isfinite(score) or cell in metric_scores:
                     raise ValueError
-                scores.setdefault(row["metric"], {})[int(row["cell_id"])] = score
+                metric_scores[cell] = score
             except (TypeError, ValueError):
                 raise GridhotError(f"malformed row {reader.line_num} in {path}") from None
     return scores
@@ -312,14 +318,20 @@ def heatmap_feature_collection(
     return format_grid(features(), properties), skipped
 
 
-def _write_heatmap(
-    command: str, path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
-) -> None:
-    """Stream the heatmap to ``path``, warning of active cells without geometry."""
-    chunks, skipped = heatmap_feature_collection(cells, traffic, members)
-    atomic_write_text(path, SizedChunks(chunks))
+def _warn_no_geometry(command: str, skipped: int) -> None:
     if skipped:
         _warn(command, f"{skipped} active cell(s) have no grid geometry and were skipped")
+
+
+def _write_heatmap(
+    command: str, path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
+) -> int:
+    """Stream the heatmap to ``path``, warning of active cells without geometry;
+    returns their count."""
+    chunks, skipped = heatmap_feature_collection(cells, traffic, members)
+    atomic_write_text(path, SizedChunks(chunks))
+    _warn_no_geometry(command, skipped)
+    return skipped
 
 
 def cmd_synth(args) -> int:
@@ -371,17 +383,19 @@ def cmd_hotspots(args) -> int:
     }
     _write_json(out_dir / "threshold.json", threshold_doc)
     outputs = [out_dir / "hotspots.csv", out_dir / "intensities.csv", out_dir / "threshold.json"]
+    diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
 
     if cells is not None:
         heatmap_path = out_dir / "heatmap.geojson"
-        _write_heatmap(args.command, heatmap_path, cells, traffic, set(hotspots.members))
+        skipped = _write_heatmap(args.command, heatmap_path, cells, traffic, set(hotspots.members))
         outputs.append(heatmap_path)
+        # for a heatmap command that copies this file to warn as this run did
+        diagnostics["heatmap"] = {"cells_without_geometry": skipped}
 
     config = {
         "window": window._asdict(), "p": p, "k": args.k, "on_malformed": cfg.on_malformed
     }
     inputs = {"activity": args.activity, "config": args.config, "grid": args.grid}
-    diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
     _write_manifest(
         out_dir / "manifest.json", "hotspots", inputs, config, outputs, diagnostics=diagnostics
     )
@@ -413,10 +427,11 @@ def cmd_centrality(args) -> int:
     graph_facts = {
         "nodes": graph.n,
         "edges": len(undirected.edges) // 2,
-        # the undirected edges the shortest-path pass ran on
-        "path_edges": sum(map(len, undirected.path_adjacency)) // 2,
         "components": undirected.components,
     }
+    if {"closeness", "betweenness"} & set(args.metrics):
+        # the undirected edges the shortest-path pass ran on
+        graph_facts["path_edges"] = sum(map(len, undirected.path_adjacency)) // 2
     # free its cached path adjacency before the outputs are formatted
     del undirected
 
@@ -522,11 +537,20 @@ def cmd_compare(args) -> int:
     return 0 if outputs else 1
 
 
-def _reused_traffic(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
-    """The per-cell sums and ingest counts of the ``hotspots`` run that wrote
-    ``args.hotspots``, or None when they must be read from the activity files.
+# what a reuse check of a hotspots run's files catches: the check raises no error
+_REUSE_ERRORS = (
+    OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError, GridhotError
+)
 
-    They are reused when that run's ``manifest.json`` names the command
+
+def _reused_run(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
+    """What ``heatmap`` can take from the ``hotspots`` run that wrote
+    ``args.hotspots``: ``(traffic, counts, heatmap)``, or None when the
+    activity files must be read.  ``traffic`` and ``counts`` are that run's
+    per-cell sums and ingest counts, and ``heatmap`` is what
+    :func:`_reused_heatmap` gives, None when the grid must be parsed.
+
+    The sums are reused when that run's ``manifest.json`` names the command
     ``hotspots`` and this ``__version__``; records this window and
     ``on_malformed`` policy; records the digests of these ``--activity``
     files, as many and in the same order, and of this ``--config``, or
@@ -536,7 +560,7 @@ def _reused_traffic(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
     ``__version__`` does not change with every change to the code, so a
     change to how intensities are summed must also change what this check
     accepts.  A mismatch, a missing or unreadable file, malformed JSON or a
-    missing key returns None: the check raises no error.
+    missing key returns None.
     """
     run_dir = Path(args.hotspots).parent
     intensities_path = str(run_dir / "intensities.csv")
@@ -566,32 +590,67 @@ def _reused_traffic(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
         if not all(type(count) is int for count in counts.values()):
             return None
         intensities = _read_hotspots_csv(intensities_path)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError,
-            GridhotError):
+    except _REUSE_ERRORS:
         return None
-    return TrafficAggregate(window, intensities, counts["in_window"]), counts
+    traffic = TrafficAggregate(window, intensities, counts["in_window"])
+    return traffic, counts, _reused_heatmap(args, manifest, digests)
+
+
+def _reused_heatmap(args, manifest: dict, digests: dict) -> tuple[str, int] | None:
+    """The text of the ``heatmap.geojson`` beside ``args.hotspots`` and its
+    count of active cells without geometry, for a run whose sums
+    :func:`_reused_run` accepts, or None.
+
+    The file is reused when that run's manifest records this ``--grid``'s
+    digest as its ``grid`` input, lists ``heatmap.geojson`` by the digest
+    of the file's bytes, and holds the count under
+    ``diagnostics.heatmap.cells_without_geometry``.  Given the same sums,
+    members and grid, :func:`heatmap_feature_collection` writes the same
+    text, so a change to it or to :func:`format_grid` must also change what
+    this check accepts, as for the sums.
+    """
+    try:
+        recorded = manifest["outputs"]["heatmap.geojson"]["sha256"]
+        grid = manifest["inputs"]["grid"]["sha256"]
+        skipped = manifest["diagnostics"]["heatmap"]["cells_without_geometry"]
+        if type(skipped) is not int or grid != _digest(args.grid, digests):
+            return None
+        # hashed as read, so that the bytes checked are the bytes copied
+        data = (Path(args.hotspots).parent / "heatmap.geojson").read_bytes()
+        if hashlib.sha256(data).hexdigest() != recorded:
+            return None
+        return data.decode("utf-8"), skipped
+    except _REUSE_ERRORS:
+        return None
 
 
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
     digests = {}
-    reused = _reused_traffic(args, window, cfg, digests) if args.hotspots else None
+    reused = _reused_run(args, window, cfg, digests) if args.hotspots else None
+    heatmap = None
     if reused is None:
         traffic, counts = _load_records(
             args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
         )
     else:
-        traffic, counts = reused
+        traffic, counts, heatmap = reused
         _warn_skipped(args.command, "activity", counts["skipped"])
-    cells = parse_grid(args.grid)
-    hotspot_members = None
-    if args.hotspots:
-        hotspot_members = set(_read_hotspots_csv(args.hotspots))
 
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
+    if heatmap is None:
+        cells = parse_grid(args.grid)
+        hotspot_members = None
+        if args.hotspots:
+            hotspot_members = set(_read_hotspots_csv(args.hotspots))
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
+    else:
+        text, skipped = heatmap
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(out_path, text)
+        _warn_no_geometry(args.command, skipped)
 
     inputs = {
         "activity": args.activity,

@@ -1,5 +1,6 @@
 import csv
 import errno
+import functools
 import gzip
 import importlib
 import inspect
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gridhot.centrality
 import gridhot.cli
+import gridhot.graph
 import gridhot.ingest
 import gridhot.synth
 import oracles
@@ -452,6 +454,44 @@ class TestCentralityCommand:
             "nodes": 6, "edges": 4, "path_edges": 4, "components": 3
         }
         assert "got 3 components" in manifest["status"]["eigenvector"]
+
+    @pytest.mark.parametrize("cell", ["2", "0", "-3"], ids=["repeated", "zero", "negative"])
+    def test_bad_hotspot_cell_id_is_malformed_row(self, tmp_path, capsys, cell):
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text("1\t2\t1384732800000\t1.0\n", encoding="utf-8")
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text(f"cell_id,intensity\n1,2.0\n2,1.0\n{cell},0.5\n", encoding="utf-8")
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"gridhot centrality: malformed row 4 in {hotspots}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metrics, path_pass", [
+        ("degree,pagerank,eigenvector", False), ("closeness", True), ("betweenness,degree", True)
+    ])
+    def test_path_edges_only_with_the_path_pass(self, tmp_path, monkeypatch, metrics, path_pass):
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "".join(f"{src}\t{dst}\t1384732800000\t{w}\n"
+                    for src, dst, w in [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 5.0)]),
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n1,1.0\n2,1.0\n3,1.0\n", encoding="utf-8")
+        built = []
+        real = gridhot.graph.WeightedGraph.path_adjacency.func
+        counted = functools.cached_property(lambda g: built.append(g) or real(g))
+        counted.__set_name__(gridhot.graph.WeightedGraph, "path_adjacency")
+        monkeypatch.setattr(gridhot.graph.WeightedGraph, "path_adjacency", counted)
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--metrics", metrics, "--out", str(out)]) == 0
+        graph = json.loads((out / "manifest.json").read_text())["diagnostics"]["graph"]
+        facts = {"nodes": 3, "edges": 3, "components": 1}
+        # the detour 1-2-3 beats the edge {1, 3}
+        assert graph == ({**facts, "path_edges": 2} if path_pass else facts)
+        assert len(built) == (1 if path_pass else 0)
 
     def test_overflowing_undirected_edge_exits_one(self, tmp_path, capsys):
         # each direction's sum is finite, the undirected edge's is not
@@ -949,6 +989,19 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"gridhot compare: malformed row 3 in {report}\n"
         assert not out.exists()
 
+    def test_repeated_metric_and_cell_is_malformed_row(self, tmp_path, capsys):
+        # the same cell under another metric is no repeat
+        report = tmp_path / "week.csv"
+        report.write_text(
+            "cell_id,metric,score\n1,degree,1.0\n2,degree,2.0\n1,pagerank,0.5\n"
+            "2,pagerank,0.5\n2,degree,0.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", str(report), str(report), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"gridhot compare: malformed row 6 in {report}\n"
+        assert not out.exists()
+
 
 class TestWarnings:
     """Each warning is one ``gridhot <command>: warning:`` line on stderr."""
@@ -1071,6 +1124,18 @@ class TestHeatmapCommand:
         expected = [int(row["cell_id"]) for row in read_csv(hs_dir / "hotspots.csv")]
         assert sorted(flagged) == expected
 
+    def test_repeated_hotspot_cell_is_malformed_row(self, tmp_path, capsys):
+        city = run_synth(tmp_path)
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n3,2.0\n5,1.0\n3,2.0\n", encoding="utf-8")
+        out = tmp_path / "heat.geojson"
+        capsys.readouterr()
+        assert main(["heatmap", "--activity", str(city / "activity.tsv"), "--grid",
+                     str(city / "grid.geojson"), *WEEK, "--hotspots", str(hotspots),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"gridhot heatmap: malformed row 4 in {hotspots}\n"
+        assert not out.exists()
+
 
 def reuse_city(tmp_path):
     """A hotspots run under ``on_malformed = skip`` on an activity file with one
@@ -1141,6 +1206,16 @@ def break_intensities(tmp_path, hs):
     path.write_text("".join(rows), encoding="utf-8")
 
 
+def repeat_intensities_row(tmp_path, hs):
+    # the manifest lists the new bytes, which the reuse check then rejects as malformed
+    path = hs / "intensities.csv"
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(rows + rows[-1:]), encoding="utf-8")
+    doc = json.loads((hs / "manifest.json").read_text(encoding="utf-8"))
+    doc["outputs"]["intensities.csv"]["sha256"] = sha256_file(path)
+    (hs / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
 def edit_manifest(edit):
     def spoil(tmp_path, hs):
         doc = json.loads((hs / "manifest.json").read_text(encoding="utf-8"))
@@ -1176,7 +1251,56 @@ BROKEN_REUSE = {
     "extra-recorded-activity": edit_manifest(
         lambda doc: doc["inputs"].update({"activity[1]": doc["inputs"]["activity[0]"]})
     ),
+    "repeated-intensities-row": repeat_intensities_row,
 }
+
+
+def rerun_without_grid(tmp_path, hs):
+    # the earlier run's heatmap.geojson stays beside the new run's outputs
+    assert main(["hotspots", "--activity", str(tmp_path / "a.tsv"), *WEEK, "--k", "6",
+                 "--config", str(tmp_path / "skip.cfg"), "--out", str(hs)]) == 0
+    assert (hs / "heatmap.geojson").exists()
+
+
+def reformat_grid(tmp_path, hs):
+    # the same cells in other bytes
+    grid = tmp_path / "city" / "grid.geojson"
+    grid.write_text(json.dumps(json.loads(grid.read_text(encoding="utf-8"))), encoding="utf-8")
+
+
+def alter_heatmap(tmp_path, hs):
+    path = hs / "heatmap.geojson"
+    data = path.read_bytes()
+    assert data.count(b'"is_hotspot": true') == 6
+    path.write_bytes(data.replace(b'"is_hotspot": true', b'"is_hotspot": false', 1))
+
+
+# each case breaks one condition of copying the run's heatmap and keeps the others:
+# heatmap reuses the run's sums and formats the heatmap itself
+BROKEN_HEATMAP_REUSE = {
+    "hotspots-without-grid": rerun_without_grid,
+    "other-grid": reformat_grid,
+    "heatmap-deleted": lambda tmp_path, hs: (hs / "heatmap.geojson").unlink(),
+    "heatmap-altered": alter_heatmap,
+    "no-recorded-heatmap-digest": edit_manifest(
+        lambda doc: doc["outputs"]["heatmap.geojson"].pop("sha256")
+    ),
+    "no-geometry-less-count": edit_manifest(lambda doc: doc["diagnostics"].pop("heatmap")),
+    "non-int-geometry-less-count": edit_manifest(
+        lambda doc: doc["diagnostics"]["heatmap"].update(cells_without_geometry=1.0)
+    ),
+}
+
+
+def count_heatmap_reads(monkeypatch):
+    """The activity files and grids that heatmap reads, as two lists of calls."""
+    parsed, grids = [], []
+    real_parse, real_grid = gridhot.cli.parse_activity, gridhot.cli.parse_grid
+    monkeypatch.setattr(
+        gridhot.cli, "parse_activity", lambda *a, **kw: parsed.append(a) or real_parse(*a, **kw)
+    )
+    monkeypatch.setattr(gridhot.cli, "parse_grid", lambda path: grids.append(path) or real_grid(path))
+    return parsed, grids
 
 
 def significant_digits(value: float) -> int:
@@ -1185,24 +1309,27 @@ def significant_digits(value: float) -> int:
 
 
 class TestHeatmapReuse:
-    @pytest.mark.parametrize("broken", [None, *BROKEN_REUSE], ids=["reuse", *BROKEN_REUSE])
+    @pytest.mark.parametrize(
+        "broken", [None, *BROKEN_REUSE, *BROKEN_HEATMAP_REUSE],
+        ids=["reuse", *BROKEN_REUSE, *BROKEN_HEATMAP_REUSE],
+    )
     def test_reuses_exactly_when_the_run_matches(self, tmp_path, monkeypatch, capsys, broken):
-        """Reused sums write what a read writes; any broken condition forces a read."""
+        """A copied heatmap and reused sums write what a read writes; a broken
+        condition of the sums forces a read, one of the heatmap file a grid parse."""
         city, activity, cfg, hs = reuse_city(tmp_path)
-        window = (BROKEN_REUSE[broken](tmp_path, hs) if broken else None) or WEEK
+        spoil = BROKEN_REUSE.get(broken) or BROKEN_HEATMAP_REUSE.get(broken)
+        window = (spoil(tmp_path, hs) if spoil else None) or WEEK
         bare = tmp_path / "bare"
         bare.mkdir()
         shutil.copyfile(hs / "hotspots.csv", bare / "hotspots.csv")
 
-        real_parse = gridhot.cli.parse_activity
-        parsed = []
-        monkeypatch.setattr(
-            gridhot.cli, "parse_activity", lambda *a, **kw: parsed.append(a) or real_parse(*a, **kw)
-        )
+        parsed, grids = count_heatmap_reads(monkeypatch)
         out = tmp_path / "x" / "heat.geojson"
         outcome = heatmap_outcome(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out, window),
                                   out, capsys)
-        assert bool(parsed) == (broken is not None)
+        if broken != "on-malformed":
+            assert bool(parsed) == (broken in BROKEN_REUSE)
+            assert bool(grids) == (broken is not None)
         fresh_out = tmp_path / "y" / "heat.geojson"
         fresh = heatmap_outcome(heatmap_argv(city, activity, cfg, bare / "hotspots.csv", fresh_out,
                                              window), fresh_out, capsys)
@@ -1225,17 +1352,60 @@ class TestHeatmapReuse:
             fresh_values = [f["properties"]["intensity"] for f in json.loads(fresh[2])["features"]]
             assert list(map(float.hex, values)) == list(map(float.hex, fresh_values))
 
-    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "read"])
-    def test_hashes_each_input_once(self, tmp_path, monkeypatch, reuse):
+    def test_three_paths_agree_on_a_grid_missing_an_active_cell(self, tmp_path, monkeypatch, capsys):
+        """Copying the heatmap, reusing the sums and reading the files give the
+        same bytes, manifest, warning and exit code."""
+        city = run_synth(tmp_path)
+        doc = json.loads((city / "grid.geojson").read_text(encoding="utf-8"))
+        dropped = doc["features"].pop(3)["properties"]
+        grid = tmp_path / "grid-missing-one.geojson"
+        grid.write_text(json.dumps(doc), encoding="utf-8")
+        activity = city / "activity.tsv"
+        run = ["hotspots", "--activity", str(activity), *WEEK, "--k", "4"]
+        assert main([*run, "--grid", str(grid), "--out", str(tmp_path / "hs")]) == 0
+        manifest = json.loads((tmp_path / "hs" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["diagnostics"]["heatmap"] == {"cells_without_geometry": 1}
+        assert main([*run, "--out", str(tmp_path / "hs_plain")]) == 0
+        (tmp_path / "bare").mkdir()
+        shutil.copyfile(tmp_path / "hs" / "hotspots.csv", tmp_path / "bare" / "hotspots.csv")
+
+        parsed, grids = count_heatmap_reads(monkeypatch)
+        outcomes = {}
+        for run_dir in ("hs", "hs_plain", "bare"):
+            out = tmp_path / f"heat-{run_dir}" / "heat.geojson"
+            argv = ["heatmap", "--activity", str(activity), "--grid", str(grid), *WEEK,
+                    "--hotspots", str(tmp_path / run_dir / "hotspots.csv"), "--out", str(out)]
+            outcomes[run_dir] = heatmap_outcome(argv, out, capsys), len(parsed), len(grids)
+        # the copy parses nothing, the reused sums only the grid, the read both
+        assert [outcomes[d][1:] for d in ("hs", "hs_plain", "bare")] == [(0, 0), (0, 1), (1, 2)]
+        code, err, geojson, _ = outcomes["hs"][0]
+        assert outcomes["hs_plain"][0] == outcomes["bare"][0] == outcomes["hs"][0]
+        assert code == 0
+        assert err == (
+            "gridhot heatmap: warning: 1 active cell(s) have no grid geometry and were skipped\n"
+        )
+        assert geojson == (tmp_path / "hs" / "heatmap.geojson").read_bytes()
+        cell_ids = {f["properties"]["cell_id"] for f in json.loads(geojson)["features"]}
+        assert len(cell_ids) == 35 and dropped["cellId"] not in cell_ids
+
+    @pytest.mark.parametrize("path", ["reuse", "sums-reuse", "read"])
+    def test_hashes_each_input_once(self, tmp_path, monkeypatch, path):
         city, activity, cfg, hs = reuse_city(tmp_path)
-        if not reuse:
+        if path == "sums-reuse":
+            # the check hashes the grid before it finds the mismatch
+            reformat_grid(tmp_path, hs)
+        if path == "read":
             # the check hashes every input before it finds the mismatch
             break_activity_byte(tmp_path, hs)
         real_sha256 = gridhot.cli.sha256_file
         hashed = []
         monkeypatch.setattr(gridhot.cli, "sha256_file", lambda p: hashed.append(str(p)) or real_sha256(p))
+        parsed, grids = count_heatmap_reads(monkeypatch)
         out = tmp_path / "heat.geojson"
         assert main(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out)) == 0
+        assert (bool(parsed), bool(grids)) == {
+            "reuse": (False, False), "sums-reuse": (False, True), "read": (True, True)
+        }[path]
         inputs = [str(activity), str(city / "grid.geojson"), str(hs / "hotspots.csv"), str(cfg)]
         assert sorted(hashed) == sorted(
             {*inputs, str(out), str(hs / "intensities.csv")}
@@ -1335,7 +1505,7 @@ COMPARE_OUTPUTS = {
 ACTIVITY_COUNTS = {"lines": 72, "parsed": 72, "skipped": 0, "in_window": 72, "cells": 36}
 # the deterministic diagnostics of each manifest in chain_dir; centrality adds solver params
 DIAGNOSTICS = {
-    "hs/manifest.json": {"ingest": ACTIVITY_COUNTS},
+    "hs/manifest.json": {"ingest": ACTIVITY_COUNTS, "heatmap": {"cells_without_geometry": 0}},
     "hs_plain/manifest.json": {
         "ingest": {"lines": 144, "parsed": 144, "skipped": 0, "in_window": 144, "cells": 36}
     },
