@@ -9,6 +9,7 @@ and outputs, so identical runs are verifiably byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import hashlib
@@ -541,29 +542,28 @@ def cmd_compare(args) -> int:
 _REUSE_ERRORS = (
     OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError, GridhotError
 )
+# the ingest counts a heatmap records, taken from the manifest of a reused run
+_INGEST_KEYS = ("lines", "parsed", "skipped", "in_window", "cells")
 
 
-def _reused_run(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
-    """What ``heatmap`` can take from the ``hotspots`` run that wrote
-    ``args.hotspots``: ``(traffic, counts, heatmap)``, or None when the
-    activity files must be read.  ``traffic`` and ``counts`` are that run's
-    per-cell sums and ingest counts, and ``heatmap`` is what
-    :func:`_reused_heatmap` gives, None when the grid must be parsed.
+def _reused_run(args, window: TimeWindow, cfg: IngestConfig, digests: dict) -> dict | None:
+    """The ``manifest.json`` of the ``hotspots`` run that wrote
+    ``args.hotspots`` when ``heatmap`` may reuse that run's per-cell sums,
+    or None when the activity files must be read.
 
-    The sums are reused when that run's ``manifest.json`` names the command
-    ``hotspots`` and this ``__version__``; records this window and
-    ``on_malformed`` policy; records the digests of these ``--activity``
-    files, as many and in the same order, and of this ``--config``, or
-    neither run has one; and lists ``args.hotspots`` and the
-    ``intensities.csv`` beside it by their digests.  Digests are compared,
-    never paths, and the ones taken are kept in ``digests``.
-    ``__version__`` does not change with every change to the code, so a
-    change to how intensities are summed must also change what this check
-    accepts.  A mismatch, a missing or unreadable file, malformed JSON or a
-    missing key returns None.
+    The sums are reused when that manifest names the command ``hotspots``
+    and this ``__version__``; records this window and ``on_malformed``
+    policy; records the digests of these ``--activity`` files, as many and
+    in the same order, and of this ``--config``, or neither run has one;
+    lists ``args.hotspots`` and the ``intensities.csv`` beside it by their
+    digests; and holds integer ingest counts.  Digests are compared, never
+    paths, and the ones taken are kept in ``digests``.  ``__version__``
+    does not change with every change to the code, so a change to how
+    intensities are summed must also change what this check accepts.  A
+    mismatch, a missing or unreadable file, malformed JSON or a missing key
+    returns None.
     """
     run_dir = Path(args.hotspots).parent
-    intensities_path = str(run_dir / "intensities.csv")
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
         inputs, config, outputs = manifest["inputs"], manifest["config"], manifest["outputs"]
@@ -576,35 +576,58 @@ def _reused_run(args, window: TimeWindow, cfg: IngestConfig, digests: dict):
             and ("config" in inputs) == (args.config is not None)
         ):
             return None
+        ingest = manifest["diagnostics"]["ingest"]
+        if not all(type(ingest[key]) is int for key in _INGEST_KEYS):
+            return None
         # the small files first: a mismatch there hashes no activity file
         recorded = [
             (args.hotspots, outputs["hotspots.csv"]),
-            (intensities_path, outputs["intensities.csv"]),
+            (str(run_dir / "intensities.csv"), outputs["intensities.csv"]),
             *([(args.config, inputs["config"])] if args.config is not None else []),
             *((path, inputs[f"activity[{i}]"]) for i, path in enumerate(args.activity)),
         ]
         if any(_digest(path, digests) != entry["sha256"] for path, entry in recorded):
             return None
-        ingest = manifest["diagnostics"]["ingest"]
-        counts = {key: ingest[key] for key in ("lines", "parsed", "skipped", "in_window")}
-        if not all(type(count) is int for count in counts.values()):
-            return None
-        intensities = _read_hotspots_csv(intensities_path)
     except _REUSE_ERRORS:
         return None
-    traffic = TrafficAggregate(window, intensities, counts["in_window"])
-    return traffic, counts, _reused_heatmap(args, manifest, digests)
+    return manifest
 
 
-def _reused_heatmap(args, manifest: dict, digests: dict) -> tuple[str, int] | None:
-    """The text of the ``heatmap.geojson`` beside ``args.hotspots`` and its
-    count of active cells without geometry, for a run whose sums
-    :func:`_reused_run` accepts, or None.
+def _reused_sums(args, window: TimeWindow, manifest: dict) -> TrafficAggregate | None:
+    """The per-cell sums in the ``intensities.csv`` of a run that
+    :func:`_reused_run` accepts, or None when that file is malformed."""
+    try:
+        intensities = _read_hotspots_csv(str(Path(args.hotspots).parent / "intensities.csv"))
+    except _REUSE_ERRORS:
+        return None
+    return TrafficAggregate(window, intensities, manifest["diagnostics"]["ingest"]["in_window"])
 
-    The file is reused when that run's manifest records this ``--grid``'s
-    digest as its ``grid`` input, lists ``heatmap.geojson`` by the digest
-    of the file's bytes, and holds the count under
-    ``diagnostics.heatmap.cells_without_geometry``.  Given the same sums,
+
+def _verified_text(source, sha256: str) -> Iterator[str]:
+    """The text of the binary file ``source``, decoded as it is read; raises
+    ValueError where its bytes are not UTF-8, or at the end when they lack
+    the digest ``sha256``."""
+    digest = hashlib.sha256()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for block in iter(lambda: source.read(1 << 16), b""):
+        digest.update(block)
+        yield decoder.decode(block)
+    yield decoder.decode(b"", final=True)
+    if digest.hexdigest() != sha256:
+        raise ValueError(f"{source.name} does not have its recorded digest")
+
+
+def _copied_heatmap(args, manifest: dict, digests: dict, out_path: Path) -> int | None:
+    """Copy the ``heatmap.geojson`` beside ``args.hotspots`` to ``out_path``
+    for a run that :func:`_reused_run` accepts, and return that run's count
+    of active cells without geometry; None, with ``out_path`` untouched,
+    when the grid must be parsed.
+
+    The file is copied when the manifest records this ``--grid``'s digest as
+    its ``grid`` input, lists ``heatmap.geojson`` by a digest, and holds the
+    count under ``diagnostics.heatmap.cells_without_geometry``.  The copy is
+    streamed and hashed as it is written, and is only renamed into place
+    when the bytes copied have the recorded digest.  Given the same sums,
     members and grid, :func:`heatmap_feature_collection` writes the same
     text, so a change to it or to :func:`format_grid` must also change what
     this check accepts, as for the sums.
@@ -615,42 +638,46 @@ def _reused_heatmap(args, manifest: dict, digests: dict) -> tuple[str, int] | No
         skipped = manifest["diagnostics"]["heatmap"]["cells_without_geometry"]
         if type(skipped) is not int or grid != _digest(args.grid, digests):
             return None
-        # hashed as read, so that the bytes checked are the bytes copied
-        data = (Path(args.hotspots).parent / "heatmap.geojson").read_bytes()
-        if hashlib.sha256(data).hexdigest() != recorded:
-            return None
-        return data.decode("utf-8"), skipped
+        source = open(Path(args.hotspots).parent / "heatmap.geojson", "rb")
     except _REUSE_ERRORS:
         return None
+    with source:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            atomic_write_text(out_path, SizedChunks(_verified_text(source, recorded)))
+        except ValueError:
+            return None
+    return skipped
 
 
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
     digests = {}
-    reused = _reused_run(args, window, cfg, digests) if args.hotspots else None
-    heatmap = None
-    if reused is None:
-        traffic, counts = _load_records(
-            args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
-        )
-    else:
-        traffic, counts, heatmap = reused
-        _warn_skipped(args.command, "activity", counts["skipped"])
-
     out_path = Path(args.out)
-    if heatmap is None:
+    manifest = _reused_run(args, window, cfg, digests) if args.hotspots else None
+    skipped = None if manifest is None else _copied_heatmap(args, manifest, digests, out_path)
+    if skipped is not None:
+        counts = manifest["diagnostics"]["ingest"]
+        _warn_skipped(args.command, "activity", counts["skipped"])
+        _warn_no_geometry(args.command, skipped)
+    else:
+        traffic = None if manifest is None else _reused_sums(args, window, manifest)
+        if traffic is None:
+            traffic, counts = _load_records(
+                args.command, "activity", parse_activity, aggregate_traffic, args.activity,
+                window, cfg,
+            )
+        else:
+            counts = manifest["diagnostics"]["ingest"]
+            _warn_skipped(args.command, "activity", counts["skipped"])
         cells = parse_grid(args.grid)
         hotspot_members = None
         if args.hotspots:
             hotspot_members = set(_read_hotspots_csv(args.hotspots))
         out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
-    else:
-        text, skipped = heatmap
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out_path, text)
-        _warn_no_geometry(args.command, skipped)
+        counts = {**counts, "cells": len(traffic.intensities)}
 
     inputs = {
         "activity": args.activity,
@@ -659,7 +686,7 @@ def cmd_heatmap(args) -> int:
         "config": args.config,
     }
     config = {"window": window._asdict(), "on_malformed": cfg.on_malformed}
-    diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
+    diagnostics = {"ingest": {key: counts[key] for key in _INGEST_KEYS}}
     manifest_path = Path(str(out_path) + ".manifest.json")
     _write_manifest(
         manifest_path, "heatmap", inputs, config, [out_path],

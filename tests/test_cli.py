@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import functools
@@ -1207,7 +1208,9 @@ def break_intensities(tmp_path, hs):
 
 
 def repeat_intensities_row(tmp_path, hs):
-    # the manifest lists the new bytes, which the reuse check then rejects as malformed
+    # the manifest lists the new bytes, which the sums check then rejects as malformed;
+    # a copy of the heatmap reads no intensities.csv, so the run's heatmap goes
+    (hs / "heatmap.geojson").unlink()
     path = hs / "intensities.csv"
     rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(rows + rows[-1:]), encoding="utf-8")
@@ -1245,6 +1248,7 @@ BROKEN_REUSE = {
     "manifest-nested-past-recursion-limit": write_manifest_text("[" * 100_000),
     "other-tool-version": edit_manifest(lambda doc: doc.update(tool_version="0.0.0")),
     "no-diagnostics": edit_manifest(lambda doc: doc.pop("diagnostics")),
+    "non-int-cell-count": edit_manifest(lambda doc: doc["diagnostics"]["ingest"].update(cells=1.0)),
     # conditions that no change to the heatmap's own inputs breaks alone
     "recorded-policy": edit_manifest(lambda doc: doc["config"].update(on_malformed="abort")),
     "no-recorded-config": edit_manifest(lambda doc: doc["inputs"].pop("config")),
@@ -1275,6 +1279,11 @@ def alter_heatmap(tmp_path, hs):
     path.write_bytes(data.replace(b'"is_hotspot": true', b'"is_hotspot": false', 1))
 
 
+def heatmap_not_utf8(tmp_path, hs):
+    path = hs / "heatmap.geojson"
+    path.write_bytes(path.read_bytes().replace(b"{", b"\xff", 1))
+
+
 # each case breaks one condition of copying the run's heatmap and keeps the others:
 # heatmap reuses the run's sums and formats the heatmap itself
 BROKEN_HEATMAP_REUSE = {
@@ -1286,6 +1295,7 @@ BROKEN_HEATMAP_REUSE = {
         lambda doc: doc["outputs"]["heatmap.geojson"].pop("sha256")
     ),
     "no-geometry-less-count": edit_manifest(lambda doc: doc["diagnostics"].pop("heatmap")),
+    "heatmap-not-utf8": heatmap_not_utf8,
     "non-int-geometry-less-count": edit_manifest(
         lambda doc: doc["diagnostics"]["heatmap"].update(cells_without_geometry=1.0)
     ),
@@ -1327,9 +1337,9 @@ class TestHeatmapReuse:
         out = tmp_path / "x" / "heat.geojson"
         outcome = heatmap_outcome(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out, window),
                                   out, capsys)
-        if broken != "on-malformed":
-            assert bool(parsed) == (broken in BROKEN_REUSE)
-            assert bool(grids) == (broken is not None)
+        assert bool(parsed) == (broken in BROKEN_REUSE)
+        # an aborted read stops before the grid
+        assert bool(grids) == (broken is not None and broken != "on-malformed")
         fresh_out = tmp_path / "y" / "heat.geojson"
         fresh = heatmap_outcome(heatmap_argv(city, activity, cfg, bare / "hotspots.csv", fresh_out,
                                              window), fresh_out, capsys)
@@ -1465,6 +1475,31 @@ class TestStreamedHeatmap:
         doc = oracles.heatmap_document(cells, traffic, members)
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert peak < len(text) / 4, (peak, len(text))
+
+    def test_copied_in_a_quarter_of_the_file_size(self, tmp_path):
+        # a 4 MB heatmap of a run; reading it whole took several times the file
+        run = tmp_path / "hs"
+        run.mkdir()
+        source = run / "heatmap.geojson"
+        source.write_text("".join(f'{{"cell_id": {i}}},\n' for i in range(200_000)), encoding="utf-8")
+        grid = tmp_path / "grid.geojson"
+        grid.write_text("{}", encoding="utf-8")
+        manifest = {
+            "inputs": {"grid": {"sha256": sha256_file(grid)}},
+            "outputs": {"heatmap.geojson": {"sha256": sha256_file(source)}},
+            "diagnostics": {"heatmap": {"cells_without_geometry": 2}},
+        }
+        args = argparse.Namespace(hotspots=str(run / "hotspots.csv"), grid=str(grid))
+        out = tmp_path / "out" / "heat.geojson"
+        tracemalloc.start()
+        try:
+            skipped = gridhot.cli._copied_heatmap(args, manifest, {}, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert skipped == 2
+        assert out.read_bytes() == source.read_bytes()
+        assert peak < source.stat().st_size / 4, (peak, source.stat().st_size)
 
 
 MANIFEST_KEYS = {"command", "tool_version", "inputs", "config", "outputs", "status", "diagnostics"}
