@@ -11,3 +11,9 @@ data, and :mod:`gridhot.cli` wires everything into a multi-command tool.
 """
 
 __version__ = "0.1.0"
+
+# Here rather than in gridhot.centrality, which re-exports them, so that the
+# command-line parser reads them without importing the solvers.
+METRICS = ("closeness", "betweenness", "degree", "pagerank", "eigenvector")
+
+PAGERANK_VARIANTS = ("weighted", "literal")

@@ -16,14 +16,11 @@ from itertools import repeat
 from operator import add, itemgetter, mul, sub, truediv
 from typing import NamedTuple, Sequence
 
+from . import METRICS, PAGERANK_VARIANTS
 from .errors import ConvergenceError, DomainError, GridhotError
 from .graph import WeightedGraph, symmetrize
 from .workers import Workers
 from .workers import worker_count as _worker_count
-
-METRICS = ("closeness", "betweenness", "degree", "pagerank", "eigenvector")
-
-PAGERANK_VARIANTS = ("weighted", "literal")
 
 # two path lengths within this relative tolerance count as equal
 PATH_TIE_REL_TOL = 1e-9

@@ -13,27 +13,18 @@ import codecs
 import csv
 import functools
 import hashlib
+import importlib
 import json
 import math
 import operator
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
-from . import __version__
-from .centrality import (
-    METRICS,
-    PAGERANK_VARIANTS,
-    CentralityParams,
-    CentralityScores,
-    compute_all,
-    rank,
-)
-from .compare import compare_weeks, report_json_obj, to_series
+from . import METRICS, PAGERANK_VARIANTS, __version__
 from .errors import GridhotError, UnreadableInputError
 from .fileio import SizedChunks, atomic_write_text, sha256_file
-from .graph import build_graph, symmetrize
-from .hotspot import calibrate_p, detect_hotspots
 from .ingest import (
     GridCell,
     IngestConfig,
@@ -50,7 +41,45 @@ from .ingest import (
     parse_grid,
     parse_interactions,
 )
-from .synth import generate_city, load_synth_config
+
+# The names taken from modules that not every command runs, each with its
+# module.  So that a command imports only what it runs, a name becomes an
+# attribute of this module on first use: a command binds its names with
+# _bind, and a lookup from outside, such as the setattr of a wrapper or a
+# test's monkeypatch, binds the name through __getattr__.
+_LAZY = {
+    "calibrate_p": "hotspot",
+    "detect_hotspots": "hotspot",
+    "build_graph": "graph",
+    "symmetrize": "graph",
+    "CentralityParams": "centrality",
+    "compute_all": "centrality",
+    "rank": "centrality",
+    "compare_weeks": "compare",
+    "report_json_obj": "compare",
+    "to_series": "compare",
+    "generate_city": "synth",
+    "load_synth_config": "synth",
+}
+
+
+def _bind(*names: str) -> None:
+    """Bind each of ``names`` that this module does not hold yet to the
+    function or class of that name in its module; a name already bound, to
+    the original or to a wrapper set in its place, is left as it is."""
+    namespace = globals()
+    for name in names:
+        if name not in namespace:
+            module = importlib.import_module(f".{_LAZY[name]}", __package__)
+            namespace[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    # called only for the names this module does not hold (PEP 562)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 def _write_json(path, obj) -> None:
@@ -178,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--tol", type=float, default=1e-12, help="iteration tolerance (default 1e-12)")
     p_cen.add_argument("--max-iter", type=int, default=10_000, help="iteration cap (default 10000)")
     p_cen.add_argument(
-        "--metrics", type=_metric_list, default=METRICS, help="comma-separated metric subset"
+        "--metrics",
+        type=_metric_list,
+        default=METRICS,
+        help=f"comma-separated subset of {','.join(METRICS)} (default: all)",
     )
     p_cen.add_argument(
         "--pagerank-variant",
@@ -336,6 +368,7 @@ def _write_heatmap(
 
 
 def cmd_synth(args) -> int:
+    _bind("load_synth_config", "generate_city")
     cfg = load_synth_config(args.config)
     out_dir = Path(args.out)
     city = generate_city(cfg, out_dir)
@@ -350,6 +383,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_hotspots(args) -> int:
+    _bind("calibrate_p", "detect_hotspots")
     cfg = _ingest_config(args)
     window = _window(args)
     traffic, counts = _load_records(
@@ -404,6 +438,7 @@ def cmd_hotspots(args) -> int:
 
 
 def cmd_centrality(args) -> int:
+    _bind("build_graph", "symmetrize", "CentralityParams", "compute_all", "rank")
     cfg = _ingest_config(args)
     window = _window(args)
     members = _read_hotspots_csv(args.hotspots)
@@ -483,6 +518,7 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _bind("to_series", "compare_weeks", "report_json_obj")
     week1 = _read_scores_csv(args.week1)
     week2 = _read_scores_csv(args.week2)
 
@@ -507,8 +543,9 @@ def cmd_compare(args) -> int:
     outputs = []
     for name in metrics:
         node_set = sorted(week1[name])
-        series1 = to_series(CentralityScores(name, week1[name]), node_set)
-        series2 = to_series(CentralityScores(name, week2[name]), node_set)
+        # to_series reads only these two fields of a centrality result
+        series1 = to_series(SimpleNamespace(metric=name, scores=week1[name]), node_set)
+        series2 = to_series(SimpleNamespace(metric=name, scores=week2[name]), node_set)
         try:
             report = compare_weeks(series1, series2)
         except GridhotError as exc:

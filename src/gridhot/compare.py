@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .centrality import CentralityScores
 from .errors import Checked, DomainError, EmptyInputError
+
+if TYPE_CHECKING:
+    from .centrality import CentralityScores
 
 
 class _MetricSeries(NamedTuple):
@@ -84,7 +86,11 @@ class ComparisonReport(NamedTuple):
 
 
 def to_series(scores: CentralityScores, node_set: Iterable[int]) -> MetricSeries:
-    """Align scores to the ascending order of ``node_set``."""
+    """Align scores to the ascending order of ``node_set``.
+
+    Only ``scores.metric`` and ``scores.scores`` are read, so any object
+    with those two fields will do.
+    """
     ordering = tuple(sorted(set(node_set)))
     missing = [cell for cell in ordering if cell not in scores.scores]
     if missing:

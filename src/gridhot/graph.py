@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import Checked, DomainError
-from .hotspot import HotspotSet
 from .ingest import InteractionAggregate
+
+if TYPE_CHECKING:
+    from .hotspot import HotspotSet
 
 # an edge leaves the path adjacency when a two-edge detour is shorter by this
 # share of the longest length a path through it can have
@@ -128,15 +130,18 @@ class WeightedGraph(Checked, _WeightedGraph):
         ]
 
 
-def build_graph(interactions: InteractionAggregate, hotspots) -> WeightedGraph:
+def build_graph(
+    interactions: InteractionAggregate, hotspots: HotspotSet | Iterable[int]
+) -> WeightedGraph:
     """Restrict aggregated interactions to a hotspot set (directed graph).
 
-    ``hotspots`` is a :class:`HotspotSet` or any iterable of cell ids.
-    Self-loop entries are dropped; no centrality metric consumes them.
+    ``hotspots`` is a :class:`HotspotSet`, whose ``members`` are sorted, or
+    any iterable of cell ids.  Self-loop entries are dropped; no centrality
+    metric consumes them.
     """
-    if isinstance(hotspots, HotspotSet):
-        members = hotspots.members
-    else:
+    # read by name, so that the hotspot module is not imported to tell them apart
+    members = getattr(hotspots, "members", None)
+    if members is None:
         members = tuple(sorted(set(hotspots)))
     if not members:
         raise DomainError("cannot build a graph over an empty hotspot set")

@@ -23,11 +23,12 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
 from types import SimpleNamespace
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Checked, DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
-from .workers import Workers
-from .workers import worker_count as _worker_count
+
+if TYPE_CHECKING:
+    from .workers import Workers
 
 MALFORMED_POLICIES = ("abort", "skip")
 
@@ -475,7 +476,7 @@ def parse_grid(path) -> list[GridCell]:
     with open_text(path) as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ParseError(f"invalid GeoJSON: {exc}", path) from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a GeoJSON FeatureCollection", path)
@@ -706,17 +707,25 @@ PARALLEL_MIN_BYTES = 1 << 19
 _TERMS = {"activity": _activity_terms}
 
 
+def _worker_count() -> int:
+    # the workers module is loaded only for inputs large enough to fork for
+    from .workers import worker_count
+
+    return worker_count()
+
+
 def _share_count(kind: str, paths) -> int:
     """One share per CPU for activity inputs of ``PARALLEL_MIN_BYTES`` or
     more in all, else one: for smaller inputs, for other kinds and for
     inputs that cannot be sized, so that those raise their one-process error."""
-    workers = _worker_count() if kind in _TERMS else 1
-    if workers < 2:
+    if kind not in _TERMS:
         return 1
     try:
-        return workers if sum(map(os.path.getsize, paths)) >= PARALLEL_MIN_BYTES else 1
+        if sum(map(os.path.getsize, paths)) < PARALLEL_MIN_BYTES:
+            return 1
     except OSError:
         return 1
+    return _worker_count()
 
 
 def _records(parse, paths, cfg: IngestConfig, stats: ParseStats):
@@ -780,6 +789,8 @@ def load_aggregate(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: 
     _check_policy(cfg.on_malformed)
     count = _share_count(kind, paths)
     if count > 1:
+        from .workers import Workers
+
         terms = _TERMS[kind]
 
         def reduce_share(j, send):

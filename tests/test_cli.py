@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -375,6 +376,24 @@ def test_unreadable_input_exits_two(tmp_path, capsys, command, spoiled, spoil):
     assert err.startswith(f"gridhot {command}: ") and err.count("\n") == 1, err
     assert str(target) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["hotspots", "heatmap"])
+def test_grid_nested_too_deeply_exits_one(tmp_path, capsys, command):
+    """json's decoder recurses once per level of nesting: a grid nested past
+    the recursion limit is invalid GeoJSON, and nothing is written."""
+    city = run_synth(tmp_path)
+    grid = tmp_path / "deep.geojson"
+    grid.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    out = tmp_path / ("hs" if command == "hotspots" else "heat.geojson")
+    argv = [command, "--activity", str(city / "activity.tsv"), *WEEK, "--grid", str(grid),
+            "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + (["--k", "4"] if command == "hotspots" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridhot {command}: invalid GeoJSON: ") and err.count("\n") == 1, err
+    assert err.endswith(f" ({grid})\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["city", "deep.geojson", "synth.cfg"]
 
 
 def run_pipeline(tmp_path, **synth_overrides):
@@ -1709,6 +1728,145 @@ def test_import_generates_no_classes_at_start_up():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def chain_argv(root: Path) -> dict[str, list[str]]:
+    """Every command of one chain on a tiny city under ``root``, by case, in
+    the order they run.  ``heatmap`` copies the heatmap of the ``hotspots``
+    run, reuses the sums of the run without ``--grid``, and reads the files."""
+    city, hs, hs_plain = root / "city", root / "hs", root / "hs_plain"
+    activity, grid = str(city / "activity.tsv"), str(city / "grid.geojson")
+    heatmap = ["heatmap", "--activity", activity, "--grid", grid, *WEEK]
+    return {
+        "synth": ["synth", "--config", str(synth_config(root)), "--out", str(city)],
+        "hotspots": ["hotspots", "--activity", activity, *WEEK, "--k", "6", "--grid", grid,
+                     "--out", str(hs)],
+        "hotspots-plain": ["hotspots", "--activity", activity, *WEEK, "--p", "0.5",
+                           "--out", str(hs_plain)],
+        "centrality": ["centrality", "--interactions", str(city / "interactions.tsv"),
+                       "--hotspots", str(hs / "hotspots.csv"), *WEEK, "--out", str(root / "cen")],
+        "compare": ["compare", str(root / "cen" / "centrality.csv"),
+                    str(root / "cen" / "centrality.csv"), "--out", str(root / "cmp")],
+        "heatmap-copy": [*heatmap, "--hotspots", str(hs / "hotspots.csv"),
+                         "--out", str(root / "heat.geojson")],
+        "heatmap-sums": [*heatmap, "--hotspots", str(hs_plain / "hotspots.csv"),
+                         "--out", str(root / "heat-sums.geojson")],
+        "heatmap-read": [*heatmap, "--out", str(root / "heat-read.geojson")],
+    }
+
+
+def test_tracer_spans_every_wrapped_name(tmp_path, monkeypatch):
+    """The traced benchmark sets its wrappers on gridhot.cli by name.  A
+    chain that calls every wrapped name records a span for each, though a
+    command binds the names it takes from other modules only when it runs,
+    and the originals are back once the wrappers are taken out."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = {name: getattr(gridhot.cli, name) for name in tracing.CLI_WRAPS}
+    # as in a new process, where no command has bound its names yet
+    for name in gridhot.cli._LAZY:
+        monkeypatch.delitem(vars(gridhot.cli), name, raising=False)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, gridhot.cli, gridhot.centrality):
+        for argv in chain_argv(tmp_path).values():
+            assert main(argv) == 0, argv
+    spanned = {span["name"] for span in tracer.spans}
+    assert set(tracing.CLI_WRAPS.values()) - spanned == set()
+    for name, original in originals.items():
+        assert getattr(gridhot.cli, name) is original, name
+
+
+# Prints the exit code and the gridhot modules loaded by the command in argv.
+MODULE_PROBE = """
+import sys
+from gridhot.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version and --help
+    code = exc.code
+print(code, *sorted(name for name in sys.modules if name.startswith("gridhot.")))
+"""
+# The gridhot modules each case of chain_argv, and the version and help
+# texts, leave unloaded.  Without a bytecode cache a process compiles every
+# module it imports.
+LOADED_ON_USE = {"centrality", "graph", "compare", "hotspot", "synth"}
+NOT_LOADED = {
+    "version": LOADED_ON_USE | {"workers"},
+    "centrality-help": LOADED_ON_USE | {"workers"},
+    "synth": {"centrality", "graph", "hotspot", "compare"},
+    "hotspots": {"centrality", "graph", "compare", "synth"},
+    "hotspots-plain": {"centrality", "graph", "compare", "synth"},
+    "centrality": {"hotspot", "compare", "synth"},
+    "compare": {"centrality", "graph", "hotspot", "synth", "workers"},
+    "heatmap-copy": LOADED_ON_USE | {"workers"},
+    "heatmap-sums": LOADED_ON_USE | {"workers"},
+    "heatmap-read": LOADED_ON_USE,
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The gridhot modules each case of NOT_LOADED loads, each in a new process."""
+    root = tmp_path_factory.mktemp("imports")
+    cases = {"version": ["--version"], "centrality-help": ["centrality", "--help"],
+             **chain_argv(root)}
+    env = {**os.environ, "PYTHONPATH": str(Path(gridhot.cli.__file__).resolve().parents[1])}
+    loaded = {}
+    for case, argv in cases.items():
+        done = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, *names = done.stdout.splitlines()[-1].split()
+        assert code == "0", (case, done.stderr)
+        loaded[case] = {name.removeprefix("gridhot.") for name in names}
+    return loaded
+
+
+@pytest.mark.parametrize("case", NOT_LOADED)
+def test_command_imports_only_what_it_runs(loaded_modules, case):
+    assert "cli" in loaded_modules[case]
+    assert loaded_modules[case] & NOT_LOADED[case] == set()
+
+
+# The SHA-256 of the intensities.csv and heatmap.geojson that hotspots writes
+# for one fixed city, by tool version.  heatmap reuses and copies these files
+# from a run whose manifest records the running __version__, so a change to
+# their bytes must bump __version__ (in pyproject.toml too) and pin the new
+# digests here.
+REUSED_OUTPUT_DIGESTS = {
+    "0.1.0": {
+        "intensities.csv": "5cdb8d78c91d6015b45192455a79aef1bfe6a81596a49258a9a641eea6cd662d",
+        "heatmap.geojson": "76fc40b4f10bb380dcf7f1894d6fb278c6dce9bebaf1e855fcd20ddddb2cf97f",
+    },
+}
+
+
+def test_reused_outputs_are_pinned_to_the_version(tmp_path):
+    city = run_synth(tmp_path, grid_side=5, n_centers=2, seed=11)
+    hs = tmp_path / "hs"
+    assert main(["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--k", "4",
+                 "--grid", str(city / "grid.geojson"), "--out", str(hs)]) == 0
+    digests = {name: sha256_file(hs / name) for name in ("intensities.csv", "heatmap.geojson")}
+    assert digests == REUSED_OUTPUT_DIGESTS.get(gridhot.__version__), (
+        "the files heatmap reuses changed: bump __version__ and pin their new digests"
+    )
+
+
+def test_package_and_pyproject_agree_on_the_version():
+    """The reuse checks compare tool_version, so a bump must land in both places."""
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'^version = "([^"]*)"$', text, re.MULTILINE).group(1)
+    assert version == gridhot.__version__
+
+
+def test_metric_names_are_defined_once():
+    """The parser reads them from the package, without importing the solvers."""
+    assert gridhot.cli.METRICS is gridhot.centrality.METRICS is gridhot.METRICS
+    assert gridhot.cli.PAGERANK_VARIANTS is gridhot.centrality.PAGERANK_VARIANTS
 
 
 # Tiny synth configs for the chain fuzz; a second window that holds no records.

@@ -357,6 +357,12 @@ class TestParseGrid:
         with pytest.raises(ParseError):
             parse_grid(path)
 
+    def test_nesting_past_the_recursion_limit_is_invalid(self, tmp_path):
+        # json's decoder recurses once per level and raises RecursionError
+        path = write(tmp_path, "g.geojson", "[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ParseError, match=r"^invalid GeoJSON: .*recursion"):
+            parse_grid(path)
+
     def test_open_ring_rejected(self, tmp_path):
         feature = square_feature(1)
         feature["geometry"]["coordinates"][0].pop()
