@@ -404,10 +404,6 @@ def cmd_hotspots(args) -> int:
 
     rows = [(cell, repr(hotspots.intensities[cell])) for cell in hotspots.members]
     atomic_write_text(out_dir / "hotspots.csv", _csv_text("cell_id,intensity", rows))
-    # every cell's sum, for a heatmap of the same activity to reuse
-    sums = traffic.intensities
-    rows = [(cell, repr(sums[cell])) for cell in sorted(sums)]
-    atomic_write_text(out_dir / "intensities.csv", _csv_text("cell_id,intensity", rows))
 
     threshold_doc = {
         **hotspots.spec._asdict(),
@@ -417,7 +413,7 @@ def cmd_hotspots(args) -> int:
         "window": window._asdict(),
     }
     _write_json(out_dir / "threshold.json", threshold_doc)
-    outputs = [out_dir / "hotspots.csv", out_dir / "intensities.csv", out_dir / "threshold.json"]
+    outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
 
     if cells is not None:
@@ -523,6 +519,8 @@ def cmd_compare(args) -> int:
     week2 = _read_scores_csv(args.week2)
 
     metrics = args.metrics or tuple(name for name in METRICS if name in week1)
+    if not metrics:
+        raise GridhotError(f"report {args.week1} holds none of the metrics {', '.join(METRICS)}")
     missing = [name for name in metrics if name not in week1 or name not in week2]
     if missing:
         raise GridhotError(f"metric(s) {missing} absent from one of the reports")
@@ -575,69 +573,15 @@ def cmd_compare(args) -> int:
     return 0 if outputs else 1
 
 
-# what a reuse check of a hotspots run's files catches: the check raises no error
-_REUSE_ERRORS = (
-    OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError, GridhotError
-)
-# the ingest counts a heatmap records, taken from the manifest of a reused run
+# What the check of a hotspots run's manifest.json catches, by the malformed
+# file that raises it: OSError, a missing or unreadable file; ValueError, bytes
+# that are not UTF-8 or text that is not JSON; LookupError, a missing key;
+# TypeError, a top-level list; AttributeError, "inputs": [1] (name.startswith
+# on an int); RecursionError, JSON nested past the recursion limit.  The check
+# itself raises no error.
+_REUSE_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError)
+# the ingest counts a heatmap records, taken from the manifest of a copied run
 _INGEST_KEYS = ("lines", "parsed", "skipped", "in_window", "cells")
-
-
-def _reused_run(args, window: TimeWindow, cfg: IngestConfig, digests: dict) -> dict | None:
-    """The ``manifest.json`` of the ``hotspots`` run that wrote
-    ``args.hotspots`` when ``heatmap`` may reuse that run's per-cell sums,
-    or None when the activity files must be read.
-
-    The sums are reused when that manifest names the command ``hotspots``
-    and this ``__version__``; records this window and ``on_malformed``
-    policy; records the digests of these ``--activity`` files, as many and
-    in the same order, and of this ``--config``, or neither run has one;
-    lists ``args.hotspots`` and the ``intensities.csv`` beside it by their
-    digests; and holds integer ingest counts.  Digests are compared, never
-    paths, and the ones taken are kept in ``digests``.  ``__version__``
-    does not change with every change to the code, so a change to how
-    intensities are summed must also change what this check accepts.  A
-    mismatch, a missing or unreadable file, malformed JSON or a missing key
-    returns None.
-    """
-    run_dir = Path(args.hotspots).parent
-    try:
-        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-        inputs, config, outputs = manifest["inputs"], manifest["config"], manifest["outputs"]
-        if not (
-            manifest["command"] == "hotspots"
-            and manifest["tool_version"] == __version__
-            and config["window"] == window._asdict()
-            and config["on_malformed"] == cfg.on_malformed
-            and sum(name.startswith("activity[") for name in inputs) == len(args.activity)
-            and ("config" in inputs) == (args.config is not None)
-        ):
-            return None
-        ingest = manifest["diagnostics"]["ingest"]
-        if not all(type(ingest[key]) is int for key in _INGEST_KEYS):
-            return None
-        # the small files first: a mismatch there hashes no activity file
-        recorded = [
-            (args.hotspots, outputs["hotspots.csv"]),
-            (str(run_dir / "intensities.csv"), outputs["intensities.csv"]),
-            *([(args.config, inputs["config"])] if args.config is not None else []),
-            *((path, inputs[f"activity[{i}]"]) for i, path in enumerate(args.activity)),
-        ]
-        if any(_digest(path, digests) != entry["sha256"] for path, entry in recorded):
-            return None
-    except _REUSE_ERRORS:
-        return None
-    return manifest
-
-
-def _reused_sums(args, window: TimeWindow, manifest: dict) -> TrafficAggregate | None:
-    """The per-cell sums in the ``intensities.csv`` of a run that
-    :func:`_reused_run` accepts, or None when that file is malformed."""
-    try:
-        intensities = _read_hotspots_csv(str(Path(args.hotspots).parent / "intensities.csv"))
-    except _REUSE_ERRORS:
-        return None
-    return TrafficAggregate(window, intensities, manifest["diagnostics"]["ingest"]["in_window"])
 
 
 def _verified_text(source, sha256: str) -> Iterator[str]:
@@ -654,37 +598,64 @@ def _verified_text(source, sha256: str) -> Iterator[str]:
         raise ValueError(f"{source.name} does not have its recorded digest")
 
 
-def _copied_heatmap(args, manifest: dict, digests: dict, out_path: Path) -> int | None:
-    """Copy the ``heatmap.geojson`` beside ``args.hotspots`` to ``out_path``
-    for a run that :func:`_reused_run` accepts, and return that run's count
-    of active cells without geometry; None, with ``out_path`` untouched,
-    when the grid must be parsed.
+def _copied_heatmap(args, window: TimeWindow, cfg: IngestConfig, digests: dict) -> dict | None:
+    """Copy the ``heatmap.geojson`` of the ``hotspots`` run that wrote
+    ``args.hotspots`` to ``args.out`` and return that run's ``diagnostics``;
+    None, with ``args.out`` untouched, when the files must be read.
 
-    The file is copied when the manifest records this ``--grid``'s digest as
-    its ``grid`` input, lists ``heatmap.geojson`` by a digest, and holds the
-    count under ``diagnostics.heatmap.cells_without_geometry``.  The copy is
-    streamed and hashed as it is written, and is only renamed into place
-    when the bytes copied have the recorded digest.  Given the same sums,
-    members and grid, :func:`heatmap_feature_collection` writes the same
-    text, so a change to it or to :func:`format_grid` must also change what
-    this check accepts, as for the sums.
+    The file is copied when the run's ``manifest.json`` names the command
+    ``hotspots`` and this ``__version__``; records this window and
+    ``on_malformed`` policy; records the digests of this ``--grid``, of these
+    ``--activity`` files, as many and in the same order, and of this
+    ``--config``, or neither run has one; lists ``args.hotspots`` and
+    ``heatmap.geojson`` by their digests; and holds integer ingest counts and
+    an integer count of active cells without geometry.  Digests are
+    compared, never paths, and the ones taken are kept in ``digests``.  The
+    copy is streamed and hashed as it is written, and only renamed into
+    place when the bytes copied have the recorded digest.  ``__version__``
+    does not change with every change to the code, so a change to how
+    intensities are summed, to :func:`heatmap_feature_collection` or to
+    :func:`format_grid` must also change what this check accepts.  A
+    mismatch, a missing or unreadable file, malformed JSON or a missing key
+    returns None.
     """
+    run_dir = Path(args.hotspots).parent
     try:
-        recorded = manifest["outputs"]["heatmap.geojson"]["sha256"]
-        grid = manifest["inputs"]["grid"]["sha256"]
-        skipped = manifest["diagnostics"]["heatmap"]["cells_without_geometry"]
-        if type(skipped) is not int or grid != _digest(args.grid, digests):
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        inputs, config, outputs = manifest["inputs"], manifest["config"], manifest["outputs"]
+        diagnostics = manifest["diagnostics"]
+        ingest, heatmap = diagnostics["ingest"], diagnostics["heatmap"]
+        if not (
+            manifest["command"] == "hotspots"
+            and manifest["tool_version"] == __version__
+            and config["window"] == window._asdict()
+            and config["on_malformed"] == cfg.on_malformed
+            and sum(name.startswith("activity[") for name in inputs) == len(args.activity)
+            and ("config" in inputs) == (args.config is not None)
+            and all(type(ingest[key]) is int for key in _INGEST_KEYS)
+            and type(heatmap["cells_without_geometry"]) is int
+        ):
             return None
-        source = open(Path(args.hotspots).parent / "heatmap.geojson", "rb")
+        recorded = outputs["heatmap.geojson"]["sha256"]
+        # the small files first: a mismatch there hashes no activity file
+        pairs = [
+            (args.hotspots, outputs["hotspots.csv"]),
+            (args.grid, inputs["grid"]),
+            *([(args.config, inputs["config"])] if args.config is not None else []),
+            *((path, inputs[f"activity[{i}]"]) for i, path in enumerate(args.activity)),
+        ]
+        if any(_digest(path, digests) != entry["sha256"] for path, entry in pairs):
+            return None
+        source = open(run_dir / "heatmap.geojson", "rb")
     except _REUSE_ERRORS:
         return None
     with source:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         try:
-            atomic_write_text(out_path, SizedChunks(_verified_text(source, recorded)))
+            atomic_write_text(args.out, SizedChunks(_verified_text(source, recorded)))
         except ValueError:
             return None
-    return skipped
+    return diagnostics
 
 
 def cmd_heatmap(args) -> int:
@@ -692,26 +663,17 @@ def cmd_heatmap(args) -> int:
     window = _window(args)
     digests = {}
     out_path = Path(args.out)
-    manifest = _reused_run(args, window, cfg, digests) if args.hotspots else None
-    skipped = None if manifest is None else _copied_heatmap(args, manifest, digests, out_path)
-    if skipped is not None:
-        counts = manifest["diagnostics"]["ingest"]
+    run = _copied_heatmap(args, window, cfg, digests) if args.hotspots else None
+    if run is not None:
+        counts = run["ingest"]
         _warn_skipped(args.command, "activity", counts["skipped"])
-        _warn_no_geometry(args.command, skipped)
+        _warn_no_geometry(args.command, run["heatmap"]["cells_without_geometry"])
     else:
-        traffic = None if manifest is None else _reused_sums(args, window, manifest)
-        if traffic is None:
-            traffic, counts = _load_records(
-                args.command, "activity", parse_activity, aggregate_traffic, args.activity,
-                window, cfg,
-            )
-        else:
-            counts = manifest["diagnostics"]["ingest"]
-            _warn_skipped(args.command, "activity", counts["skipped"])
+        traffic, counts = _load_records(
+            args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
+        )
         cells = parse_grid(args.grid)
-        hotspot_members = None
-        if args.hotspots:
-            hotspot_members = set(_read_hotspots_csv(args.hotspots))
+        hotspot_members = set(_read_hotspots_csv(args.hotspots)) if args.hotspots else None
         out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
         counts = {**counts, "cells": len(traffic.intensities)}

@@ -45,9 +45,6 @@ class CorrelationSeries(NamedTuple):
     shifts: tuple[int, ...]
     values: tuple[float, ...]
 
-    def value_at(self, shift: int) -> float:
-        return self.values[self.shifts.index(shift)]
-
 
 class DiffSeries(NamedTuple):
     """Relative differences in percent per shift.

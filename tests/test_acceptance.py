@@ -120,12 +120,13 @@ def test_criterion_3_correlation_identities():
         auto = autocorrelation(f)
         assert cross_correlation(f, f) == auto
         for shift, value in zip(auto.shifts, auto.values):
-            assert value == auto.value_at(-shift)
+            assert value == auto.values[auto.shifts.index(-shift)]
 
-        cross = cross_correlation(f, g)
-        assert cross.value_at(0) ** 2 <= auto.value_at(0) * autocorrelation(g).value_at(0) * (
-            1 + 1e-12
+        cross0, auto_f0, auto_g0 = (
+            result.values[result.shifts.index(0)]
+            for result in (cross_correlation(f, g), auto, autocorrelation(g))
         )
+        assert cross0**2 <= auto_f0 * auto_g0 * (1 + 1e-12)
 
         self_report = compare_weeks(f, f)
         assert all(value == 0.0 for value in self_report.per_node_rel_diff_pct.values())

@@ -26,7 +26,7 @@ import gridhot.synth
 import oracles
 from gridhot.cli import main
 from gridhot.fileio import sha256_file
-from gridhot.ingest import GridCell, TimeWindow, TrafficAggregate
+from gridhot.ingest import GridCell, IngestConfig, TimeWindow, TrafficAggregate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_CONFIG = REPO_ROOT / "docs" / "synth-example.cfg"
@@ -272,8 +272,7 @@ class TestHotspotsCommand:
         )
         assert code == 1
         assert "Point" in capsys.readouterr().err
-        for name in ("hotspots.csv", "intensities.csv", "threshold.json", "heatmap.geojson",
-                     "manifest.json"):
+        for name in ("hotspots.csv", "threshold.json", "heatmap.geojson", "manifest.json"):
             assert not (out / name).exists(), name
 
     def test_grid_of_wrong_shape_exits_one(self, tmp_path, capsys):
@@ -794,12 +793,12 @@ class TestParallelIngest:
             assert read_heatmap.read_bytes() == trees[workers]["hs/heatmap.geojson"]
             shutil.rmtree(out)
             assert_no_children()
-        assert len(trees[1]) == 10 and "cen/manifest.json" in trees[1]
+        assert len(trees[1]) == 9 and "cen/manifest.json" in trees[1]
         assert trees[1] == trees[2] == trees[3]
         # hotspots --grid and heatmap --hotspots write the same heatmap
         assert trees[1]["hs/heatmap.geojson"] == trees[1]["heat.geojson"]
         # hotspots and the heatmap that reads fork one ingest worker per CPU
-        # after the first; the heatmap that reuses the sums reads nothing, and
+        # after the first; the heatmap that copies reads nothing, and
         # centrality reads its interactions in-process
         assert len(forked) == 2 * (1 + 2)
 
@@ -1022,6 +1021,19 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"gridhot compare: malformed row 6 in {report}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows", ["", "1,foo,1.0\n2,foo,2.0\n"], ids=["header-only", "foo-only"])
+    def test_no_known_metric_exits_one(self, tmp_path, capsys, rows):
+        week1, week2 = tmp_path / "week1.csv", tmp_path / "week2.csv"
+        for report in (week1, week2):
+            report.write_text("cell_id,metric,score\n" + rows, encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(week1), str(week2), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"gridhot compare: report {week1} holds none of the metrics "
+            "closeness, betweenness, degree, pagerank, eigenvector\n"
+        )
+        assert not out.exists()
+
 
 class TestWarnings:
     """Each warning is one ``gridhot <command>: warning:`` line on stderr."""
@@ -1218,26 +1230,6 @@ def break_other_k(tmp_path, hs):
     shutil.copyfile(other / "hotspots.csv", hs / "hotspots.csv")
 
 
-def break_intensities(tmp_path, hs):
-    path = hs / "intensities.csv"
-    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    cell, value = rows[1].rstrip("\n").split(",")
-    rows[1] = f"{cell},{float(value) * 2!r}\n"
-    path.write_text("".join(rows), encoding="utf-8")
-
-
-def repeat_intensities_row(tmp_path, hs):
-    # the manifest lists the new bytes, which the sums check then rejects as malformed;
-    # a copy of the heatmap reads no intensities.csv, so the run's heatmap goes
-    (hs / "heatmap.geojson").unlink()
-    path = hs / "intensities.csv"
-    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(rows + rows[-1:]), encoding="utf-8")
-    doc = json.loads((hs / "manifest.json").read_text(encoding="utf-8"))
-    doc["outputs"]["intensities.csv"]["sha256"] = sha256_file(path)
-    (hs / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
-
-
 def edit_manifest(edit):
     def spoil(tmp_path, hs):
         doc = json.loads((hs / "manifest.json").read_text(encoding="utf-8"))
@@ -1252,30 +1244,6 @@ def write_manifest_text(text):
         (hs / "manifest.json").write_text(text, encoding="utf-8")
 
     return spoil
-
-
-# each case breaks one condition of heatmap's reuse rule
-BROKEN_REUSE = {
-    "window-end": break_window,
-    "on-malformed": break_policy,
-    "activity-byte": break_activity_byte,
-    "hotspots-of-other-k": break_other_k,
-    "edited-intensities": break_intensities,
-    "manifest-deleted": lambda tmp_path, hs: (hs / "manifest.json").unlink(),
-    "manifest-truncated": write_manifest_text("{"),
-    "manifest-list": write_manifest_text("[]"),
-    "manifest-nested-past-recursion-limit": write_manifest_text("[" * 100_000),
-    "other-tool-version": edit_manifest(lambda doc: doc.update(tool_version="0.0.0")),
-    "no-diagnostics": edit_manifest(lambda doc: doc.pop("diagnostics")),
-    "non-int-cell-count": edit_manifest(lambda doc: doc["diagnostics"]["ingest"].update(cells=1.0)),
-    # conditions that no change to the heatmap's own inputs breaks alone
-    "recorded-policy": edit_manifest(lambda doc: doc["config"].update(on_malformed="abort")),
-    "no-recorded-config": edit_manifest(lambda doc: doc["inputs"].pop("config")),
-    "extra-recorded-activity": edit_manifest(
-        lambda doc: doc["inputs"].update({"activity[1]": doc["inputs"]["activity[0]"]})
-    ),
-    "repeated-intensities-row": repeat_intensities_row,
-}
 
 
 def rerun_without_grid(tmp_path, hs):
@@ -1303,21 +1271,39 @@ def heatmap_not_utf8(tmp_path, hs):
     path.write_bytes(path.read_bytes().replace(b"{", b"\xff", 1))
 
 
-# each case breaks one condition of copying the run's heatmap and keeps the others:
-# heatmap reuses the run's sums and formats the heatmap itself
-BROKEN_HEATMAP_REUSE = {
+# each case breaks one condition of copying the run's heatmap and keeps the
+# others: heatmap reads the activity files and the grid
+BROKEN_REUSE = {
+    "window-end": break_window,
+    "on-malformed": break_policy,
+    "activity-byte": break_activity_byte,
+    "hotspots-of-other-k": break_other_k,
     "hotspots-without-grid": rerun_without_grid,
     "other-grid": reformat_grid,
     "heatmap-deleted": lambda tmp_path, hs: (hs / "heatmap.geojson").unlink(),
     "heatmap-altered": alter_heatmap,
-    "no-recorded-heatmap-digest": edit_manifest(
-        lambda doc: doc["outputs"]["heatmap.geojson"].pop("sha256")
-    ),
-    "no-geometry-less-count": edit_manifest(lambda doc: doc["diagnostics"].pop("heatmap")),
     "heatmap-not-utf8": heatmap_not_utf8,
+    "manifest-deleted": lambda tmp_path, hs: (hs / "manifest.json").unlink(),
+    "manifest-truncated": write_manifest_text("{"),
+    "manifest-list": write_manifest_text("[]"),
+    "manifest-nested-past-recursion-limit": write_manifest_text("[" * 100_000),
+    "other-tool-version": edit_manifest(lambda doc: doc.update(tool_version="0.0.0")),
+    "no-diagnostics": edit_manifest(lambda doc: doc.pop("diagnostics")),
+    "non-int-cell-count": edit_manifest(lambda doc: doc["diagnostics"]["ingest"].update(cells=1.0)),
+    "no-geometry-less-count": edit_manifest(lambda doc: doc["diagnostics"].pop("heatmap")),
     "non-int-geometry-less-count": edit_manifest(
         lambda doc: doc["diagnostics"]["heatmap"].update(cells_without_geometry=1.0)
     ),
+    "no-recorded-heatmap-digest": edit_manifest(
+        lambda doc: doc["outputs"]["heatmap.geojson"].pop("sha256")
+    ),
+    # conditions that no change to the heatmap's own inputs breaks alone
+    "recorded-policy": edit_manifest(lambda doc: doc["config"].update(on_malformed="abort")),
+    "no-recorded-config": edit_manifest(lambda doc: doc["inputs"].pop("config")),
+    "extra-recorded-activity": edit_manifest(
+        lambda doc: doc["inputs"].update({"activity[1]": doc["inputs"]["activity[0]"]})
+    ),
+    "recorded-inputs-a-list": edit_manifest(lambda doc: doc.update(inputs=[1])),
 }
 
 
@@ -1338,16 +1324,12 @@ def significant_digits(value: float) -> int:
 
 
 class TestHeatmapReuse:
-    @pytest.mark.parametrize(
-        "broken", [None, *BROKEN_REUSE, *BROKEN_HEATMAP_REUSE],
-        ids=["reuse", *BROKEN_REUSE, *BROKEN_HEATMAP_REUSE],
-    )
+    @pytest.mark.parametrize("broken", [None, *BROKEN_REUSE], ids=["reuse", *BROKEN_REUSE])
     def test_reuses_exactly_when_the_run_matches(self, tmp_path, monkeypatch, capsys, broken):
-        """A copied heatmap and reused sums write what a read writes; a broken
-        condition of the sums forces a read, one of the heatmap file a grid parse."""
+        """A copied heatmap writes what a read writes; a broken condition of
+        the copy makes heatmap read the activity files and the grid."""
         city, activity, cfg, hs = reuse_city(tmp_path)
-        spoil = BROKEN_REUSE.get(broken) or BROKEN_HEATMAP_REUSE.get(broken)
-        window = (spoil(tmp_path, hs) if spoil else None) or WEEK
+        window = (BROKEN_REUSE[broken](tmp_path, hs) if broken else None) or WEEK
         bare = tmp_path / "bare"
         bare.mkdir()
         shutil.copyfile(hs / "hotspots.csv", bare / "hotspots.csv")
@@ -1356,7 +1338,7 @@ class TestHeatmapReuse:
         out = tmp_path / "x" / "heat.geojson"
         outcome = heatmap_outcome(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out, window),
                                   out, capsys)
-        assert bool(parsed) == (broken in BROKEN_REUSE)
+        assert bool(parsed) == (broken is not None)
         # an aborted read stops before the grid
         assert bool(grids) == (broken is not None and broken != "on-malformed")
         fresh_out = tmp_path / "y" / "heat.geojson"
@@ -1381,9 +1363,10 @@ class TestHeatmapReuse:
             fresh_values = [f["properties"]["intensity"] for f in json.loads(fresh[2])["features"]]
             assert list(map(float.hex, values)) == list(map(float.hex, fresh_values))
 
-    def test_three_paths_agree_on_a_grid_missing_an_active_cell(self, tmp_path, monkeypatch, capsys):
-        """Copying the heatmap, reusing the sums and reading the files give the
-        same bytes, manifest, warning and exit code."""
+    def test_copy_and_read_agree_on_a_grid_missing_an_active_cell(self, tmp_path, monkeypatch, capsys):
+        """Copying the heatmap and reading the files, given a run without
+        --grid or a hotspots.csv alone, give the same bytes, manifest, warning
+        and exit code."""
         city = run_synth(tmp_path)
         doc = json.loads((city / "grid.geojson").read_text(encoding="utf-8"))
         dropped = doc["features"].pop(3)["properties"]
@@ -1405,8 +1388,8 @@ class TestHeatmapReuse:
             argv = ["heatmap", "--activity", str(activity), "--grid", str(grid), *WEEK,
                     "--hotspots", str(tmp_path / run_dir / "hotspots.csv"), "--out", str(out)]
             outcomes[run_dir] = heatmap_outcome(argv, out, capsys), len(parsed), len(grids)
-        # the copy parses nothing, the reused sums only the grid, the read both
-        assert [outcomes[d][1:] for d in ("hs", "hs_plain", "bare")] == [(0, 0), (0, 1), (1, 2)]
+        # the copy parses nothing, each read both
+        assert [outcomes[d][1:] for d in ("hs", "hs_plain", "bare")] == [(0, 0), (1, 1), (2, 2)]
         code, err, geojson, _ = outcomes["hs"][0]
         assert outcomes["hs_plain"][0] == outcomes["bare"][0] == outcomes["hs"][0]
         assert code == 0
@@ -1417,11 +1400,11 @@ class TestHeatmapReuse:
         cell_ids = {f["properties"]["cell_id"] for f in json.loads(geojson)["features"]}
         assert len(cell_ids) == 35 and dropped["cellId"] not in cell_ids
 
-    @pytest.mark.parametrize("path", ["reuse", "sums-reuse", "read"])
+    @pytest.mark.parametrize("path", ["reuse", "grid-mismatch", "read"])
     def test_hashes_each_input_once(self, tmp_path, monkeypatch, path):
         city, activity, cfg, hs = reuse_city(tmp_path)
-        if path == "sums-reuse":
-            # the check hashes the grid before it finds the mismatch
+        if path == "grid-mismatch":
+            # the check finds the mismatch before it hashes the config and activity
             reformat_grid(tmp_path, hs)
         if path == "read":
             # the check hashes every input before it finds the mismatch
@@ -1432,13 +1415,9 @@ class TestHeatmapReuse:
         parsed, grids = count_heatmap_reads(monkeypatch)
         out = tmp_path / "heat.geojson"
         assert main(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out)) == 0
-        assert (bool(parsed), bool(grids)) == {
-            "reuse": (False, False), "sums-reuse": (False, True), "read": (True, True)
-        }[path]
+        assert bool(parsed) == bool(grids) == (path != "reuse")
         inputs = [str(activity), str(city / "grid.geojson"), str(hs / "hotspots.csv"), str(cfg)]
-        assert sorted(hashed) == sorted(
-            {*inputs, str(out), str(hs / "intensities.csv")}
-        )
+        assert sorted(hashed) == sorted({*inputs, str(out)})
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
         assert sorted(entry["path"] for entry in manifest["inputs"].values()) == sorted(inputs)
 
@@ -1501,22 +1480,32 @@ class TestStreamedHeatmap:
         run.mkdir()
         source = run / "heatmap.geojson"
         source.write_text("".join(f'{{"cell_id": {i}}},\n' for i in range(200_000)), encoding="utf-8")
-        grid = tmp_path / "grid.geojson"
-        grid.write_text("{}", encoding="utf-8")
+        grid, activity, hotspots = tmp_path / "grid.geojson", tmp_path / "a.tsv", run / "hotspots.csv"
+        for path in (grid, activity, hotspots):
+            path.write_text(f"{path.name}\n", encoding="utf-8")
+        window = TimeWindow(0, 1)
         manifest = {
-            "inputs": {"grid": {"sha256": sha256_file(grid)}},
-            "outputs": {"heatmap.geojson": {"sha256": sha256_file(source)}},
-            "diagnostics": {"heatmap": {"cells_without_geometry": 2}},
+            "command": "hotspots",
+            "tool_version": gridhot.__version__,
+            "inputs": {"activity[0]": {"sha256": sha256_file(activity)},
+                       "grid": {"sha256": sha256_file(grid)}},
+            "config": {"window": window._asdict(), "on_malformed": "abort"},
+            "outputs": {"hotspots.csv": {"sha256": sha256_file(hotspots)},
+                        "heatmap.geojson": {"sha256": sha256_file(source)}},
+            "diagnostics": {"ingest": dict.fromkeys(gridhot.cli._INGEST_KEYS, 0),
+                            "heatmap": {"cells_without_geometry": 2}},
         }
-        args = argparse.Namespace(hotspots=str(run / "hotspots.csv"), grid=str(grid))
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         out = tmp_path / "out" / "heat.geojson"
+        args = argparse.Namespace(activity=[str(activity)], grid=str(grid), hotspots=str(hotspots),
+                                  config=None, out=str(out))
         tracemalloc.start()
         try:
-            skipped = gridhot.cli._copied_heatmap(args, manifest, {}, out)
+            diagnostics = gridhot.cli._copied_heatmap(args, window, IngestConfig(), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert skipped == 2
+        assert diagnostics == manifest["diagnostics"]
         assert out.read_bytes() == source.read_bytes()
         assert peak < source.stat().st_size / 4, (peak, source.stat().st_size)
 
@@ -1592,13 +1581,13 @@ MANIFEST_CASES = [
         "hs/manifest.json",
         "hotspots",
         {"activity[0]", "config", "grid"},
-        {"hotspots.csv", "intensities.csv", "threshold.json", "heatmap.geojson"},
+        {"hotspots.csv", "threshold.json", "heatmap.geojson"},
     ),
     (
         "hs_plain/manifest.json",
         "hotspots",
         {"activity[0]", "activity[1]"},
-        {"hotspots.csv", "intensities.csv", "threshold.json"},
+        {"hotspots.csv", "threshold.json"},
     ),
     (
         "cen/manifest.json",
@@ -1733,7 +1722,7 @@ def test_import_generates_no_classes_at_start_up():
 def chain_argv(root: Path) -> dict[str, list[str]]:
     """Every command of one chain on a tiny city under ``root``, by case, in
     the order they run.  ``heatmap`` copies the heatmap of the ``hotspots``
-    run, reuses the sums of the run without ``--grid``, and reads the files."""
+    run, and reads the files given the run without ``--grid`` or no run."""
     city, hs, hs_plain = root / "city", root / "hs", root / "hs_plain"
     activity, grid = str(city / "activity.tsv"), str(city / "grid.geojson")
     heatmap = ["heatmap", "--activity", activity, "--grid", grid, *WEEK]
@@ -1749,8 +1738,8 @@ def chain_argv(root: Path) -> dict[str, list[str]]:
                     str(root / "cen" / "centrality.csv"), "--out", str(root / "cmp")],
         "heatmap-copy": [*heatmap, "--hotspots", str(hs / "hotspots.csv"),
                          "--out", str(root / "heat.geojson")],
-        "heatmap-sums": [*heatmap, "--hotspots", str(hs_plain / "hotspots.csv"),
-                         "--out", str(root / "heat-sums.geojson")],
+        "heatmap-plain-run": [*heatmap, "--hotspots", str(hs_plain / "hotspots.csv"),
+                              "--out", str(root / "heat-plain-run.geojson")],
         "heatmap-read": [*heatmap, "--out", str(root / "heat-read.geojson")],
     }
 
@@ -1799,7 +1788,7 @@ NOT_LOADED = {
     "centrality": {"hotspot", "compare", "synth"},
     "compare": {"centrality", "graph", "hotspot", "synth", "workers"},
     "heatmap-copy": LOADED_ON_USE | {"workers"},
-    "heatmap-sums": LOADED_ON_USE | {"workers"},
+    "heatmap-plain-run": LOADED_ON_USE,
     "heatmap-read": LOADED_ON_USE,
 }
 
@@ -1827,16 +1816,12 @@ def test_command_imports_only_what_it_runs(loaded_modules, case):
     assert loaded_modules[case] & NOT_LOADED[case] == set()
 
 
-# The SHA-256 of the intensities.csv and heatmap.geojson that hotspots writes
-# for one fixed city, by tool version.  heatmap reuses and copies these files
-# from a run whose manifest records the running __version__, so a change to
-# their bytes must bump __version__ (in pyproject.toml too) and pin the new
-# digests here.
-REUSED_OUTPUT_DIGESTS = {
-    "0.1.0": {
-        "intensities.csv": "5cdb8d78c91d6015b45192455a79aef1bfe6a81596a49258a9a641eea6cd662d",
-        "heatmap.geojson": "76fc40b4f10bb380dcf7f1894d6fb278c6dce9bebaf1e855fcd20ddddb2cf97f",
-    },
+# The SHA-256 of the heatmap.geojson that hotspots writes for one fixed city,
+# by tool version.  heatmap copies this file from a run whose manifest records
+# the running __version__, so a change to its bytes must bump __version__ (in
+# pyproject.toml too) and pin the new digest here.
+COPIED_HEATMAP_DIGESTS = {
+    "0.1.0": "76fc40b4f10bb380dcf7f1894d6fb278c6dce9bebaf1e855fcd20ddddb2cf97f",
 }
 
 
@@ -1845,9 +1830,9 @@ def test_reused_outputs_are_pinned_to_the_version(tmp_path):
     hs = tmp_path / "hs"
     assert main(["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--k", "4",
                  "--grid", str(city / "grid.geojson"), "--out", str(hs)]) == 0
-    digests = {name: sha256_file(hs / name) for name in ("intensities.csv", "heatmap.geojson")}
-    assert digests == REUSED_OUTPUT_DIGESTS.get(gridhot.__version__), (
-        "the files heatmap reuses changed: bump __version__ and pin their new digests"
+    digest = sha256_file(hs / "heatmap.geojson")
+    assert digest == COPIED_HEATMAP_DIGESTS.get(gridhot.__version__), (
+        "the heatmap that heatmap copies changed: bump __version__ and pin its new digest"
     )
 
 

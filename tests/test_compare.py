@@ -52,15 +52,15 @@ class TestCrossCorrelation:
         result = cross_correlation(f, f)
         assert result.shifts == (-2, -1, 0, 1, 2)
         assert result.values == (3.0, 8.0, 14.0, 8.0, 3.0)
-        assert result.value_at(0) == 14.0
-        assert result.value_at(1) == 8.0
+        assert result.values[result.shifts.index(0)] == 14.0
+        assert result.values[result.shifts.index(1)] == 8.0
 
     def test_shifted_impulse(self):
         f = series([1.0, 0.0])
         g = series([0.0, 1.0])
         result = cross_correlation(f, g)
-        assert result.value_at(1) == 1.0
-        assert result.value_at(0) == 0.0
+        assert result.values[result.shifts.index(1)] == 1.0
+        assert result.values[result.shifts.index(0)] == 0.0
 
     def test_length_one(self):
         result = cross_correlation(series([3.0]), series([4.0]))
@@ -81,7 +81,8 @@ class TestCrossCorrelation:
 
 class TestAutocorrelation:
     def test_hand_example(self):
-        assert autocorrelation(series([1.0, 2.0, 3.0])).value_at(0) == 14.0
+        result = autocorrelation(series([1.0, 2.0, 3.0]))
+        assert result.values[result.shifts.index(0)] == 14.0
 
     def test_all_zero(self):
         result = autocorrelation(series([0.0, 0.0, 0.0]))
@@ -152,8 +153,8 @@ def test_cross_of_self_equals_auto_exactly(values):
 def test_autocorrelation_symmetric_and_peaked_at_zero(values):
     result = autocorrelation(series(values))
     for shift, value in zip(result.shifts, result.values):
-        assert value == result.value_at(-shift)
-    assert result.value_at(0) == max(result.values)
+        assert value == result.values[result.shifts.index(-shift)]
+    assert result.values[result.shifts.index(0)] == max(result.values)
 
 
 @given(value_lists, value_lists)
@@ -161,9 +162,10 @@ def test_cauchy_schwarz_at_zero(f_values, g_values):
     length = min(len(f_values), len(g_values))
     f = series(f_values[:length])
     g = series(g_values[:length])
-    cross0 = cross_correlation(f, g).value_at(0)
-    auto_f0 = autocorrelation(f).value_at(0)
-    auto_g0 = autocorrelation(g).value_at(0)
+    cross0, auto_f0, auto_g0 = (
+        result.values[result.shifts.index(0)]
+        for result in (cross_correlation(f, g), autocorrelation(f), autocorrelation(g))
+    )
     assert cross0**2 <= auto_f0 * auto_g0 * (1 + 1e-12) + 1e-12
 
 
