@@ -10,37 +10,23 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import csv
 import functools
 import hashlib
-import importlib
 import json
 import math
 import operator
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import METRICS, PAGERANK_VARIANTS, __version__
+from .config import IngestConfig, TimeWindow, load_ingest_config, parse_epoch_ms
 from .errors import GridhotError, UnreadableInputError
-from .fileio import SizedChunks, atomic_write_text, sha256_file
-from .ingest import (
-    GridCell,
-    IngestConfig,
-    TimeWindow,
-    TrafficAggregate,
-    aggregate_interactions,
-    aggregate_traffic,
-    format_grid,
-    load_aggregate,
-    load_ingest_config,
-    open_text,
-    parse_activity,
-    parse_epoch_ms,
-    parse_grid,
-    parse_interactions,
-)
+from .fileio import SizedChunks, atomic_write_text, open_text, sha256_file
+
+if TYPE_CHECKING:
+    from .ingest import GridCell, TrafficAggregate
 
 # The names taken from modules that not every command runs, each with its
 # module.  So that a command imports only what it runs, a name becomes an
@@ -48,6 +34,13 @@ from .ingest import (
 # _bind, and a lookup from outside, such as the setattr of a wrapper or a
 # test's monkeypatch, binds the name through __getattr__.
 _LAZY = {
+    "parse_activity": "ingest",
+    "aggregate_traffic": "ingest",
+    "parse_interactions": "ingest",
+    "aggregate_interactions": "ingest",
+    "load_aggregate": "ingest",
+    "parse_grid": "ingest",
+    "format_grid": "ingest",
     "calibrate_p": "hotspot",
     "detect_hotspots": "hotspot",
     "build_graph": "graph",
@@ -70,7 +63,9 @@ def _bind(*names: str) -> None:
     namespace = globals()
     for name in names:
         if name not in namespace:
-            module = importlib.import_module(f".{_LAZY[name]}", __package__)
+            # the built-in __import__, unlike importlib.import_module, is timed
+            # by -X importtime, so an import profile lists these modules too
+            module = __import__(f"{__package__}.{_LAZY[name]}", fromlist=[name])
             namespace[name] = getattr(module, name)
 
 
@@ -95,7 +90,7 @@ def _digest(path, digests: dict) -> str:
 
 def _write_manifest(
     path, command: str, inputs: dict, config: dict, outputs, *,
-    status=None, diagnostics=None, digests=None,
+    status=None, diagnostics=None, digests=None, written=None,
 ) -> None:
     """Write the reproducibility record that accompanies a command's outputs.
 
@@ -103,11 +98,14 @@ def _write_manifest(
     optional input given as ``None`` is left out.  Inputs and outputs are
     recorded with their SHA-256 digests, outputs under their file names.
     ``digests`` maps input paths to the digests the command has already
-    taken, so that no input is hashed twice.  ``diagnostics`` holds
+    taken, so that no input is hashed twice, and ``written`` maps output
+    paths to the digests of the bytes written there, taken as they were
+    written, so that no output is read back.  ``diagnostics`` holds
     deterministic facts about how a result was reached, such as each
     centrality solver's params.
     """
     digests = {} if digests is None else digests
+    written = {} if written is None else written
 
     def entry(file_path, sha256) -> dict:
         return {"path": str(file_path), "sha256": sha256}
@@ -125,7 +123,9 @@ def _write_manifest(
         "tool_version": __version__,
         "inputs": recorded,
         "config": config,
-        "outputs": {Path(out).name: entry(out, sha256_file(out)) for out in outputs},
+        "outputs": {
+            Path(out).name: entry(out, written.get(out) or sha256_file(out)) for out in outputs
+        },
         "status": status or {},
         "diagnostics": diagnostics or {},
     }
@@ -261,6 +261,7 @@ def _load_records(
     Returns the aggregate and its ingest counts for the manifest's
     ``diagnostics``: lines read, parsed and skipped, and records in the window.
     """
+    _bind("load_aggregate")
     result, stats = load_aggregate(kind, parse, aggregate, paths, window, cfg)
     _warn_skipped(command, kind, stats.skipped)
     return result, {**vars(stats), "in_window": result.in_window}
@@ -276,6 +277,8 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _read_hotspots_csv(path) -> dict[int, float]:
+    import csv  # only the commands that read a CSV input import it
+
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "cell_id" not in reader.fieldnames:
@@ -293,6 +296,8 @@ def _read_hotspots_csv(path) -> dict[int, float]:
 
 
 def _read_scores_csv(path) -> dict[str, dict[int, float]]:
+    import csv
+
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         required = {"cell_id", "metric", "score"}
@@ -326,6 +331,7 @@ def heatmap_feature_collection(
     coordinates, as :func:`parse_grid` gives them.  The chunks are those of
     :func:`format_grid`, with the features in cell id order.
     """
+    _bind("format_grid")
     intensities = traffic.intensities
     skipped = len(intensities) - sum(cell.cell_id in intensities for cell in cells)
     low = min((intensities.get(cell.cell_id, 0.0) for cell in cells), default=0.0)
@@ -383,7 +389,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_hotspots(args) -> int:
-    _bind("calibrate_p", "detect_hotspots")
+    _bind("parse_activity", "aggregate_traffic", "parse_grid", "calibrate_p", "detect_hotspots")
     cfg = _ingest_config(args)
     window = _window(args)
     traffic, counts = _load_records(
@@ -434,7 +440,10 @@ def cmd_hotspots(args) -> int:
 
 
 def cmd_centrality(args) -> int:
-    _bind("build_graph", "symmetrize", "CentralityParams", "compute_all", "rank")
+    _bind(
+        "parse_interactions", "aggregate_interactions",
+        "build_graph", "symmetrize", "CentralityParams", "compute_all", "rank",
+    )
     cfg = _ingest_config(args)
     window = _window(args)
     members = _read_hotspots_csv(args.hotspots)
@@ -598,10 +607,13 @@ def _verified_text(source, sha256: str) -> Iterator[str]:
         raise ValueError(f"{source.name} does not have its recorded digest")
 
 
-def _copied_heatmap(args, window: TimeWindow, cfg: IngestConfig, digests: dict) -> dict | None:
+def _copied_heatmap(
+    args, window: TimeWindow, cfg: IngestConfig, digests: dict
+) -> tuple[dict, str] | None:
     """Copy the ``heatmap.geojson`` of the ``hotspots`` run that wrote
-    ``args.hotspots`` to ``args.out`` and return that run's ``diagnostics``;
-    None, with ``args.out`` untouched, when the files must be read.
+    ``args.hotspots`` to ``args.out`` and return that run's ``diagnostics``
+    with the digest of the bytes copied; None, with ``args.out`` untouched,
+    when the files must be read.
 
     The file is copied when the run's ``manifest.json`` names the command
     ``hotspots`` and this ``__version__``; records this window and
@@ -655,20 +667,23 @@ def _copied_heatmap(args, window: TimeWindow, cfg: IngestConfig, digests: dict) 
             atomic_write_text(args.out, SizedChunks(_verified_text(source, recorded)))
         except ValueError:
             return None
-    return diagnostics
+    return diagnostics, recorded
 
 
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
     digests = {}
+    written = {}
     out_path = Path(args.out)
-    run = _copied_heatmap(args, window, cfg, digests) if args.hotspots else None
-    if run is not None:
+    copied = _copied_heatmap(args, window, cfg, digests) if args.hotspots else None
+    if copied is not None:
+        run, written[out_path] = copied
         counts = run["ingest"]
         _warn_skipped(args.command, "activity", counts["skipped"])
         _warn_no_geometry(args.command, run["heatmap"]["cells_without_geometry"])
     else:
+        _bind("parse_activity", "aggregate_traffic", "parse_grid")
         traffic, counts = _load_records(
             args.command, "activity", parse_activity, aggregate_traffic, args.activity, window, cfg
         )
@@ -689,7 +704,7 @@ def cmd_heatmap(args) -> int:
     manifest_path = Path(str(out_path) + ".manifest.json")
     _write_manifest(
         manifest_path, "heatmap", inputs, config, [out_path],
-        diagnostics=diagnostics, digests=digests,
+        diagnostics=diagnostics, digests=digests, written=written,
     )
     return 0
 

@@ -10,77 +10,34 @@ per-cell traffic intensities and directed pairwise interaction strengths.
 
 from __future__ import annotations
 
-import gzip
 import itertools
 import json
 import math
 import operator
 import os
-import zlib
 from array import array
 from collections import defaultdict
-from contextlib import contextmanager
-from datetime import datetime, timezone
 from functools import partial
 from types import SimpleNamespace
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import Checked, DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
+# the window and configuration types, which gridhot.config holds so that a
+# command that reads no record need not import this module, re-exported here
+from .config import (
+    DEFAULT_LAYOUT,
+    MALFORMED_POLICIES,
+    ColumnLayout,
+    IngestConfig,
+    TimeWindow,
+    load_ingest_config,
+    parse_epoch_ms,
+    read_key_values,
+)
+from .errors import DomainError, ParseError, UnreadableInputError, UnsupportedGeometryError
+from .fileio import _READ_ERRORS, open_text
 
 if TYPE_CHECKING:
     from .workers import Workers
-
-MALFORMED_POLICIES = ("abort", "skip")
-
-
-class ColumnLayout(NamedTuple):
-    """Column positions within the delimited input files.
-
-    Defaults match the published layout: activity files carry square id,
-    time, country code and the five activity quantities; interaction files
-    carry source id, destination id, time and strength.
-    """
-
-    delimiter: str = "\t"
-    # activity file columns
-    square_id: int = 0
-    time: int = 1
-    country_code: int = 2
-    sms_in: int = 3
-    sms_out: int = 4
-    call_in: int = 5
-    call_out: int = 6
-    internet: int = 7
-    # interaction file columns
-    src_id: int = 0
-    dst_id: int = 1
-    interaction_time: int = 2
-    strength: int = 3
-
-
-DEFAULT_LAYOUT = ColumnLayout()
-
-
-class IngestConfig(NamedTuple):
-    layout: ColumnLayout = DEFAULT_LAYOUT
-    on_malformed: str = "abort"
-
-
-class _TimeWindow(NamedTuple):
-    start: int
-    end: int
-
-
-class TimeWindow(Checked, _TimeWindow):
-    """Half-open interval [start, end) in epoch milliseconds (UTC)."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if self.start >= self.end:
-            raise DomainError(
-                f"window start must precede end, got [{self.start}, {self.end})"
-            )
 
 
 class ActivityRecord(NamedTuple):
@@ -147,49 +104,6 @@ class ParseStats(SimpleNamespace):
 
     def __init__(self, lines: int = 0, parsed: int = 0, skipped: int = 0):
         super().__init__(lines=lines, parsed=parsed, skipped=skipped)
-
-
-_GZIP_MAGIC = b"\x1f\x8b"
-# what reading a text input can raise, each reported as UnreadableInputError
-_READ_ERRORS = (OSError, UnicodeDecodeError, EOFError, zlib.error)
-
-
-def _is_gzip(path) -> bool:
-    with open(path, "rb") as probe:
-        return probe.read(2) == _GZIP_MAGIC
-
-
-@contextmanager
-def open_text(path) -> Iterator[IO[str]]:
-    """Open a text file, transparently unpacking gzip (sniffed by magic bytes).
-
-    Bytes that are not UTF-8 or a broken gzip stream raise
-    :class:`UnreadableInputError` naming ``path``.
-    """
-    with (gzip.open if _is_gzip(path) else open)(path, "rt", encoding="utf-8") as handle:
-        try:
-            yield handle
-        except _READ_ERRORS as exc:
-            raise UnreadableInputError(f"cannot read {path}: {exc}") from None
-
-
-def parse_epoch_ms(text: str) -> int:
-    """Parse a window bound: epoch milliseconds, or an ISO date/datetime (UTC).
-
-    Accepted forms: ``1383260400000``, ``2013-11-18``, ``2013-11-18T06:30``.
-    """
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    for fmt in ("%Y-%m-%d", "%Y-%m-%dT%H:%M", "%Y-%m-%dT%H:%M:%S"):
-        try:
-            dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
-            return int(dt.timestamp() * 1000)
-        except ValueError:
-            continue
-    raise DomainError(f"cannot parse time bound {text!r}")
 
 
 def _check_policy(on_malformed: str) -> None:
@@ -805,63 +719,3 @@ def load_aggregate(kind: str, parse, aggregate, paths, window: TimeWindow, cfg: 
             pass  # what the one-process read below gives is what is reported
     stats = ParseStats()
     return aggregate(_records(parse, paths, cfg, stats), window), stats
-
-
-_DELIMITER_NAMES = {"tab": "\t", "comma": ",", "semicolon": ";", "space": " "}
-
-_LAYOUT_KEYS = set(ColumnLayout._fields) - {"delimiter"}
-
-
-def read_key_values(path) -> list[tuple[int, str, str]]:
-    """Read a plain ``key = value`` file into ``(line_no, key, value)`` triples.
-
-    ``#`` starts a comment; blank lines are ignored.  A line without ``=``
-    raises :class:`ParseError` with its line number.
-    """
-    entries = []
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError("expected `key = value`", path, line_no)
-            key, _, value = text.partition("=")
-            entries.append((line_no, key.strip(), value.strip()))
-    return entries
-
-
-def load_ingest_config(path) -> IngestConfig:
-    """Read a plain ``key = value`` ingest configuration file.
-
-    Recognized keys: ``delimiter`` (``tab``/``comma``/``semicolon``/``space``
-    or a literal character), ``on_malformed`` (``abort``/``skip``) and any
-    column name of :class:`ColumnLayout` with an integer index.  ``#``
-    starts a comment.
-    """
-    overrides: dict[str, object] = {}
-    on_malformed = "abort"
-    for line_no, key, value in read_key_values(path):
-        if key == "delimiter":
-            overrides["delimiter"] = _DELIMITER_NAMES.get(value, value)
-            if len(overrides["delimiter"]) != 1:
-                raise ParseError(f"delimiter must be a single character, got {value!r}", path, line_no)
-        elif key == "on_malformed":
-            if value not in MALFORMED_POLICIES:
-                raise ParseError(
-                    f"on_malformed must be one of {MALFORMED_POLICIES}, got {value!r}",
-                    path,
-                    line_no,
-                )
-            on_malformed = value
-        elif key in _LAYOUT_KEYS:
-            try:
-                index = int(value)
-            except ValueError:
-                raise ParseError(f"column index for {key} must be an integer", path, line_no) from None
-            if index < 0:
-                raise ParseError(f"column index for {key} must be nonnegative", path, line_no)
-            overrides[key] = index
-        else:
-            raise ParseError(f"unknown config key {key!r}", path, line_no)
-    return IngestConfig(layout=DEFAULT_LAYOUT._replace(**overrides), on_malformed=on_malformed)

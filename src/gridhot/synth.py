@@ -14,17 +14,15 @@ from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import TimeWindow, parse_epoch_ms, read_key_values
 from .errors import Checked, DomainError
 from .fileio import atomic_write_text
 from .ingest import (
     ActivityRecord,
     InteractionRecord,
-    TimeWindow,
     format_activity_line,
     format_grid,
     format_interaction_line,
-    parse_epoch_ms,
-    read_key_values,
 )
 from .workers import Workers
 from .workers import worker_count as _worker_count

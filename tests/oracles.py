@@ -9,15 +9,17 @@ generator's pruned pair search.  Three exceptions are kept on purpose: the
 one-process path loop, the bitwise reference for the path pass at any
 worker count, frozen copies of the package's own kernels (Dijkstra,
 degree, PageRank, eigenvector, the correlations and the dispersion), the
-bitwise references for their faster inner loops, and a frozen copy of the
+bitwise references for their faster inner loops, a frozen copy of the
 heatmap's whole-document builder, the byte reference for the streamed
-heatmap text.
+heatmap text, and a frozen copy of the window-bound parser that reads every
+ISO form through ``strptime``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from datetime import datetime, timezone
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -580,3 +582,24 @@ def heatmap_document(cells, traffic, hotspot_members=None) -> dict:
         },
         "features": features,
     }
+
+
+# The package's window-bound parser as it was before it read the canonical ISO
+# forms from their fields, verbatim: every form goes through ``strptime``.
+def parse_epoch_ms(text: str) -> int:
+    """Parse a window bound: epoch milliseconds, or an ISO date/datetime (UTC).
+
+    Accepted forms: ``1383260400000``, ``2013-11-18``, ``2013-11-18T06:30``.
+    """
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    for fmt in ("%Y-%m-%d", "%Y-%m-%dT%H:%M", "%Y-%m-%dT%H:%M:%S"):
+        try:
+            dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
+            return int(dt.timestamp() * 1000)
+        except ValueError:
+            continue
+    raise DomainError(f"cannot parse time bound {text!r}")

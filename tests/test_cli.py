@@ -3,6 +3,7 @@ import csv
 import errno
 import functools
 import gzip
+import hashlib
 import importlib
 import inspect
 import json
@@ -1412,14 +1413,21 @@ class TestHeatmapReuse:
         real_sha256 = gridhot.cli.sha256_file
         hashed = []
         monkeypatch.setattr(gridhot.cli, "sha256_file", lambda p: hashed.append(str(p)) or real_sha256(p))
+        # every digest, taken by sha256_file or as the copy is written
+        real_hash = hashlib.sha256
+        hashes = []
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(a) or real_hash(*a))
         parsed, grids = count_heatmap_reads(monkeypatch)
         out = tmp_path / "heat.geojson"
         assert main(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out)) == 0
         assert bool(parsed) == bool(grids) == (path != "reuse")
         inputs = [str(activity), str(city / "grid.geojson"), str(hs / "hotspots.csv"), str(cfg)]
-        assert sorted(hashed) == sorted({*inputs, str(out)})
+        # the copy is hashed as it is written, and its output is not read back
+        assert sorted(hashed) == sorted(inputs if path == "reuse" else [*inputs, str(out)])
+        assert len(hashes) == len(inputs) + 1
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
         assert sorted(entry["path"] for entry in manifest["inputs"].values()) == sorted(inputs)
+        assert manifest["outputs"]["heat.geojson"]["sha256"] == real_sha256(out)
 
 
 coordinates =st.floats(allow_nan=False, allow_infinity=False)
@@ -1501,11 +1509,12 @@ class TestStreamedHeatmap:
                                   config=None, out=str(out))
         tracemalloc.start()
         try:
-            diagnostics = gridhot.cli._copied_heatmap(args, window, IngestConfig(), {})
+            diagnostics, digest = gridhot.cli._copied_heatmap(args, window, IngestConfig(), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert diagnostics == manifest["diagnostics"]
+        assert digest == sha256_file(out)
         assert out.read_bytes() == source.read_bytes()
         assert peak < source.stat().st_size / 4, (peak, source.stat().st_size)
 
@@ -1707,6 +1716,31 @@ def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
         records.close()
 
 
+# Runs the command in argv and prints its exit code and the umask it left.
+UMASK_PROBE = """
+import os, sys
+from gridhot.cli import main
+code = main(sys.argv[1:])
+print(code, oct(os.umask(0)))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    """Every output gets the mode open(path, "w") gives a new file, though
+    it is written through a temp file and renamed, and the process umask is
+    left as it was."""
+    out = tmp_path / "city"
+    env = {**os.environ, "PYTHONPATH": str(Path(gridhot.cli.__file__).resolve().parents[1])}
+    argv = ["synth", "--config", str(synth_config(tmp_path)), "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", UMASK_PROBE, *argv], env=env, umask=umask,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", oct(umask)]
+    modes = {path.name: oct(path.stat().st_mode & 0o777) for path in out.iterdir()}
+    names = ("activity.tsv", "interactions.tsv", "grid.geojson", "manifest.json")
+    assert modes == dict.fromkeys(names, oct(mode))
+
+
 def test_import_generates_no_classes_at_start_up():
     """Every command pays for its imports; records are named tuples, so
     neither dataclasses nor the inspect module it needs is loaded."""
@@ -1765,7 +1799,8 @@ def test_tracer_spans_every_wrapped_name(tmp_path, monkeypatch):
         assert getattr(gridhot.cli, name) is original, name
 
 
-# Prints the exit code and the gridhot modules loaded by the command in argv.
+# Prints the exit code and the modules loaded by the command in argv, those
+# of gridhot without their package prefix.
 MODULE_PROBE = """
 import sys
 from gridhot.cli import main
@@ -1773,46 +1808,59 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version and --help
     code = exc.code
-print(code, *sorted(name for name in sys.modules if name.startswith("gridhot.")))
+print(code, *sorted(name.removeprefix("gridhot.") for name in sys.modules))
 """
-# The gridhot modules each case of chain_argv, and the version and help
-# texts, leave unloaded.  Without a bytecode cache a process compiles every
-# module it imports.
+# The modules each case of chain_argv, and the version and help texts, leave
+# unloaded.  Without a bytecode cache a process compiles every module it
+# imports: ingest holds the record readers, csv is needed only for a CSV
+# input, and _strptime only for a window bound in none of the canonical ISO
+# forms, which every case gives.
 LOADED_ON_USE = {"centrality", "graph", "compare", "hotspot", "synth"}
+READS_NO_RECORD = LOADED_ON_USE | {"workers", "ingest", "csv", "_strptime"}
 NOT_LOADED = {
-    "version": LOADED_ON_USE | {"workers"},
-    "centrality-help": LOADED_ON_USE | {"workers"},
-    "synth": {"centrality", "graph", "hotspot", "compare"},
-    "hotspots": {"centrality", "graph", "compare", "synth"},
-    "hotspots-plain": {"centrality", "graph", "compare", "synth"},
-    "centrality": {"hotspot", "compare", "synth"},
-    "compare": {"centrality", "graph", "hotspot", "synth", "workers"},
-    "heatmap-copy": LOADED_ON_USE | {"workers"},
-    "heatmap-plain-run": LOADED_ON_USE,
-    "heatmap-read": LOADED_ON_USE,
+    "version": READS_NO_RECORD,
+    "centrality-help": READS_NO_RECORD,
+    "synth": {"centrality", "graph", "hotspot", "compare", "csv", "_strptime"},
+    "hotspots": {"centrality", "graph", "compare", "synth", "csv", "_strptime"},
+    "hotspots-plain": {"centrality", "graph", "compare", "synth", "csv", "_strptime"},
+    "centrality": {"hotspot", "compare", "synth", "_strptime"},
+    "compare": {"centrality", "graph", "hotspot", "synth", "workers", "ingest", "_strptime"},
+    "heatmap-copy": READS_NO_RECORD,
+    "heatmap-plain-run": LOADED_ON_USE | {"_strptime"},
+    "heatmap-read": LOADED_ON_USE | {"_strptime"},
+}
+# What some cases must still load: a read of the files loads the readers.
+LOADED = {
+    "heatmap-plain-run": {"ingest", "csv"},
+    "heatmap-read": {"ingest"},
+    "compare": {"compare", "csv"},
 }
 
 
 @pytest.fixture(scope="module")
 def loaded_modules(tmp_path_factory):
-    """The gridhot modules each case of NOT_LOADED loads, each in a new process."""
+    """The modules each case of NOT_LOADED loads, each in a new process,
+    less those a bare interpreter start loads, which no command can avoid."""
     root = tmp_path_factory.mktemp("imports")
     cases = {"version": ["--version"], "centrality-help": ["centrality", "--help"],
              **chain_argv(root)}
     env = {**os.environ, "PYTHONPATH": str(Path(gridhot.cli.__file__).resolve().parents[1])}
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], env=env,
+                          capture_output=True, text=True, check=True)
+    at_start = set(bare.stdout.split())
     loaded = {}
     for case, argv in cases.items():
         done = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv], env=env,
                               capture_output=True, text=True, check=True)
         code, *names = done.stdout.splitlines()[-1].split()
         assert code == "0", (case, done.stderr)
-        loaded[case] = {name.removeprefix("gridhot.") for name in names}
+        loaded[case] = set(names) - at_start
     return loaded
 
 
 @pytest.mark.parametrize("case", NOT_LOADED)
 def test_command_imports_only_what_it_runs(loaded_modules, case):
-    assert "cli" in loaded_modules[case]
+    assert {"cli", *LOADED.get(case, ())} <= loaded_modules[case]
     assert loaded_modules[case] & NOT_LOADED[case] == set()
 
 

@@ -9,9 +9,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gridhot import ingest
+import oracles
+from gridhot import config, fileio, ingest
 from gridhot.errors import (
     DomainError,
     GridhotError,
@@ -656,6 +657,47 @@ def test_activity_file_round_trip(tmp_path):
     assert list(parse_activity(path)) == records
 
 
+def bound_outcome(parse, text: str):
+    """The epoch ms that ``parse`` reads from ``text``, or its error text."""
+    try:
+        value = parse(text)
+    except DomainError as exc:
+        return "error", str(exc)
+    assert type(value) is int
+    return value
+
+
+def padded(draw, value: int, width: int) -> str:
+    # zero-padded most often, as the canonical forms are; else unpadded or space-padded
+    style = draw(st.sampled_from(["zero", "zero", "zero", "none", "space"]))
+    if style == "zero":
+        return f"{value:0{width}d}"
+    return f"{value:{width}d}" if style == "space" else str(value)
+
+
+@st.composite
+def window_bounds(draw) -> str:
+    """Text for a window bound: ISO dates and datetimes with zero-padded,
+    unpadded or space-padded fields, impossible ones included, epoch
+    milliseconds with spaces or underscores, and any text of their characters."""
+    kind = draw(st.sampled_from(["iso", "iso", "iso", "epoch", "any"]))
+    if kind == "epoch":
+        ms = draw(st.integers(min_value=-10**14, max_value=10**14))
+        return draw(st.sampled_from([str(ms), f"{ms:_}", f" {ms} ", f"\t{ms:_}\n", f"{ms}_"]))
+    if kind == "any":
+        # the Arabic-Indic three is a digit to int() and to strptime's \d
+        return draw(st.text(alphabet="0123456789-:_Tt +\t\u0663", max_size=21))
+    # year, month, day, hour, minute and second, each one past its range and more
+    highs = (10_000, 13, 32, 25, 61, 62)
+    fields = [draw(st.integers(min_value=0, max_value=high)) for high in highs]
+    count = draw(st.sampled_from([3, 5, 6]))
+    texts = [padded(draw, value, 4 if i == 0 else 2) for i, value in enumerate(fields[:count])]
+    text = "-".join(texts[:3])
+    if count > 3:
+        text += draw(st.sampled_from(["T", "T", "t"])) + ":".join(texts[3:])
+    return draw(st.sampled_from(["", "", " "])) + text
+
+
 class TestWindow:
     def test_degenerate_window_rejected(self):
         with pytest.raises(DomainError):
@@ -674,6 +716,51 @@ class TestWindow:
     def test_parse_epoch_ms_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_epoch_ms("next tuesday")
+
+    @given(window_bounds())
+    @example("2013-02-30")
+    @example("2012-02-29T23:59:59")
+    @example("2013-11-18T06:30:60")
+    @example("2013-11-18T24:00")
+    @example("0000-01-01")
+    @example("9999-12-31T23:59:59")
+    @example("2013-1-8")
+    @example("2013-11- 8")
+    @example("2013-11-18t06:30")
+    @example(" 1_383_260_400_000 ")
+    @example("2013-11-18T06:30:00 ")
+    @settings(max_examples=1000, deadline=None)
+    def test_parse_epoch_ms_matches_strptime(self, text):
+        """Reading the canonical ISO forms from their fields gives what
+        strptime gives, for every text: the same int or the same error."""
+        assert bound_outcome(parse_epoch_ms, text) == bound_outcome(oracles.parse_epoch_ms, text)
+
+
+# The public names of gridhot.ingest before the window and configuration types
+# and open_text moved out; the benchmark imports TimeWindow, aggregate_traffic,
+# parse_activity and parse_epoch_ms from it.
+INGEST_NAMES = (
+    "ACTIVITY_COLUMNS", "ActivityRecord", "ColumnLayout", "DEFAULT_LAYOUT", "GridCell",
+    "INTERACTION_COLUMNS", "IngestConfig", "InteractionAggregate", "InteractionRecord",
+    "MALFORMED_POLICIES", "PARALLEL_MIN_BYTES", "ParseStats", "TimeWindow", "TrafficAggregate",
+    "aggregate_interactions", "aggregate_traffic", "format_activity_line", "format_grid",
+    "format_interaction_line", "load_aggregate", "load_ingest_config", "open_text",
+    "parse_activity", "parse_epoch_ms", "parse_grid", "parse_interactions", "read_key_values",
+)
+MOVED_TO_CONFIG = (
+    "ColumnLayout", "DEFAULT_LAYOUT", "IngestConfig", "MALFORMED_POLICIES", "TimeWindow",
+    "load_ingest_config", "parse_epoch_ms", "read_key_values",
+)
+
+
+def test_every_public_name_still_imports_from_ingest():
+    namespace = {}
+    exec(f"from gridhot.ingest import {', '.join(INGEST_NAMES)}", namespace)
+    assert set(INGEST_NAMES) <= set(namespace)
+    # the moved names are re-exported, not copied
+    for name in MOVED_TO_CONFIG:
+        assert getattr(ingest, name) is getattr(config, name), name
+    assert ingest.open_text is fileio.open_text
 
 
 class TestIngestConfig:
