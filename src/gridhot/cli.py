@@ -9,9 +9,7 @@ and outputs, so identical runs are verifiably byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -77,8 +75,8 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def _write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _digest(path, digests: dict) -> str:
@@ -89,8 +87,8 @@ def _digest(path, digests: dict) -> str:
 
 
 def _write_manifest(
-    path, command: str, inputs: dict, config: dict, outputs, *,
-    status=None, diagnostics=None, digests=None, written=None,
+    path, command: str, inputs: dict, config: dict, outputs: dict, *,
+    status=None, diagnostics=None, digests=None,
 ) -> None:
     """Write the reproducibility record that accompanies a command's outputs.
 
@@ -98,14 +96,13 @@ def _write_manifest(
     optional input given as ``None`` is left out.  Inputs and outputs are
     recorded with their SHA-256 digests, outputs under their file names.
     ``digests`` maps input paths to the digests the command has already
-    taken, so that no input is hashed twice, and ``written`` maps output
-    paths to the digests of the bytes written there, taken as they were
-    written, so that no output is read back.  ``diagnostics`` holds
+    taken, so that no input is hashed twice.  ``outputs`` maps output paths
+    to the digests of the bytes written there, as :func:`atomic_write_text`
+    took them, so that no output is read back.  ``diagnostics`` holds
     deterministic facts about how a result was reached, such as each
     centrality solver's params.
     """
     digests = {} if digests is None else digests
-    written = {} if written is None else written
 
     def entry(file_path, sha256) -> dict:
         return {"path": str(file_path), "sha256": sha256}
@@ -123,13 +120,11 @@ def _write_manifest(
         "tool_version": __version__,
         "inputs": recorded,
         "config": config,
-        "outputs": {
-            Path(out).name: entry(out, written.get(out) or sha256_file(out)) for out in outputs
-        },
+        "outputs": {Path(out).name: entry(out, sha256) for out, sha256 in outputs.items()},
         "status": status or {},
         "diagnostics": diagnostics or {},
     }
-    _write_json(path, manifest)
+    atomic_write_text(path, _json_text(manifest))
 
 
 def _warn(command: str, message: str) -> None:
@@ -364,13 +359,13 @@ def _warn_no_geometry(command: str, skipped: int) -> None:
 
 def _write_heatmap(
     command: str, path, cells: list[GridCell], traffic: TrafficAggregate, members: set[int] | None
-) -> int:
+) -> tuple[str, int]:
     """Stream the heatmap to ``path``, warning of active cells without geometry;
-    returns their count."""
+    returns the digest of the bytes written and the count of those cells."""
     chunks, skipped = heatmap_feature_collection(cells, traffic, members)
-    atomic_write_text(path, SizedChunks(chunks))
+    sha256 = atomic_write_text(path, SizedChunks(chunks))
     _warn_no_geometry(command, skipped)
-    return skipped
+    return sha256, skipped
 
 
 def cmd_synth(args) -> int:
@@ -379,11 +374,10 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     city = generate_city(cfg, out_dir)
 
-    outputs = (city.activity_path, city.interactions_path, city.grid_path)
     config = {**cfg._asdict(), "window": cfg.window._asdict()}
     _write_manifest(
         out_dir / "manifest.json", "synth", {"config": args.config}, config,
-        outputs, diagnostics={"synth": city.stats._asdict()},
+        city.digests, diagnostics={"synth": city.stats._asdict()},
     )
     return 0
 
@@ -409,7 +403,8 @@ def cmd_hotspots(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = [(cell, repr(hotspots.intensities[cell])) for cell in hotspots.members]
-    atomic_write_text(out_dir / "hotspots.csv", _csv_text("cell_id,intensity", rows))
+    csv_path = out_dir / "hotspots.csv"
+    outputs = {csv_path: atomic_write_text(csv_path, _csv_text("cell_id,intensity", rows))}
 
     threshold_doc = {
         **hotspots.spec._asdict(),
@@ -418,14 +413,15 @@ def cmd_hotspots(args) -> int:
         "member_count": len(hotspots.members),
         "window": window._asdict(),
     }
-    _write_json(out_dir / "threshold.json", threshold_doc)
-    outputs = [out_dir / "hotspots.csv", out_dir / "threshold.json"]
+    threshold_path = out_dir / "threshold.json"
+    outputs[threshold_path] = atomic_write_text(threshold_path, _json_text(threshold_doc))
     diagnostics = {"ingest": {**counts, "cells": len(traffic.intensities)}}
 
     if cells is not None:
         heatmap_path = out_dir / "heatmap.geojson"
-        skipped = _write_heatmap(args.command, heatmap_path, cells, traffic, set(hotspots.members))
-        outputs.append(heatmap_path)
+        outputs[heatmap_path], skipped = _write_heatmap(
+            args.command, heatmap_path, cells, traffic, set(hotspots.members)
+        )
         # for a heatmap command that copies this file to warn as this run did
         diagnostics["heatmap"] = {"cells_without_geometry": skipped}
 
@@ -484,15 +480,16 @@ def cmd_centrality(args) -> int:
         (cell, result.metric, repr(score))
         for result in ordered for cell, score in sorted(result.scores.items())
     ]
-    atomic_write_text(out_dir / "centrality.csv", _csv_text("cell_id,metric,score", score_rows))
-
     ranking_rows = []
     for result in ordered:
         for position, (cell, score) in enumerate(rank(result), start=1):
             ranking_rows.append((result.metric, position, cell, repr(score)))
-    atomic_write_text(
-        out_dir / "rankings.csv", _csv_text("metric,rank,cell_id,score", ranking_rows)
-    )
+    outputs = {}
+    for name, header, rows in (
+        ("centrality.csv", "cell_id,metric,score", score_rows),
+        ("rankings.csv", "metric,rank,cell_id,score", ranking_rows),
+    ):
+        outputs[out_dir / name] = atomic_write_text(out_dir / name, _csv_text(header, rows))
 
     config = {
         **params._asdict(),
@@ -508,7 +505,7 @@ def cmd_centrality(args) -> int:
         "centrality",
         {"interactions": args.interactions, "hotspots": args.hotspots, "config": args.config},
         config,
-        [out_dir / "centrality.csv", out_dir / "rankings.csv"],
+        outputs,
         status=status,
         diagnostics={
             "ingest": counts,
@@ -547,7 +544,7 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     status = {}
-    outputs = []
+    outputs = {}
     for name in metrics:
         node_set = sorted(week1[name])
         # to_series reads only these two fields of a centrality result
@@ -561,20 +558,18 @@ def cmd_compare(args) -> int:
             continue
         status[name] = "ok"
 
-        _write_json(out_dir / f"{name}_comparison.json", report_json_obj(report))
         diff_rows = [
             (cell, repr(report.per_node_rel_diff_pct[cell]))
             for cell in sorted(report.per_node_rel_diff_pct)
         ]
-        atomic_write_text(
-            out_dir / f"{name}_reldiff.csv", _csv_text("cell_id,rel_diff_pct", diff_rows)
-        )
         corr_rows = list(zip(report.auto_cross_diff.shifts, map(repr, report.auto_cross_diff.values)))
-        atomic_write_text(
-            out_dir / f"{name}_corr_diff.csv", _csv_text("shift,diff_pct", corr_rows)
-        )
-        for suffix in ("comparison.json", "reldiff.csv", "corr_diff.csv"):
-            outputs.append(out_dir / f"{name}_{suffix}")
+        for suffix, text in (
+            ("comparison.json", _json_text(report_json_obj(report))),
+            ("reldiff.csv", _csv_text("cell_id,rel_diff_pct", diff_rows)),
+            ("corr_diff.csv", _csv_text("shift,diff_pct", corr_rows)),
+        ):
+            path = out_dir / f"{name}_{suffix}"
+            outputs[path] = atomic_write_text(path, text)
 
     inputs = {"week1": args.week1, "week2": args.week2}
     config = {"metrics": list(metrics)}
@@ -593,20 +588,6 @@ _REUSE_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError, Re
 _INGEST_KEYS = ("lines", "parsed", "skipped", "in_window", "cells")
 
 
-def _verified_text(source, sha256: str) -> Iterator[str]:
-    """The text of the binary file ``source``, decoded as it is read; raises
-    ValueError where its bytes are not UTF-8, or at the end when they lack
-    the digest ``sha256``."""
-    digest = hashlib.sha256()
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    for block in iter(lambda: source.read(1 << 16), b""):
-        digest.update(block)
-        yield decoder.decode(block)
-    yield decoder.decode(b"", final=True)
-    if digest.hexdigest() != sha256:
-        raise ValueError(f"{source.name} does not have its recorded digest")
-
-
 def _copied_heatmap(
     args, window: TimeWindow, cfg: IngestConfig, digests: dict
 ) -> tuple[dict, str] | None:
@@ -623,13 +604,13 @@ def _copied_heatmap(
     ``heatmap.geojson`` by their digests; and holds integer ingest counts and
     an integer count of active cells without geometry.  Digests are
     compared, never paths, and the ones taken are kept in ``digests``.  The
-    copy is streamed and hashed as it is written, and only renamed into
-    place when the bytes copied have the recorded digest.  ``__version__``
-    does not change with every change to the code, so a change to how
-    intensities are summed, to :func:`heatmap_feature_collection` or to
-    :func:`format_grid` must also change what this check accepts.  A
-    mismatch, a missing or unreadable file, malformed JSON or a missing key
-    returns None.
+    copy is streamed as text that keeps every byte, hashed as it is written,
+    and only renamed into place when the bytes copied have the recorded
+    digest.  ``__version__`` does not change with every change to the code,
+    so a change to how intensities are summed, to
+    :func:`heatmap_feature_collection` or to :func:`format_grid` must also
+    change what this check accepts.  A mismatch, a missing or unreadable
+    file, malformed JSON or a missing key returns None.
     """
     run_dir = Path(args.hotspots).parent
     try:
@@ -658,27 +639,29 @@ def _copied_heatmap(
         ]
         if any(_digest(path, digests) != entry["sha256"] for path, entry in pairs):
             return None
-        source = open(run_dir / "heatmap.geojson", "rb")
+        # newline="" passes line ends through, so the text is the file's bytes
+        source = open(run_dir / "heatmap.geojson", encoding="utf-8", newline="")
     except _REUSE_ERRORS:
         return None
     with source:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        blocks = iter(lambda: source.read(1 << 16), "")
         try:
-            atomic_write_text(args.out, SizedChunks(_verified_text(source, recorded)))
+            # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError
+            sha256 = atomic_write_text(args.out, SizedChunks(blocks), expect=recorded)
         except ValueError:
             return None
-    return diagnostics, recorded
+    return diagnostics, sha256
 
 
 def cmd_heatmap(args) -> int:
     cfg = _ingest_config(args)
     window = _window(args)
     digests = {}
-    written = {}
     out_path = Path(args.out)
     copied = _copied_heatmap(args, window, cfg, digests) if args.hotspots else None
     if copied is not None:
-        run, written[out_path] = copied
+        run, sha256 = copied
         counts = run["ingest"]
         _warn_skipped(args.command, "activity", counts["skipped"])
         _warn_no_geometry(args.command, run["heatmap"]["cells_without_geometry"])
@@ -690,7 +673,7 @@ def cmd_heatmap(args) -> int:
         cells = parse_grid(args.grid)
         hotspot_members = set(_read_hotspots_csv(args.hotspots)) if args.hotspots else None
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
+        sha256, _ = _write_heatmap(args.command, out_path, cells, traffic, hotspot_members)
         counts = {**counts, "cells": len(traffic.intensities)}
 
     inputs = {
@@ -703,8 +686,8 @@ def cmd_heatmap(args) -> int:
     diagnostics = {"ingest": {key: counts[key] for key in _INGEST_KEYS}}
     manifest_path = Path(str(out_path) + ".manifest.json")
     _write_manifest(
-        manifest_path, "heatmap", inputs, config, [out_path],
-        diagnostics=diagnostics, digests=digests, written=written,
+        manifest_path, "heatmap", inputs, config, {out_path: sha256},
+        diagnostics=diagnostics, digests=digests,
     )
     return 0
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import os
+import stat
 import tempfile
 import zlib
 from contextlib import contextmanager
@@ -18,9 +20,15 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _READ_ERRORS = (OSError, UnicodeDecodeError, EOFError, zlib.error)
 
 
-def _is_gzip(path) -> bool:
-    with open(path, "rb") as probe:
-        return probe.read(2) == _GZIP_MAGIC
+def _open_input(path) -> io.FileIO:
+    """``path`` opened unbuffered to read bytes; UnreadableInputError names
+    it unless it is a regular file, as a pipe, a FIFO or a process
+    substitution loses to one read what the next would need."""
+    raw = open(path, "rb", buffering=0)
+    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+        raw.close()
+        raise UnreadableInputError(f"cannot read {path}: not a regular file")
+    return raw
 
 
 @contextmanager
@@ -28,20 +36,25 @@ def open_text(path) -> Iterator[IO[str]]:
     """Open a text file, transparently unpacking gzip (sniffed by magic bytes).
 
     Bytes that are not UTF-8 or a broken gzip stream raise
-    :class:`UnreadableInputError` naming ``path``.  ``gzip`` is imported
-    only for a gzip file.
+    :class:`UnreadableInputError` naming ``path``, as does a ``path`` that
+    is not a regular file.  ``gzip`` is imported only for a gzip file.
     """
-    if _is_gzip(path):
-        import gzip
+    with _open_input(path) as raw:
+        # probed unbuffered, so the text decoder's 8 KiB chunks, from which a
+        # decoding error counts its byte position, still start at byte 0
+        gzipped = raw.read(2) == _GZIP_MAGIC
+        raw.seek(0)
+        if gzipped:
+            import gzip
 
-        opener = gzip.open
-    else:
-        opener = open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        try:
-            yield handle
-        except _READ_ERRORS as exc:
-            raise UnreadableInputError(f"cannot read {path}: {exc}") from None
+            handle = gzip.open(raw, "rt", encoding="utf-8")
+        else:
+            handle = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
+        with handle:
+            try:
+                yield handle
+            except _READ_ERRORS as exc:
+                raise UnreadableInputError(f"cannot read {path}: {exc}") from None
 
 
 @functools.cache
@@ -54,15 +67,34 @@ def _new_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def atomic_write_text(path, text) -> None:
+class _HashedFile(io.FileIO):
+    """A file to write that hashes the blocks its buffer hands down."""
+
+    def __init__(self, fd: int):
+        super().__init__(fd, "w")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.sha256.update(memoryview(data)[:written])
+        return written
+
+
+def atomic_write_text(path, text, expect: str | None = None) -> str:
     """Write ``text``, a string or an iterable of strings written in order,
-    via a temp file in the same directory, then rename into place.  The
-    file gets the mode ``open(path, "w")`` gives a new file."""
+    via a temp file in the same directory, then rename into place; returns
+    the hex SHA-256 of the bytes, taken as they are written.  Bytes of a
+    digest other than ``expect``, if given, raise ValueError before the
+    rename.  The file gets the mode ``open(path, "w")`` gives a new file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        raw = _HashedFile(fd)
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="\n") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
+        sha256 = raw.sha256.hexdigest()
+        if expect is not None and sha256 != expect:
+            raise ValueError(f"the bytes written to {path} lack the digest {expect}")
         # mkstemp creates the file with mode 0o600, and the rename keeps it
         os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
@@ -72,6 +104,7 @@ def atomic_write_text(path, text) -> None:
         except OSError:
             pass
         raise
+    return sha256
 
 
 class SizedChunks:
@@ -97,7 +130,7 @@ class SizedChunks:
 
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with _open_input(path) as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()

@@ -130,6 +130,7 @@ class GeneratedCity(NamedTuple):
     interactions_path: Path
     grid_path: Path
     stats: SynthStats
+    digests: dict[Path, str]  # the SHA-256 of each file's bytes, as they were written
 
 
 def cell_intensities(cfg: SynthConfig, rng: SplitMix64) -> dict[int, float]:
@@ -282,10 +283,10 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     interaction lines those after.  Each file starts at its own first draw,
     so with two or more CPUs and ``PARALLEL_MIN_LINES`` activity lines or
     more, a forked worker writes activity.tsv and grid.geojson while this
-    process searches the pairs and writes interactions.tsv.  If either
-    write fails, all three files are written again in this process, so the
-    bytes, and the error raised when a write fails, are the same for any
-    number of CPUs.
+    process searches the pairs and writes interactions.tsv, and sends back
+    the digests of its two files.  If either write fails, all three files
+    are written again in this process, so the bytes, and the error raised
+    when a write fails, are the same for any number of CPUs.
     """
     intensities = cell_intensities(cfg, SplitMix64(cfg.seed))
     out_dir = Path(out_dir)
@@ -295,44 +296,48 @@ def generate_city(cfg: SynthConfig, out_dir) -> GeneratedCity:
     lines = cells * cfg.records_per_cell
     activity_draw = 2 * cfg.n_centers + cells
 
-    def write_activity_and_grid() -> None:
-        atomic_write_text(paths[0], _activity_chunks(cfg, intensities, activity_draw))
-        atomic_write_text(paths[2], format_grid(_grid_features(cfg.grid_side)))
+    def write_activity_and_grid() -> tuple[str, str]:
+        return (
+            atomic_write_text(paths[0], _activity_chunks(cfg, intensities, activity_draw)),
+            atomic_write_text(paths[2], format_grid(_grid_features(cfg.grid_side))),
+        )
 
-    def write_interactions() -> tuple[int, int]:
+    def write_interactions() -> tuple[str, int, int]:
         kept, scored = _select_pairs([intensities[c] for c in sorted(intensities)], cfg.grid_side)
-        atomic_write_text(
+        sha256 = atomic_write_text(
             paths[1],
             (
                 format_interaction_line(InteractionRecord(u, v, t, s)) + "\n"
                 for (s, u, v), t in zip(kept, _timestamps(cfg, activity_draw + lines))
             ),
         )
-        return len(kept), scored
+        return sha256, len(kept), scored
 
-    pair_counts = None
+    interactions = None
     if _worker_count() >= 2 and lines >= PARALLEL_MIN_LINES:
 
         def worker(_, send) -> None:
             try:
-                write_activity_and_grid()
+                send(write_activity_and_grid())
             except OSError:
-                send(False)
-            else:
-                send(True)
+                send(None)
 
         with Workers("synth", 1, worker) as workers:
             try:
-                pair_counts = write_interactions()
+                interactions = write_interactions()
             except OSError:
                 pass
-            if not workers.receive(0, "finishing activity.tsv and grid.geojson"):
-                pair_counts = None
-    if pair_counts is None:
+            activity_and_grid = workers.receive(0, "finishing activity.tsv and grid.geojson")
+            if activity_and_grid is None:
+                interactions = None
+    if interactions is None:
         # the one-process order; after a failed forked write, its error is the one raised
-        write_activity_and_grid()
-        pair_counts = write_interactions()
-    return GeneratedCity(*paths, SynthStats(cells, lines, *pair_counts))
+        activity_and_grid = write_activity_and_grid()
+        interactions = write_interactions()
+    activity_sha256, grid_sha256 = activity_and_grid
+    interactions_sha256, *pair_counts = interactions
+    digests = dict(zip(paths, (activity_sha256, interactions_sha256, grid_sha256)))
+    return GeneratedCity(*paths, SynthStats(cells, lines, *pair_counts), digests)
 
 
 _INT_KEYS = ("grid_side", "n_centers", "seed", "records_per_cell")

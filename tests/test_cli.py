@@ -26,7 +26,7 @@ import gridhot.ingest
 import gridhot.synth
 import oracles
 from gridhot.cli import main
-from gridhot.fileio import sha256_file
+from gridhot.fileio import atomic_write_text, sha256_file
 from gridhot.ingest import GridCell, IngestConfig, TimeWindow, TrafficAggregate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -376,6 +376,53 @@ def test_unreadable_input_exits_two(tmp_path, capsys, command, spoiled, spoil):
     assert err.startswith(f"gridhot {command}: ") and err.count("\n") == 1, err
     assert str(target) in err
     assert "Traceback" not in err
+
+
+# the lines a pipe holds for each input it stands in for, and the command
+# line that reads it, given the pipe's path, the city and the hotspots run
+PIPED_INPUTS = {
+    "hotspots-activity": (
+        "{}\t1384732800000\t39\t1.0\t1.0\t1.0\t1.0\t1.0\n",
+        lambda pipe, city, hs: ["hotspots", "--activity", pipe, *WEEK, "--k", "5"],
+    ),
+    "centrality-interactions": (
+        "{}\t7\t1384732800000\t1.0\n",
+        lambda pipe, city, hs: ["centrality", "--interactions", pipe,
+                                "--hotspots", str(hs / "hotspots.csv"), *WEEK],
+    ),
+    "hotspots-config": (
+        "# line {}\n",
+        lambda pipe, city, hs: ["hotspots", "--activity", str(city / "activity.tsv"), *WEEK,
+                                "--k", "5", "--config", pipe],
+    ),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("case", PIPED_INPUTS)
+def test_piped_input_exits_two(tmp_path, capsys, case):
+    """An input that is not a regular file, here a pipe holding 500 lines,
+    exits 2 before it is read: a pipe gives its bytes once, and an input is
+    read by the gzip probe, the parse and the digest in turn."""
+    city = run_synth(tmp_path)
+    hs = tmp_path / "hs"
+    assert main(["hotspots", "--activity", str(city / "activity.tsv"), *WEEK, "--k", "4",
+                 "--out", str(hs)]) == 0
+    line, argv = PIPED_INPUTS[case]
+    read_end, write_end = os.pipe()
+    try:
+        # 500 short lines fit in a pipe's buffer, so the write does not wait
+        os.write(write_end, "".join(line.format(100 + i % 20) for i in range(500)).encode())
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv(pipe, city, hs), "--out", str(out)]) == 2
+    finally:
+        os.close(read_end)
+    command = argv(pipe, city, hs)[0]
+    assert capsys.readouterr().err == f"gridhot {command}: cannot read {pipe}: not a regular file\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["hotspots", "heatmap"])
@@ -1324,6 +1371,32 @@ def significant_digits(value: float) -> int:
     return len(mantissa)
 
 
+def record_hashing(monkeypatch):
+    """The paths the CLI passes to sha256_file, and the arguments of every
+    SHA-256 object made, by sha256_file or by a write, as two lists."""
+    hashed, made = [], []
+    real_file, real_hash = gridhot.cli.sha256_file, hashlib.sha256
+    monkeypatch.setattr(gridhot.cli, "sha256_file", lambda p: hashed.append(str(p)) or real_file(p))
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: made.append(a) or real_hash(*a))
+    return hashed, made
+
+
+def assert_inputs_hashed_once(manifest_path, hashed, made):
+    """The command that wrote ``manifest_path`` passed each of its inputs to
+    sha256_file once and none of its outputs, and took each output's digest
+    as it wrote it: one SHA-256 object per input and per file written, the
+    manifest included, so nothing was read back.  Returns the manifest."""
+    made_count = len(made)
+    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    inputs = {entry["path"] for entry in manifest["inputs"].values()}
+    outputs = [entry["path"] for entry in manifest["outputs"].values()]
+    assert sorted(hashed) == sorted(inputs)
+    assert made_count == len(inputs) + len(outputs) + 1
+    for entry in [*manifest["inputs"].values(), *manifest["outputs"].values()]:
+        assert entry["sha256"] == sha256_file(entry["path"]), entry["path"]
+    return manifest
+
+
 class TestHeatmapReuse:
     @pytest.mark.parametrize("broken", [None, *BROKEN_REUSE], ids=["reuse", *BROKEN_REUSE])
     def test_reuses_exactly_when_the_run_matches(self, tmp_path, monkeypatch, capsys, broken):
@@ -1410,24 +1483,15 @@ class TestHeatmapReuse:
         if path == "read":
             # the check hashes every input before it finds the mismatch
             break_activity_byte(tmp_path, hs)
-        real_sha256 = gridhot.cli.sha256_file
-        hashed = []
-        monkeypatch.setattr(gridhot.cli, "sha256_file", lambda p: hashed.append(str(p)) or real_sha256(p))
-        # every digest, taken by sha256_file or as the copy is written
-        real_hash = hashlib.sha256
-        hashes = []
-        monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(a) or real_hash(*a))
+        hashing = record_hashing(monkeypatch)
         parsed, grids = count_heatmap_reads(monkeypatch)
         out = tmp_path / "heat.geojson"
         assert main(heatmap_argv(city, activity, cfg, hs / "hotspots.csv", out)) == 0
         assert bool(parsed) == bool(grids) == (path != "reuse")
         inputs = [str(activity), str(city / "grid.geojson"), str(hs / "hotspots.csv"), str(cfg)]
-        # the copy is hashed as it is written, and its output is not read back
-        assert sorted(hashed) == sorted(inputs if path == "reuse" else [*inputs, str(out)])
-        assert len(hashes) == len(inputs) + 1
-        manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
+        manifest = assert_inputs_hashed_once(Path(str(out) + ".manifest.json"), *hashing)
         assert sorted(entry["path"] for entry in manifest["inputs"].values()) == sorted(inputs)
-        assert manifest["outputs"]["heat.geojson"]["sha256"] == real_sha256(out)
+        assert list(manifest["outputs"]) == ["heat.geojson"]
 
 
 coordinates =st.floats(allow_nan=False, allow_infinity=False)
@@ -1524,9 +1588,13 @@ MANIFEST_KEYS = {"command", "tool_version", "inputs", "config", "outputs", "stat
 
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
-    """One run of all five commands, with every optional input given."""
+    """One run of all five commands, with every optional input given, and a
+    synth forked onto two CPUs and a heatmap that reads the files."""
     root = tmp_path_factory.mktemp("chain")
     city = run_synth(root)
+    with pytest.MonkeyPatch.context() as patch:
+        synth_workers(patch, 2)
+        assert main(["synth", "--config", str(root / "synth.cfg"), "--out", str(root / "city_forked")]) == 0
     ingest_cfg = root / "ingest.cfg"
     ingest_cfg.write_text("on_malformed = skip\n", encoding="utf-8")
     activity = str(city / "activity.tsv")
@@ -1543,6 +1611,9 @@ def chain_dir(tmp_path_factory):
         ["heatmap", "--activity", activity, "--grid", str(city / "grid.geojson"), *WEEK,
          "--hotspots", str(root / "hs" / "hotspots.csv"), "--config", str(ingest_cfg),
          "--out", str(root / "heat.geojson")],
+        # the run without --grid wrote no heatmap to copy
+        ["heatmap", "--activity", activity, "--grid", str(city / "grid.geojson"), *WEEK,
+         "--hotspots", str(root / "hs_plain" / "hotspots.csv"), "--out", str(root / "heat-read.geojson")],
     ]
     for argv in steps:
         assert main(argv) == 0
@@ -1564,11 +1635,15 @@ DIAGNOSTICS = {
     "city/manifest.json": {
         "synth": {"cells": 36, "activity_lines": 72, "interaction_pairs": 720, "pairs_scored": 1062}
     },
+    "city_forked/manifest.json": {
+        "synth": {"cells": 36, "activity_lines": 72, "interaction_pairs": 720, "pairs_scored": 1062}
+    },
     "cen/manifest.json": {
         "ingest": {"lines": 720, "parsed": 720, "skipped": 0, "in_window": 720},
         "graph": {"nodes": 6, "edges": 15, "path_edges": 8, "components": 1},
     },
     "heat.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},
+    "heat-read.geojson.manifest.json": {"ingest": ACTIVITY_COUNTS},
 }
 WINDOW_BLOCK = {"start": 1384732800000, "end": 1385337600000}
 # the exact config keys of each manifest in chain_dir
@@ -1577,15 +1652,21 @@ CONFIG_KEYS = {
         "grid_side", "n_centers", "concentration", "decay_radius", "noise", "seed",
         "records_per_cell", "window",
     },
+    "city_forked/manifest.json": {
+        "grid_side", "n_centers", "concentration", "decay_radius", "noise", "seed",
+        "records_per_cell", "window",
+    },
     "hs/manifest.json": {"window", "p", "k", "on_malformed"},
     "hs_plain/manifest.json": {"window", "p", "k", "on_malformed"},
     "cen/manifest.json": {"window", "damping", "tol", "max_iter", "metrics", "pagerank_variant"},
     "cmp/manifest.json": {"metrics"},
     "heat.geojson.manifest.json": {"window", "on_malformed"},
+    "heat-read.geojson.manifest.json": {"window", "on_malformed"},
 }
 # manifest, command, input names, output names
 MANIFEST_CASES = [
     ("city/manifest.json", "synth", {"config"}, {"activity.tsv", "interactions.tsv", "grid.geojson"}),
+    ("city_forked/manifest.json", "synth", {"config"}, {"activity.tsv", "interactions.tsv", "grid.geojson"}),
     (
         "hs/manifest.json",
         "hotspots",
@@ -1610,6 +1691,12 @@ MANIFEST_CASES = [
         "heatmap",
         {"activity[0]", "grid", "hotspots", "config"},
         {"heat.geojson"},
+    ),
+    (
+        "heat-read.geojson.manifest.json",
+        "heatmap",
+        {"activity[0]", "grid", "hotspots"},
+        {"heat-read.geojson"},
     ),
 ]
 
@@ -1725,6 +1812,21 @@ print(code, oct(os.umask(0)))
 """
 
 
+@pytest.mark.parametrize("text", ["new text\n", ("new ", "text\n")], ids=["str", "chunks"])
+def test_write_of_another_digest_leaves_the_target(tmp_path, text):
+    """A write whose bytes lack the expected digest raises before the
+    rename: the file there keeps its bytes, and no temp file is left."""
+    target = tmp_path / "heat.geojson"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(ValueError):
+        atomic_write_text(target, text, expect=hashlib.sha256(b"other text\n").hexdigest())
+    assert target.read_bytes() == b"old bytes\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["heat.geojson"]
+    sha256 = hashlib.sha256(b"new text\n").hexdigest()
+    assert atomic_write_text(target, text, expect=sha256) == sha256
+    assert target.read_bytes() == b"new text\n"
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_outputs_follow_the_umask(tmp_path, umask, mode):
     """Every output gets the mode open(path, "w") gives a new file, though
@@ -1797,6 +1899,20 @@ def test_tracer_spans_every_wrapped_name(tmp_path, monkeypatch):
     assert set(tracing.CLI_WRAPS.values()) - spanned == set()
     for name, original in originals.items():
         assert getattr(gridhot.cli, name) is original, name
+
+
+@pytest.mark.parametrize("case", ["synth", "hotspots", "centrality", "compare"])
+def test_every_command_hashes_each_input_once(tmp_path, monkeypatch, case):
+    """As heatmap does on each of its paths: hotspots with --grid, and
+    compare given one report as both weeks."""
+    steps = chain_argv(tmp_path)
+    order = ["synth", "hotspots", "centrality", "compare"]
+    for before in order[:order.index(case)]:
+        assert main(steps[before]) == 0
+    hashing = record_hashing(monkeypatch)
+    argv = steps[case]
+    assert main(argv) == 0
+    assert_inputs_hashed_once(Path(argv[argv.index("--out") + 1]) / "manifest.json", *hashing)
 
 
 # Prints the exit code and the modules loaded by the command in argv, those
