@@ -74,21 +74,6 @@ def _require_path_metric(g: WeightedGraph, metric: str) -> None:
         raise DomainError(f"{metric} needs at least {minimum} nodes")
 
 
-def _out_rows(g: WeightedGraph) -> list[tuple[list[int], list[float]]]:
-    """Per node index, the indices of its out-neighbours and the weights of
-    those edges, in the order of ``g.edges``; index i is the i-th smallest
-    node id.  Unsorted: one ``math.fsum`` over a row needs no order, since
-    its correctly rounded value does not depend on the order of its terms;
-    a sum that does, sorts the row."""
-    index = {v: i for i, v in enumerate(g.nodes)}
-    rows: list[tuple[list[int], list[float]]] = [([], []) for _ in g.nodes]
-    for (u, v), weight in g.edges.items():
-        nbrs, weights = rows[index[u]]
-        nbrs.append(index[v])
-        weights.append(weight)
-    return rows
-
-
 def _gather(indices: list[int]):
     """One C call that takes ``x[i]`` for every i in ``indices``, in order."""
     if len(indices) > 1:
@@ -103,7 +88,7 @@ def _source_pass(
     """Dijkstra with shortest-path counting from one source index.
 
     ``adj`` holds, per node index, ``(neighbour index, weight)`` pairs in
-    ascending neighbour order, as ``WeightedGraph.path_adjacency`` does.
+    ascending neighbour order, as in ``WeightedGraph.path_adjacency``.
     Returns (dist, sigma, predecessors, settle order), indexed like ``adj``.
     Lengths within ``PATH_TIE_REL_TOL`` relative tolerance are treated as
     equal; heap ties fall to the smaller index, i.e. the smaller node id.
@@ -304,7 +289,7 @@ def degree(g: WeightedGraph) -> CentralityScores:
     """Weighted degree: the sum of incident edge weights (node strength)."""
     _require_undirected(g, "degree")
     scores = {}
-    for v, (_, weights) in zip(g.nodes, _out_rows(g)):
+    for v, (_, weights) in zip(g.nodes, g.rows):
         try:
             scores[v] = math.fsum(weights)
         except OverflowError:
@@ -349,11 +334,11 @@ def _pagerank_structure(g: WeightedGraph, variant: str):
     raises :class:`DomainError` in the ``weighted`` variant, whose shares
     it would make 0.
     """
-    rows = _out_rows(g)
+    rows = g.rows
     sources: list[list[int]] = [[] for _ in rows]
     shares: list[list[float]] = [[] for _ in rows]
     for i, (nbrs, weights) in enumerate(rows):
-        total = reduce(add, map(itemgetter(1), sorted(zip(nbrs, weights))), 0.0)
+        total = reduce(add, weights, 0.0)
         if variant == "weighted" and total == INF:
             raise DomainError(
                 f"the out-edge weights of node {g.nodes[i]} sum past the largest float"
@@ -433,7 +418,7 @@ def eigenvector(
         raise DomainError(
             f"eigenvector centrality needs a connected graph; got {g.components} components"
         )
-    adj = [(_gather(nbrs), weights) for nbrs, weights in _out_rows(g)]
+    adj = [(_gather(nbrs), weights) for nbrs, weights in g.rows]
 
     def times_adjacency(x: list[float]) -> list[float]:
         return [math.fsum(map(mul, weights, nbrs(x))) for nbrs, weights in adj]

@@ -30,7 +30,7 @@ class WeightedGraph(Checked, _WeightedGraph):
     weight, so adjacency iteration needs no special-casing.
     """
 
-    # no __slots__: the instance __dict__ holds the cached components
+    # no __slots__: the instance __dict__ holds what is cached below
 
     def _check(self):
         node_set = set(self.nodes)
@@ -73,10 +73,26 @@ class WeightedGraph(Checked, _WeightedGraph):
         return components
 
     @cached_property
+    def rows(self) -> list[tuple[list[int], list[float]]]:
+        """Per node index, the indices of its out-neighbours in ascending
+        order and the weights of those edges; index i is the i-th smallest
+        node id.  Built once per graph."""
+        index = {v: i for i, v in enumerate(self.nodes)}
+        # neighbours and weights as two flat lists per node: no object per edge
+        rows: list[tuple[list[int], list[float]]] = [([], []) for _ in self.nodes]
+        edges = self.edges
+        for key in sorted(edges):
+            u, v = key
+            nbrs, weights = rows[index[u]]
+            nbrs.append(index[v])
+            weights.append(edges[key])
+        return rows
+
+    @cached_property
     def path_adjacency(self) -> list[list[tuple[int, float]]]:
         """Per node index, ``(neighbour index, weight)`` pairs in ascending
-        neighbour order, without the edges that no shortest path uses;
-        index i is the i-th smallest node id.  Built once per graph.
+        neighbour order, as in :attr:`rows`, without the edges that no
+        shortest path uses.  Built once per graph.
 
         An undirected edge {u, v} of weight w is left out when a common
         neighbour x has ``w(u, x) + w(x, v) < w - DETOUR_REL_MARGIN * (n * W + w)``,
@@ -86,20 +102,13 @@ class WeightedGraph(Checked, _WeightedGraph):
         lighter edges are left out too, their own detours are shorter
         still, so distances are unchanged.  Nothing is left out of a
         directed graph, nor where ``2 * n * W`` is not finite and path
-        lengths may overflow.  Only the kept pairs outlive the call.
+        lengths may overflow.  The pairs are made from :attr:`rows`, which
+        stay cached beside them; the detour search's lists do not outlive
+        the call.
         """
-        index = {v: i for i, v in enumerate(self.nodes)}
-        # neighbours and weights as two flat lists per node: no object per
-        # edge until the kept edges are paired up at the end
-        rows: list[tuple[list[int], list[float]]] = [([], []) for _ in self.nodes]
-        edges = self.edges
-        for key in sorted(edges):
-            u, v = key
-            nbrs, weights = rows[index[u]]
-            nbrs.append(index[v])
-            weights.append(edges[key])
+        rows = self.rows
         n = len(rows)
-        top = max(edges.values(), default=0.0)
+        top = max(self.edges.values(), default=0.0)
         left_out: list[set[int]] = [set() for _ in rows]
         if not self.directed and math.isfinite(2.0 * n * top):
             # each node's (weight, neighbour) pairs, lightest first

@@ -609,13 +609,13 @@ def aggregate_interactions(
 
 
 # Smaller activity inputs are read in this process.  On a 2-core host a
-# forked read of an activity file (hundreds of records per cell) breaks even
-# near 384 KiB with block conversion (near 256 KiB with per-line parsing)
-# and takes 0.86-0.97 of the one-process time at 512 KiB.
-# Interaction files are always read in this process: with one record per
-# pair, as in every file measured, the merge costs as much as the parse
-# saves.  The tables are in CHANGES.md.
-PARALLEL_MIN_BYTES = 1 << 19
+# forked read takes 0.63-0.85 of the one-process time from 2.5 MB up while
+# the other core is free, and 1.1-1.6 times as long up to 5 MB while
+# another process keeps it busy; below 2 MiB a free core saves no more
+# than a busy one costs.  The table is in README.md.  Interaction files are
+# always read in this process: with one record per pair, as in every file
+# measured, the merge costs as much as the parse saves.
+PARALLEL_MIN_BYTES = 1 << 21
 
 # the kinds read on every CPU, with the (key, timestamp, value) terms of a record
 _TERMS = {"activity": _activity_terms}

@@ -560,6 +560,32 @@ class TestCentralityCommand:
         assert graph == ({**facts, "path_edges": 2} if path_pass else facts)
         assert len(built) == (1 if path_pass else 0)
 
+    @pytest.mark.parametrize("metrics, directions", [
+        ("closeness,betweenness,degree,pagerank,eigenvector", [False, True]), ("pagerank", [True]),
+        ("closeness,degree,eigenvector", [False]),
+    ])
+    def test_rows_built_once_per_graph(self, tmp_path, monkeypatch, metrics, directions):
+        interactions = tmp_path / "interactions.tsv"
+        interactions.write_text(
+            "".join(f"{src}\t{dst}\t1384732800000\t{w}\n"
+                    for src, dst, w in [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 5.0), (3, 4, 2.0)]),
+            encoding="utf-8",
+        )
+        hotspots = tmp_path / "hotspots.csv"
+        hotspots.write_text("cell_id,intensity\n1,1.0\n2,1.0\n3,1.0\n4,1.0\n", encoding="utf-8")
+        built = []
+        real = gridhot.graph.WeightedGraph.rows.func
+        counted = functools.cached_property(lambda g: built.append(g) or real(g))
+        counted.__set_name__(gridhot.graph.WeightedGraph, "rows")
+        monkeypatch.setattr(gridhot.graph.WeightedGraph, "rows", counted)
+        out = tmp_path / "cen"
+        assert main(["centrality", "--interactions", str(interactions), "--hotspots",
+                     str(hotspots), *WEEK, "--metrics", metrics, "--out", str(out)]) == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert set(status.values()) == {"ok"}
+        # degree, eigenvector and the path pass share the undirected graph's rows
+        assert sorted(g.directed for g in built) == directions
+
     def test_overflowing_undirected_edge_exits_one(self, tmp_path, capsys):
         # each direction's sum is finite, the undirected edge's is not
         interactions = tmp_path / "interactions.tsv"

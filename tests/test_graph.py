@@ -122,3 +122,44 @@ class TestValidation:
         g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 3): 1.0, (1, 2): 2.0}, directed=True)
         assert g.path_adjacency == [[(1, 2.0), (2, 1.0)], [], []]
 
+
+def _reference_rows(g):
+    """Per node index, the sorted out-neighbour indices and their weights,
+    read from ``g.edges`` node by node."""
+    rows = []
+    for u in g.nodes:
+        targets = sorted(v for (src, v) in g.edges if src == u)
+        rows.append(([g.nodes.index(v) for v in targets], [g.edges[(u, v)] for v in targets]))
+    return rows
+
+
+def _random_graph(rng, n, directed, isolated=0):
+    """Sparse ids, shuffled insertion order; the last ``isolated`` ids have no edge."""
+    nodes = tuple(sorted(rng.sample(range(1, 10 * n + 1), n)))
+    linked = list(nodes[:n - isolated])
+    rng.shuffle(linked)
+    edges = {}
+    for u in linked:
+        for v in linked:
+            if u != v and (directed or u < v) and rng.random() < 0.4:
+                edges[(u, v)] = rng.uniform(0.1, 5.0)
+                if not directed:
+                    edges[(v, u)] = edges[(u, v)]
+    return WeightedGraph(nodes=nodes, edges=edges, directed=directed)
+
+
+class TestRows:
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("isolated", [0, 3])
+    def test_random_graphs_match_reference(self, directed, isolated):
+        rng = random.Random(17 + isolated)
+        for _ in range(30):
+            g = _random_graph(rng, rng.randint(isolated + 1, isolated + 12), directed, isolated)
+            assert g.rows == _reference_rows(g)
+            for nbrs, _ in g.rows[len(g.nodes) - isolated:]:
+                assert nbrs == []
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_one_node(self, directed):
+        g = WeightedGraph(nodes=(7,), edges={}, directed=directed)
+        assert g.rows == _reference_rows(g) == [([], [])]
