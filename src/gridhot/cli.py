@@ -451,6 +451,8 @@ def cmd_centrality(args) -> int:
     )
 
     graph = build_graph(interactions, sorted(members))
+    # the graph's edges hold the aggregate's pair tuples; its own dict goes now
+    del interactions
     params = CentralityParams(
         damping=args.damping,
         tol=args.tol,
@@ -469,8 +471,9 @@ def cmd_centrality(args) -> int:
     if {"closeness", "betweenness"} & set(args.metrics):
         # the undirected edges the shortest-path pass ran on
         graph_facts["path_edges"] = sum(map(len, undirected.path_adjacency)) // 2
-    # free its cached path adjacency before the outputs are formatted
-    del undirected
+    # free both graphs, and the path adjacency cached on one, before the
+    # outputs are formatted and hashing loads OpenSSL at the first write
+    del graph, undirected
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

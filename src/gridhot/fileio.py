@@ -1,9 +1,12 @@
-"""Atomic file writing, text input opening and content digests."""
+"""Atomic file writing, text input opening and content digests.
+
+``hashlib``, which maps OpenSSL, is imported where a digest is first taken,
+so a command holds it only from its first output or input digest on.
+"""
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
 import os
 import stat
@@ -71,6 +74,8 @@ class _HashedFile(io.FileIO):
     """A file to write that hashes the blocks its buffer hands down."""
 
     def __init__(self, fd: int):
+        import hashlib
+
         super().__init__(fd, "w")
         self.sha256 = hashlib.sha256()
 
@@ -129,6 +134,8 @@ class SizedChunks:
 
 
 def sha256_file(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with _open_input(path) as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):

@@ -146,7 +146,8 @@ def build_graph(
 
     ``hotspots`` is a :class:`HotspotSet`, whose ``members`` are sorted, or
     any iterable of cell ids.  Self-loop entries are dropped; no centrality
-    metric consumes them.
+    metric consumes them.  The edges are keyed by the aggregate's own pair
+    tuples, so each pair is held once while both are alive.
     """
     # read by name, so that the hotspot module is not imported to tell them apart
     members = getattr(hotspots, "members", None)
@@ -156,9 +157,9 @@ def build_graph(
         raise DomainError("cannot build a graph over an empty hotspot set")
     member_set = set(members)
     edges = {
-        (src, dst): weight
-        for (src, dst), weight in interactions.strengths.items()
-        if src in member_set and dst in member_set and src != dst
+        pair: weight
+        for pair, weight in interactions.strengths.items()
+        if pair[0] in member_set and pair[1] in member_set and pair[0] != pair[1]
     }
     return WeightedGraph(nodes=members, edges=edges, directed=True)
 
@@ -167,20 +168,24 @@ def symmetrize(g: WeightedGraph) -> WeightedGraph:
     """Sum the two directions of every pair into an undirected graph.
 
     Raises :class:`DomainError` naming the first pair whose sum is past the
-    largest float.
+    largest float.  A pair ``u < v`` keeps the key tuple of ``g.edges`` when
+    that direction comes first there, as in a graph from :func:`build_graph`;
+    the reversed keys are new tuples.
     """
     if not g.directed:
         raise DomainError("symmetrize expects a directed graph")
     totals: dict[tuple[int, int], float] = {}
-    for (u, v), weight in g.edges.items():
-        key = (u, v) if u < v else (v, u)
+    for pair, weight in g.edges.items():
+        u, v = pair
+        key = pair if u < v else (v, u)
         totals[key] = totals.get(key, 0.0) + weight
     edges: dict[tuple[int, int], float] = {}
-    for (u, v), weight in totals.items():
+    for key, weight in totals.items():
+        u, v = key
         if weight == math.inf:
             raise DomainError(f"the strengths of pair {u} <-> {v} sum past the largest float")
         if weight > 0:
-            edges[(u, v)] = weight
+            edges[key] = weight
             edges[(v, u)] = weight
     return WeightedGraph(nodes=g.nodes, edges=edges, directed=False)
 

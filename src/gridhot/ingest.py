@@ -548,7 +548,8 @@ def _window_sums(terms, window: TimeWindow, ranges, name, keep=None) -> tuple[di
     :func:`_window_values`: the keys it rejects are counted, never summed.
     ``name(key)`` names the first summed key, in key order, whose sum is
     not finite in the :class:`DomainError` raised for it.  Returns the sums
-    and the number of in-window terms.
+    and the number of in-window terms.  Each key's values are freed as soon
+    as they are summed.
     """
     values, in_window = _window_values(terms, window, keep)
     for partials, count in ranges:
@@ -558,7 +559,7 @@ def _window_sums(terms, window: TimeWindow, ranges, name, keep=None) -> tuple[di
     sums = {}
     for key in sorted(values):
         try:
-            total = math.fsum(values[key])
+            total = math.fsum(values.pop(key))
         except OverflowError:
             total = math.inf
         if not total < math.inf:
@@ -600,11 +601,13 @@ def aggregate_interactions(
     of every other pair are counted in ``in_window`` and dropped.
     """
     keep = None if members is None else frozenset(members).issuperset
-    sums, in_window = _window_sums(
+    strengths, in_window = _window_sums(
         _interaction_terms(records), window, (),
         lambda pair: f"strength of pair {pair[0]} -> {pair[1]}", keep,
     )
-    strengths = {pair: total for pair, total in sums.items() if total > 0.0}
+    # the sums at or below 0 leave the summed dict, which is not copied
+    for pair in [pair for pair, total in strengths.items() if total <= 0.0]:
+        del strengths[pair]
     return InteractionAggregate(window=window, strengths=strengths, in_window=in_window)
 
 

@@ -1956,12 +1956,13 @@ print(code, *sorted(name.removeprefix("gridhot.") for name in sys.modules))
 # unloaded.  Without a bytecode cache a process compiles every module it
 # imports: ingest holds the record readers, csv is needed only for a CSV
 # input, and _strptime only for a window bound in none of the canonical ISO
-# forms, which every case gives.
+# forms, which every case gives.  OpenSSL's _hashlib, which maps about 3 MB,
+# loads at a command's first digest, so a command that takes none loads none.
 LOADED_ON_USE = {"centrality", "graph", "compare", "hotspot", "synth"}
 READS_NO_RECORD = LOADED_ON_USE | {"workers", "ingest", "csv", "_strptime"}
 NOT_LOADED = {
-    "version": READS_NO_RECORD,
-    "centrality-help": READS_NO_RECORD,
+    "version": READS_NO_RECORD | {"_hashlib"},
+    "centrality-help": READS_NO_RECORD | {"_hashlib"},
     "synth": {"centrality", "graph", "hotspot", "compare", "csv", "_strptime"},
     "hotspots": {"centrality", "graph", "compare", "synth", "csv", "_strptime"},
     "hotspots-plain": {"centrality", "graph", "compare", "synth", "csv", "_strptime"},
@@ -2004,6 +2005,43 @@ def loaded_modules(tmp_path_factory):
 def test_command_imports_only_what_it_runs(loaded_modules, case):
     assert {"cli", *LOADED.get(case, ())} <= loaded_modules[case]
     assert loaded_modules[case] & NOT_LOADED[case] == set()
+
+
+# Runs the command in argv with the gridhot.cli function named first wrapped,
+# as the benchmark's tracer wraps it, and prints the exit code, whether
+# _hashlib was loaded each time the wrapped call returned, and whether it was
+# loaded once the command was done.
+FIRST_DIGEST_PROBE = """
+import sys
+import gridhot.cli
+
+name, *argv = sys.argv[1:]
+original = getattr(gridhot.cli, name)
+loaded = []
+
+def wrapper(*args, **kwargs):
+    result = original(*args, **kwargs)
+    loaded.append("_hashlib" in sys.modules)
+    return result
+
+setattr(gridhot.cli, name, wrapper)
+code = gridhot.cli.main(argv)
+print(code, *loaded, "_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("case, name", [("hotspots", "calibrate_p"), ("centrality", "compute_all")])
+def test_openssl_loads_after_the_largest_working_set(tmp_path, case, name):
+    """A command loads _hashlib at its first digest, which it takes only once
+    its largest working set is built: hotspots once the cutoff is
+    calibrated, centrality once the metrics are computed."""
+    steps = chain_argv(tmp_path)
+    for before in ("synth", "hotspots")[:("synth", "hotspots", "centrality").index(case)]:
+        assert main(steps[before]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(gridhot.cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", FIRST_DIGEST_PROBE, name, *steps[case]],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "False", "True"], done.stderr
 
 
 # The SHA-256 of the heatmap.geojson that hotspots writes for one fixed city,

@@ -5,7 +5,9 @@ import pytest
 from gridhot.errors import DomainError
 from gridhot.graph import WeightedGraph, build_graph, symmetrize
 from gridhot.hotspot import HotspotSet, ThresholdSpec
-from gridhot.ingest import InteractionAggregate, TimeWindow
+from gridhot.ingest import (
+    InteractionAggregate, InteractionRecord, TimeWindow, aggregate_interactions,
+)
 
 WINDOW = TimeWindow(0, 1_000)
 
@@ -95,6 +97,40 @@ class TestSymmetrize:
             und = symmetrize(g)
             for (u, v), w in und.edges.items():
                 assert w == directed[(u, v)] + directed[(v, u)]
+
+
+class TestPairsHeldOnce:
+    """The graphs key their edges by the pair tuples they are given, so a
+    centrality run holds each interaction pair once."""
+
+    RECORDS = [
+        *(InteractionRecord(u, v, 100, float(u + v)) for u in range(1, 6) for v in range(1, 6)),
+        # pairs that sum to zero or below are dropped
+        InteractionRecord(2, 3, 200, -5.0),
+        InteractionRecord(4, 1, 200, -9.0),
+    ]
+
+    def test_aggregate_drops_the_pairs_at_or_below_zero(self):
+        agg = aggregate_interactions(self.RECORDS, WINDOW, members={1, 2, 3, 4})
+        assert (2, 3) not in agg.strengths and (4, 1) not in agg.strengths
+        assert list(agg.strengths) == sorted(agg.strengths)
+        assert len(agg.strengths) == 16 - 2
+
+    def test_build_graph_keeps_the_aggregate_keys(self):
+        agg = aggregate_interactions(self.RECORDS, WINDOW, members={1, 2, 3, 4})
+        g = build_graph(agg, [1, 2, 3])
+        keys = {pair: pair for pair in agg.strengths}
+        assert len(g.edges) == 5
+        assert all(pair is keys[pair] for pair in g.edges)
+
+    def test_symmetrize_keeps_the_keys_of_the_lower_to_higher_direction(self):
+        agg = aggregate_interactions(self.RECORDS, WINDOW)
+        g = build_graph(agg, [1, 2, 3, 4, 5])
+        und = symmetrize(g)
+        keys = {pair: pair for pair in und.edges}
+        ascending = [pair for pair in g.edges if pair[0] < pair[1]]
+        assert len(ascending) == 9
+        assert all(keys[pair] is pair for pair in ascending)
 
 
 class TestValidation:
