@@ -465,7 +465,7 @@ def cmd_centrality(args) -> int:
     results, failures = compute_all(graph, params, metrics=args.metrics, undirected=undirected)
     graph_facts = {
         "nodes": graph.n,
-        "edges": len(undirected.edges) // 2,
+        "edges": len(undirected.edges),
         "components": undirected.components,
     }
     if {"closeness", "betweenness"} & set(args.metrics):

@@ -24,10 +24,10 @@ class _WeightedGraph(NamedTuple):
 
 
 class WeightedGraph(Checked, _WeightedGraph):
-    """A graph with positive edge weights and ascending node order.
+    """A graph with positive, finite edge weights and ascending node order.
 
-    Undirected graphs store each edge under both ordered keys with equal
-    weight, so adjacency iteration needs no special-casing.
+    An undirected graph stores each edge once, under ``(u, v)`` with
+    ``u < v``; :attr:`rows` lists it from both ends.
     """
 
     # no __slots__: the instance __dict__ holds what is cached below
@@ -41,10 +41,10 @@ class WeightedGraph(Checked, _WeightedGraph):
                 raise DomainError(f"edge ({u}, {v}) has an endpoint outside the node set")
             if u == v:
                 raise DomainError(f"self-loop on node {u}")
-            if not weight > 0:
-                raise DomainError(f"edge ({u}, {v}) weight must be positive, got {weight}")
-            if not self.directed and self.edges.get((v, u)) != weight:
-                raise DomainError(f"undirected edge ({u}, {v}) lacks an equal reverse entry")
+            if not 0.0 < weight < math.inf:
+                raise DomainError(f"edge ({u}, {v}) weight must be positive and finite, got {weight}")
+            if not self.directed and u > v:
+                raise DomainError(f"undirected edge ({u}, {v}) must be keyed ({v}, {u})")
 
     @property
     def n(self) -> int:
@@ -52,40 +52,41 @@ class WeightedGraph(Checked, _WeightedGraph):
 
     @cached_property
     def components(self) -> int:
-        """Connected components, edge directions ignored; counted once per graph."""
-        neighbours: dict[int, list[int]] = {u: [] for u in self.nodes}
+        """Connected components, edge directions ignored; counted once per
+        graph by a union-find over the edge keys, with no adjacency."""
+        parent = {u: u for u in self.nodes}
+        components = len(parent)
         for u, v in self.edges:
-            neighbours[u].append(v)
-            if self.directed:
-                neighbours[v].append(u)
-        reached: set[int] = set()
-        components = 0
-        for root in self.nodes:
-            if root not in reached:
-                components += 1
-                reached.add(root)
-                stack = [root]
-                while stack:
-                    for v in neighbours[stack.pop()]:
-                        if v not in reached:
-                            reached.add(v)
-                            stack.append(v)
+            # path halving: link each node passed to its grandparent and step there
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                components -= 1
         return components
 
     @cached_property
     def rows(self) -> list[tuple[list[int], list[float]]]:
         """Per node index, the indices of its out-neighbours in ascending
         order and the weights of those edges; index i is the i-th smallest
-        node id.  Built once per graph."""
+        node id.  An undirected edge is listed from both ends: node x's keys
+        ``(u, x)``, u < x, sort before its keys ``(x, w)``.  Built once per
+        graph."""
         index = {v: i for i, v in enumerate(self.nodes)}
         # neighbours and weights as two flat lists per node: no object per edge
         rows: list[tuple[list[int], list[float]]] = [([], []) for _ in self.nodes]
-        edges = self.edges
-        for key in sorted(edges):
-            u, v = key
-            nbrs, weights = rows[index[u]]
-            nbrs.append(index[v])
-            weights.append(edges[key])
+        undirected = not self.directed
+        for (u, v), weight in sorted(self.edges.items()):
+            i, j = index[u], index[v]
+            nbrs, weights = rows[i]
+            nbrs.append(j)
+            weights.append(weight)
+            if undirected:
+                nbrs, weights = rows[j]
+                nbrs.append(i)
+                weights.append(weight)
         return rows
 
     @cached_property
@@ -168,9 +169,9 @@ def symmetrize(g: WeightedGraph) -> WeightedGraph:
     """Sum the two directions of every pair into an undirected graph.
 
     Raises :class:`DomainError` naming the first pair whose sum is past the
-    largest float.  A pair ``u < v`` keeps the key tuple of ``g.edges`` when
-    that direction comes first there, as in a graph from :func:`build_graph`;
-    the reversed keys are new tuples.
+    largest float.  Each pair is keyed ``(u, v)`` with ``u < v``, by the key
+    tuple of ``g.edges`` when that direction comes first there, as in a
+    graph from :func:`build_graph`; the reversed keys are new tuples.
     """
     if not g.directed:
         raise DomainError("symmetrize expects a directed graph")
@@ -179,13 +180,7 @@ def symmetrize(g: WeightedGraph) -> WeightedGraph:
         u, v = pair
         key = pair if u < v else (v, u)
         totals[key] = totals.get(key, 0.0) + weight
-    edges: dict[tuple[int, int], float] = {}
-    for key, weight in totals.items():
-        u, v = key
+    for (u, v), weight in totals.items():
         if weight == math.inf:
             raise DomainError(f"the strengths of pair {u} <-> {v} sum past the largest float")
-        if weight > 0:
-            edges[key] = weight
-            edges[(v, u)] = weight
-    return WeightedGraph(nodes=g.nodes, edges=edges, directed=False)
-
+    return WeightedGraph(nodes=g.nodes, edges=totals, directed=False)

@@ -47,19 +47,24 @@ INF = math.inf
 TIE_REL_TOL = 1e-9
 
 
+def ordered_edges(g: WeightedGraph) -> dict[tuple[int, int], float]:
+    """The edge weights by ordered pair; an undirected edge, which ``g``
+    holds once, is given under both keys."""
+    if g.directed:
+        return g.edges
+    return {**g.edges, **{(v, u): w for (u, v), w in g.edges.items()}}
+
+
 def adjacency(g: WeightedGraph) -> dict[int, list[tuple[int, float]]]:
     """Out-adjacency lists with neighbours in ascending order."""
     adj: dict[int, list[tuple[int, float]]] = {u: [] for u in g.nodes}
-    for (u, v), weight in sorted(g.edges.items()):
+    for (u, v), weight in sorted(ordered_edges(g).items()):
         adj[u].append((v, weight))
     return adj
 
 
 def undirected_graph(nodes, weighted_pairs) -> WeightedGraph:
-    edges = {}
-    for u, v, w in weighted_pairs:
-        edges[(u, v)] = w
-        edges[(v, u)] = w
+    edges = {(min(u, v), max(u, v)): w for u, v, w in weighted_pairs}
     return WeightedGraph(nodes=tuple(sorted(nodes)), edges=edges, directed=False)
 
 
@@ -95,7 +100,7 @@ def floyd_warshall(g: WeightedGraph) -> dict[tuple[int, int], float]:
     dist = {(u, v): INF for u in g.nodes for v in g.nodes}
     for u in g.nodes:
         dist[(u, u)] = 0.0
-    for (u, v), w in g.edges.items():
+    for (u, v), w in ordered_edges(g).items():
         dist[(u, v)] = min(dist[(u, v)], w)
     for k in g.nodes:
         for i in g.nodes:
@@ -191,11 +196,12 @@ def pagerank_dense(g: WeightedGraph, damping: float = 0.85,
     idx = {u: i for i, u in enumerate(nodes)}
     out_weight = {u: 0.0 for u in nodes}
     out_count = {u: 0 for u in nodes}
-    for (u, _), w in g.edges.items():
+    edges = ordered_edges(g)
+    for (u, _), w in edges.items():
         out_weight[u] += w
         out_count[u] += 1
     P = np.zeros((n, n))
-    for (u, v), w in g.edges.items():
+    for (u, v), w in edges.items():
         P[idx[u], idx[v]] = w / out_weight[u] if variant == "weighted" else 1.0 / out_count[u]
     for u in nodes:
         if out_count[u] == 0:
@@ -210,7 +216,7 @@ def eigenvector_dense(g: WeightedGraph) -> tuple[dict[int, float], float]:
     n = len(nodes)
     idx = {u: i for i, u in enumerate(nodes)}
     A = np.zeros((n, n))
-    for (u, v), w in g.edges.items():
+    for (u, v), w in ordered_edges(g).items():
         A[idx[u], idx[v]] = w
     eigenvalues, vectors = np.linalg.eigh(A)
     principal = vectors[:, -1]
@@ -286,11 +292,12 @@ def degree(g: WeightedGraph) -> CentralityScores:
 def _pagerank_structure(g: WeightedGraph, variant: str):
     out_weight = {u: 0.0 for u in g.nodes}
     out_count = {u: 0 for u in g.nodes}
-    for (u, _), weight in g.edges.items():
+    edges = ordered_edges(g)
+    for (u, _), weight in edges.items():
         out_weight[u] += weight
         out_count[u] += 1
     in_shares: dict[int, list[tuple[int, float]]] = {u: [] for u in g.nodes}
-    for (u, v), weight in sorted(g.edges.items()):
+    for (u, v), weight in sorted(edges.items()):
         share = weight / out_weight[u] if variant == "weighted" else 1.0 / out_count[u]
         in_shares[v].append((u, share))
     dangling = tuple(u for u in g.nodes if out_count[u] == 0)

@@ -107,9 +107,7 @@ class TestCloseness:
             closeness(WeightedGraph(nodes=(1,), edges={}, directed=False))
 
     def test_component_flag(self):
-        g = WeightedGraph(
-            nodes=(1, 2, 3), edges={(1, 2): 1.0, (2, 1): 1.0}, directed=False
-        )
+        g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 2): 1.0}, directed=False)
         result = closeness(g)
         assert result.params["on_component"]
         assert result.scores[3] == 0.0
@@ -157,7 +155,7 @@ class TestDegree:
         assert degree(TRIANGLE_UNIT).scores == {1: 2.0, 2: 2.0, 3: 2.0}
 
     def test_isolated_node(self):
-        g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 2): 1.0, (2, 1): 1.0}, directed=False)
+        g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 2): 1.0}, directed=False)
         assert degree(g).scores[3] == 0.0
 
 
@@ -254,7 +252,7 @@ class TestEigenvector:
             assert all(v >= 0 for v in scores.values())
 
     def test_disconnected_rejected(self):
-        g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 2): 1.0, (2, 1): 1.0}, directed=False)
+        g = WeightedGraph(nodes=(1, 2, 3), edges={(1, 2): 1.0}, directed=False)
         with pytest.raises(DomainError, match="got 2 components"):
             eigenvector(g)
 
@@ -646,10 +644,8 @@ class TestProperties:
         for _ in range(10):
             g = oracles.random_connected_graph(rng, rng.randint(3, 7))
             mapping = dict(zip(g.nodes, rng.sample(range(100, 200), g.n)))
-            relabeled = WeightedGraph(
-                nodes=tuple(sorted(mapping.values())),
-                edges={(mapping[u], mapping[v]): w for (u, v), w in g.edges.items()},
-                directed=False,
+            relabeled = oracles.undirected_graph(
+                mapping.values(), [(mapping[u], mapping[v], w) for (u, v), w in g.edges.items()]
             )
             for metric in (closeness, betweenness, degree, eigenvector):
                 base = metric(g).scores

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+import oracles
 from gridhot.errors import DomainError
 from gridhot.graph import WeightedGraph, build_graph, symmetrize
 from gridhot.hotspot import HotspotSet, ThresholdSpec
@@ -55,7 +57,7 @@ class TestSymmetrize:
         g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 3.0, (2, 1): 1.0}, directed=True)
         und = symmetrize(g)
         assert not und.directed
-        assert und.edges == {(1, 2): 4.0, (2, 1): 4.0}
+        assert und.edges == {(1, 2): 4.0}
 
     def test_overflowing_pair_named(self):
         g = WeightedGraph(
@@ -67,18 +69,19 @@ class TestSymmetrize:
     def test_largest_finite_sum_kept(self):
         big = 1.7976931348623157e308
         g = WeightedGraph(nodes=(1, 2), edges={(1, 2): big / 2, (2, 1): big / 2}, directed=True)
-        assert symmetrize(g).edges == {(1, 2): big, (2, 1): big}
+        assert symmetrize(g).edges == {(1, 2): big}
 
     def test_one_way_edge_kept(self):
-        g = WeightedGraph(nodes=(1, 2), edges={(1, 2): 3.0}, directed=True)
-        assert symmetrize(g).edges == {(1, 2): 3.0, (2, 1): 3.0}
+        for key in ((1, 2), (2, 1)):
+            g = WeightedGraph(nodes=(1, 2), edges={key: 3.0}, directed=True)
+            assert symmetrize(g).edges == {(1, 2): 3.0}
 
     def test_empty(self):
         g = WeightedGraph(nodes=(1, 2), edges={}, directed=True)
         assert symmetrize(g).edges == {}
 
     def test_rejects_undirected_input(self):
-        und = WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0, (2, 1): 1.0}, directed=False)
+        und = WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0}, directed=False)
         with pytest.raises(DomainError):
             symmetrize(und)
 
@@ -97,6 +100,16 @@ class TestSymmetrize:
             und = symmetrize(g)
             for (u, v), w in und.edges.items():
                 assert w == directed[(u, v)] + directed[(v, u)]
+
+    def test_one_key_per_pair_lower_first(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(2, 12)
+            g = _random_graph(rng, n, directed=True, isolated=rng.randint(0, n - 1))
+            pairs = {(min(u, v), max(u, v)) for u, v in g.edges}
+            und = symmetrize(g)
+            assert sorted(und.edges) == sorted(pairs)
+            assert all(u < v for u, v in und.edges)
 
 
 class TestPairsHeldOnce:
@@ -146,9 +159,22 @@ class TestValidation:
         with pytest.raises(DomainError):
             WeightedGraph(nodes=(1,), edges={(1, 1): 1.0}, directed=True)
 
-    def test_asymmetric_undirected_rejected(self):
-        with pytest.raises(DomainError):
-            WeightedGraph(nodes=(1, 2), edges={(1, 2): 1.0}, directed=False)
+    @pytest.mark.parametrize(
+        "edges",
+        [{(2, 1): 1.0}, {(1, 2): 1.0, (2, 1): 1.0}, {(2, 1): 1.0, (1, 2): 1.0}],
+        ids=["alone", "after", "before"],
+    )
+    def test_reversed_undirected_key_rejected(self, edges):
+        with pytest.raises(DomainError, match=r"^undirected edge \(2, 1\) must be keyed \(1, 2\)$"):
+            WeightedGraph(nodes=(1, 2), edges=edges, directed=False)
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -2.0])
+    def test_weight_positive_and_finite(self, weight, directed):
+        with pytest.raises(
+            DomainError, match=rf"^edge \(1, 2\) weight must be positive and finite, got {weight}$"
+        ):
+            WeightedGraph(nodes=(1, 2), edges={(1, 2): weight}, directed=directed)
 
     def test_unsorted_nodes_rejected(self):
         with pytest.raises(DomainError):
@@ -161,11 +187,12 @@ class TestValidation:
 
 def _reference_rows(g):
     """Per node index, the sorted out-neighbour indices and their weights,
-    read from ``g.edges`` node by node."""
+    read from the edges node by node; an undirected edge from both ends."""
+    edges = oracles.ordered_edges(g)
     rows = []
     for u in g.nodes:
-        targets = sorted(v for (src, v) in g.edges if src == u)
-        rows.append(([g.nodes.index(v) for v in targets], [g.edges[(u, v)] for v in targets]))
+        targets = sorted(v for (src, v) in edges if src == u)
+        rows.append(([g.nodes.index(v) for v in targets], [edges[(u, v)] for v in targets]))
     return rows
 
 
@@ -179,9 +206,35 @@ def _random_graph(rng, n, directed, isolated=0):
         for v in linked:
             if u != v and (directed or u < v) and rng.random() < 0.4:
                 edges[(u, v)] = rng.uniform(0.1, 5.0)
-                if not directed:
-                    edges[(v, u)] = edges[(u, v)]
     return WeightedGraph(nodes=nodes, edges=edges, directed=directed)
+
+
+class TestComponents:
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_random_graphs_match_networkx(self, directed):
+        """Sparse ids, isolated nodes and up to hundreds of components."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(29)
+        counts = []
+        for _ in range(40):
+            n = rng.randint(1, 300)
+            nodes = tuple(sorted(rng.sample(range(1, 10 * n + 1), n)))
+            linked = nodes[: n - (rng.randint(0, n // 4) if rng.random() < 0.5 else 0)]
+            edges = {}
+            for _ in range(int((len(linked) - 1) * rng.choice([0.2, 0.6, 1.5, 5.0]))):
+                u, v = rng.sample(linked, 2)
+                edges[(u, v) if directed else (min(u, v), max(u, v))] = rng.uniform(0.1, 5.0)
+            g = WeightedGraph(nodes=nodes, edges=edges, directed=directed)
+            reference = nx.DiGraph() if directed else nx.Graph()
+            reference.add_nodes_from(nodes)
+            reference.add_edges_from(edges)
+            if directed:
+                expected = nx.number_weakly_connected_components(reference)
+            else:
+                expected = nx.number_connected_components(reference)
+            assert g.components == expected
+            counts.append(expected)
+        assert min(counts) == 1 and max(counts) > 100
 
 
 class TestRows:
